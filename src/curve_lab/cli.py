@@ -87,12 +87,16 @@ def _load_values(path: str) -> np.ndarray:
     except OSError as exc:
         raise InputError(f"cannot read values file {path}: {exc}") from exc
     text = text.strip()
-    if text.startswith("["):
-        return np.asarray(json.loads(text), dtype=float)
     try:
-        return np.asarray([float(line) for line in text.splitlines() if line.strip()])
-    except ValueError as exc:
+        if text.startswith("["):
+            values = np.asarray(json.loads(text), dtype=float)
+        else:
+            values = np.asarray([float(line) for line in text.splitlines() if line.strip()])
+    except (ValueError, TypeError) as exc:
         raise InputError(f"values file {path} must be a JSON array or one float per line") from exc
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"values file {path} contains non-finite entries")
+    return values
 
 
 def _load_sample(path: str, space: MetricSpace) -> LipschitzSample:
@@ -151,8 +155,12 @@ def _cmd_validate_metric(args) -> int:
     if isinstance(doc, dict) and doc.get("kind") in ("euclidean", "graph"):
         space = MetricSpace.from_json(doc)
         matrix = space.submatrix(range(space.n))
+    elif isinstance(doc, dict):
+        if "data" not in doc:
+            raise InputError(f"space file {args.space} has no 'data' key")
+        matrix = doc["data"]
     else:
-        matrix = doc["data"] if isinstance(doc, dict) else doc
+        matrix = doc
     report = validate_metric(matrix)
     payload = {
         "passed": report.passed,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .metric import MetricSpace
+from .metric import BLOCK, MetricSpace, maximal_separated_net
 
 
 class SampledCurve:
@@ -170,30 +170,28 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
     capped part); the final net point contributes the diameter of its
     assigned cluster.  A singleton therefore has content 0 at every scale.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise InputError(f"delta must be positive, got {delta}")
-    target = [space.check_id(t) for t in target]
-    if not target:
+    target = np.asarray([space.check_id(t) for t in target], dtype=int)
+    if not len(target):
         raise InputError("target set is empty")
-    eps = delta / 2.0
-    centers: list[int] = []
-    for x in target:
-        if not centers or np.min(space.dist_row(x, centers)) >= eps:
-            centers.append(x)
+    centers = list(maximal_separated_net(space, target, delta / 2.0).members)
     total = 0.0
     if len(centers) > 1:
         gaps = space.pair_distances(centers[:-1], centers[1:])
         total += float(np.sum(np.minimum(gaps, delta)))
     # Cluster of the last center: target points whose nearest center is it.
-    last = centers[-1]
     if len(centers) == 1:
-        cluster = np.asarray(target, dtype=int)
+        cluster = target
     else:
-        t_arr = np.asarray(target, dtype=int)
-        d_to_centers = np.stack([space.dist_row(c, t_arr) for c in centers])
-        cluster = t_arr[np.argmin(d_to_centers, axis=0) == len(centers) - 1]
+        nearest = np.concatenate([
+            np.argmin(space.dist_block(centers, target[lo:lo + BLOCK]), axis=0)
+            for lo in range(0, len(target), BLOCK)
+        ])
+        cluster = target[nearest == len(centers) - 1]
     if len(cluster) > 1:
-        total += float(np.max(space.submatrix(cluster)))
+        total += max(float(np.max(space.dist_block(cluster[lo:lo + BLOCK], cluster)))
+                     for lo in range(0, len(cluster), BLOCK))
     return total
 
 

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import MetricSpace
+from .metric import BLOCK, MetricSpace
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -37,10 +37,22 @@ def lip_constant(points, values, space: MetricSpace) -> float:
     uv = np.array([seen[i] for i in uid])
     if len(uid) < 2:
         return 0.0
-    dmat = space.submatrix(uid)
-    dv = np.abs(uv[:, None] - uv[None, :])
-    iu = np.triu_indices(len(uid), k=1)
-    return float(np.max(dv[iu] / dmat[iu]))
+    return _max_quotient(space, uid, uv)
+
+
+def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> float:
+    """max |values[i] - values[j]| / dist(ids[i], ids[j]) over pairs i < j of
+    at least two distinct ids, one row block of the upper triangle at a time."""
+    m = len(ids)
+    block_max = []
+    for lo in range(0, m - 1, BLOCK):
+        hi = min(lo + BLOCK, m - 1)
+        d = space.dist_block(ids[lo:hi], ids[lo:])
+        dv = np.abs(values[lo:hi, None] - values[None, lo:])
+        upper = np.arange(m - lo)[None, :] > np.arange(hi - lo)[:, None]
+        q = np.divide(dv, d, out=np.zeros_like(d), where=upper)
+        block_max.append(np.max(q))
+    return float(np.max(block_max))
 
 
 @dataclass(frozen=True)
@@ -52,8 +64,10 @@ class LipschitzSample:
     support: tuple[int, ...]
     values: tuple[float, ...]
     L: float
+    # The data's Lipschitz constant when the caller has just computed it.
+    _lip: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _lip):
         if len(self.support) != len(self.values):
             raise InputError("support and values lengths differ")
         if len(self.support) == 0:
@@ -61,7 +75,7 @@ class LipschitzSample:
         if self.L < 0:
             raise InputError(f"Lipschitz constant must be nonnegative, got {self.L}")
         if len(self.support) >= 2:
-            lc = lip_constant(self.support, self.values, self.space)
+            lc = lip_constant(self.support, self.values, self.space) if _lip is None else _lip
             if lc > self.L * (1 + _L_RTOL):
                 raise InconsistentDataError(
                     f"declared L={self.L} below the data's Lipschitz constant {lc}"
@@ -103,20 +117,25 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
     space = sample.space
     if queries is None:
         queries = np.arange(space.n)
+    if envelope not in ("upper", "lower", "average"):
+        raise InputError(f"unknown envelope {envelope!r}")
     queries = np.asarray([space.check_id(q) for q in queries], dtype=int)
     sup = np.asarray(sample.support, dtype=int)
-    vals = np.asarray(sample.values, dtype=float)
-    # dists: (n_support, n_query)
-    dists = np.stack([space.dist_row(int(s), queries) for s in sup])
-    upper = np.min(vals[:, None] + sample.L * dists, axis=0)
+    vals = np.asarray(sample.values, dtype=float)[:, None]
+    upper = np.empty(len(queries))
+    lower = np.empty(len(queries))
+    for lo in range(0, len(queries), BLOCK):
+        # dists: (n_support, block of queries)
+        dists = sample.L * space.dist_block(sup, queries[lo:lo + BLOCK])
+        if envelope != "lower":
+            upper[lo:lo + BLOCK] = np.min(vals + dists, axis=0)
+        if envelope != "upper":
+            lower[lo:lo + BLOCK] = np.max(vals - dists, axis=0)
     if envelope == "upper":
         return upper
-    lower = np.max(vals[:, None] - sample.L * dists, axis=0)
     if envelope == "lower":
         return lower
-    if envelope == "average":
-        return 0.5 * (upper + lower)
-    raise InputError(f"unknown envelope {envelope!r}")
+    return 0.5 * (upper + lower)
 
 
 @dataclass(frozen=True)

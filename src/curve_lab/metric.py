@@ -20,6 +20,10 @@ from .errors import InputError
 # metrics accumulate rounding of this order.
 TRIANGLE_RTOL = 1e-9
 
+# Rows per distance block in the pairwise kernels (internal): a kernel over m
+# points holds at most BLOCK x m distances at a time.
+BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -96,7 +100,13 @@ def validate_metric(candidate) -> ValidationReport:
 
 
 class MetricSpace:
-    """An immutable finite metric space with O(1)-ish distance lookups."""
+    """An immutable finite metric space with O(1)-ish distance lookups.
+
+    :meth:`dist_block` is the one pairwise primitive: every all-pairs kernel
+    (Lipschitz constants, McShane extension, greedy nets, covering content,
+    chord-arc defects) asks it for row blocks of at most ``BLOCK`` points, so
+    a kernel over m points holds O(BLOCK x m) distances, never m x m.
+    """
 
     def __init__(self, *, dmat=None, coords=None, source: str, labels=None, _validated: bool = False):
         if (dmat is None) == (coords is None):
@@ -170,9 +180,11 @@ class MetricSpace:
         """Load from {"kind": "matrix"|"euclidean"|"graph", "points": [...], "data": ...}."""
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
+        if not isinstance(doc, dict) or "data" not in doc:
+            raise InputError("space document must be a JSON object with a 'data' key")
         kind = doc.get("kind")
         labels = doc.get("points")
-        data = doc.get("data")
+        data = doc["data"]
         if kind == "matrix":
             return cls.from_matrix(data, labels=labels)
         if kind == "euclidean":
@@ -210,6 +222,29 @@ class MetricSpace:
         pts = self._coords if ids is None else self._coords[ids]
         return np.linalg.norm(pts - self._coords[i], axis=-1)
 
+    def dist_block(self, ids_a, ids_b) -> np.ndarray:
+        """Distances from every point of ids_a (rows) to every point of ids_b
+        (columns), bit-identical to stacking ``dist_row(i, ids_b)``."""
+        ids_a = np.asarray(ids_a, dtype=int)
+        ids_b = np.asarray(ids_b, dtype=int)
+        if self._dmat is not None:
+            return self._dmat[np.ix_(ids_a, ids_b)]
+        pa = self._coords[ids_a]
+        pb = self._coords[ids_b]
+        dim = pa.shape[1]
+        if dim >= 8:
+            # numpy sums 8 or more squares pairwise; the broadcast norm keeps
+            # that order.
+            return np.linalg.norm(pb[None, :, :] - pa[:, None, :], axis=-1)
+        # Below 8 terms numpy's sum is sequential, so accumulating one
+        # coordinate at a time gives the same bits without a 3-D temporary.
+        acc = np.zeros((len(pa), len(pb)))
+        for k in range(dim):
+            diff = np.subtract.outer(pa[:, k], pb[:, k])
+            diff *= diff
+            acc += diff
+        return np.sqrt(acc, out=acc)
+
     def pair_distances(self, ids_a, ids_b) -> np.ndarray:
         """Elementwise distances between two equal-length index arrays."""
         ids_a = np.asarray(ids_a, dtype=int)
@@ -219,12 +254,7 @@ class MetricSpace:
         return np.linalg.norm(self._coords[ids_a] - self._coords[ids_b], axis=-1)
 
     def submatrix(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=int)
-        if self._dmat is not None:
-            return self._dmat[np.ix_(ids, ids)]
-        pts = self._coords[ids]
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
+        return self.dist_block(ids, ids)
 
     def check_id(self, i: int) -> int:
         i = int(i)
@@ -249,18 +279,24 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
     The result is epsilon-separated and maximal over the candidate set; the
     greedy order makes it deterministic and idempotent on its own output.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     candidates = [space.check_id(c) for c in candidates]
     if not candidates:
         raise InputError("candidate list is empty")
     members: list[int] = []
-    for c in candidates:
-        if not members:
-            members.append(c)
-            continue
-        if np.min(space.dist_row(c, members)) >= epsilon:
-            members.append(c)
+    for lo in range(0, len(candidates), BLOCK):
+        block = candidates[lo:lo + BLOCK]
+        # Nearest admitted point per candidate, first from earlier blocks,
+        # then updated as this block admits its own members in order.
+        nearest = np.full(len(block), np.inf)
+        if members:
+            nearest = np.min(space.dist_block(block, members), axis=1)
+        within = space.dist_block(block, block)
+        for k, c in enumerate(block):
+            if nearest[k] >= epsilon:
+                members.append(c)
+                np.minimum(nearest, within[k], out=nearest)
     return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members))
 
 

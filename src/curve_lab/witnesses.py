@@ -10,7 +10,7 @@ import numpy as np
 
 from .curves import SampledCurve, arc_length_reparam, total_variation
 from .errors import HorizonError, InputError
-from .lipschitz import LipschitzSample, lip_constant
+from .lipschitz import LipschitzSample, _max_quotient, lip_constant
 from .metric import MetricSpace
 
 
@@ -47,20 +47,10 @@ def triangle_wave(t, tooth: float):
     return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
 
-def _chord_arc_defect(space: MetricSpace, samples: np.ndarray, s: np.ndarray,
-                      block: int = 1024) -> float:
-    """Max over sample pairs of (arc separation / distance) - 1, blockwise to
-    keep memory bounded on long curves."""
-    worst = 1.0
-    m = len(samples)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        rows = np.stack([space.dist_row(int(p), samples) for p in samples[lo:hi]])
-        arcs = np.abs(s[lo:hi, None] - s[None, :])
-        np.fill_diagonal(rows[:, lo:hi], 1.0)
-        arcs_over_d = arcs / np.where(rows > 0, rows, np.inf)
-        worst = max(worst, float(np.max(arcs_over_d)))
-    return worst - 1.0
+def _chord_arc_defect(space: MetricSpace, samples: np.ndarray, s: np.ndarray) -> float:
+    """Max over pairs of distinct samples of (arc separation / distance) - 1,
+    floored at 0; the arc coordinate's Lipschitz constant on the samples."""
+    return max(1.0, _max_quotient(space, samples, s)) - 1.0
 
 
 def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
@@ -87,6 +77,7 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
         support=tuple(int(i) for i in curve.samples),
         values=tuple(float(v) for v in values),
         L=max(1.0, lc),
+        _lip=lc,
     )
     variation = float(np.sum(np.abs(np.diff(values))))
     certificates = {

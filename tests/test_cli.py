@@ -165,6 +165,32 @@ def test_check_disc_and_recover(tmp_path, capsys):
     assert main(["recover", "--values", str(step), "--epsilons", "0.5,0.25"]) == 1
 
 
+@pytest.mark.parametrize("text", ["[0.0, NaN, 1.0]", "0.0\nnan\n1.0\n", "[1.0, Infinity]",
+                                  "[0.0, 1.0", "[[0.0], [1.0, 2.0]]"])
+def test_bad_values_file_exits_2(tmp_path, capsys, text):
+    vals = tmp_path / "bad.txt"
+    vals.write_text(text)
+    capsys.readouterr()
+    assert main(["check", "disc", "--values", str(vals),
+                 "--epsilon", "0.5", "--delta", "0.1"]) == 2
+    assert main(["recover", "--values", str(vals), "--epsilons", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line[:6] for line in captured.err.splitlines()] == ["error:"] * 2
+
+
+@pytest.mark.parametrize("doc", [{"kind": "matrix", "points": [0, 1]},
+                                 {"kind": "euclidean"}, {"kind": "graph", "n": 2}])
+def test_space_without_data_exits_2(tmp_path, lpoly, capsys, doc):
+    space = tmp_path / "nodata.json"
+    space.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate-metric", "--space", str(space)]) == 2
+    assert main(["variation", "--curve", lpoly, "--space", str(space)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("'data'" in line for line in err)
+
+
 def test_check_acp_and_luzin(seg, capsys):
     assert main(["check", "acp", "--curve", seg, "--p", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

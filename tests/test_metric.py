@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,21 @@ class TestMetricSpaceConstruction:
     def test_from_json_unknown_kind(self):
         with pytest.raises(InputError):
             MetricSpace.from_json({"kind": "banach"})
+
+    @pytest.mark.parametrize("doc", [{"kind": "matrix", "points": [0, 1]},
+                                     {"kind": "graph", "n": 3, "edges": [[0, 1, 1.0]]},
+                                     [[0, 1], [1, 0]]])
+    def test_from_json_without_data_key(self, doc):
+        with pytest.raises(InputError, match="'data'"):
+            MetricSpace.from_json(doc)
+
+    def test_readme_input_formats_load(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("**Metric space** (JSON):", 1)[1].split("```json\n", 1)[1]
+        docs = [json.loads(line) for line in block.split("```", 1)[0].splitlines()]
+        spaces = [MetricSpace.from_json(doc) for doc in docs]
+        assert [s.n for s in spaces] == [2, 3, 3]
+        assert spaces[2].dist(0, 2) == 1.5
 
     def test_invalid_matrix_rejected_at_construction(self):
         with pytest.raises(InputError):
