@@ -198,8 +198,3 @@ def test_sawtooth_computes_lip_constant_once(monkeypatch):
     assert len(calls) == 1
     assert witness.realization.L == max(1.0, witness.certificates["lip_constant"])
 
-
-def test_public_sample_still_checks_declared_l():
-    space = MetricSpace.from_points([[0.0], [1.0]])
-    with pytest.raises(InconsistentDataError):
-        LipschitzSample(space, (0, 1), (0.0, 2.0), 1.0)

@@ -164,6 +164,8 @@ class TestHausdorff1Content:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(InputError):
             hausdorff1_content(line_space([0.0, 1.0]), [0, 1], 0.0)
+        with pytest.raises(InputError):
+            hausdorff1_content(line_space([0.0, 1.0]), [0, 1], float("nan"))
 
 
 class TestChordArcProfile:

@@ -156,6 +156,8 @@ class TestSeparatedNet:
     def test_empty_candidates_error(self):
         with pytest.raises(InputError):
             maximal_separated_net(line_space([0.0, 1.0]), [], 0.1)
+        with pytest.raises(InputError):
+            maximal_separated_net(line_space([0.0, 1.0]), [0, 1], float("nan"))
 
 
 class TestMetricProjection:
