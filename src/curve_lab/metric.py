@@ -21,8 +21,8 @@ from .errors import InputError
 TRIANGLE_RTOL = 1e-9
 
 # Rows per distance block in the pairwise kernels (internal): a kernel over m
-# points holds at most BLOCK x m distances (BLOCK x m x dim coordinate
-# differences on coordinate spaces) at a time.
+# points holds at most BLOCK x m distances at a time (BLOCK x m x dim
+# coordinate differences on coordinate spaces of 8 or more dimensions).
 BLOCK = 256
 
 
@@ -106,8 +106,8 @@ class MetricSpace:
     :meth:`dist_block` is the one pairwise primitive: every all-pairs kernel
     (Lipschitz constants, McShane extension, greedy nets, covering content,
     chord-arc defects) asks it for row blocks of at most ``BLOCK`` points, so
-    a kernel over m points holds O(BLOCK x m) distances, never m x m (on
-    coordinate spaces the block's differences take BLOCK x m x dim).
+    a kernel over m points holds O(BLOCK x m) distances, never m x m (times
+    the dimension on coordinate spaces of 8 or more dimensions).
     """
 
     def __init__(self, *, dmat=None, coords=None, source: str, labels=None, _validated: bool = False):
@@ -231,7 +231,24 @@ class MetricSpace:
         ids_b = np.asarray(ids_b, dtype=int)
         if self._dmat is not None:
             return self._dmat[np.ix_(ids_a, ids_b)]
-        return np.linalg.norm(self._coords[ids_b][None] - self._coords[ids_a][:, None], axis=-1)
+        pa = self._coords[ids_a]
+        pb = self._coords[ids_b]
+        dim = pa.shape[1]
+        if dim >= 8:
+            # numpy sums 8 or more squares pairwise; the broadcast norm keeps
+            # that order.
+            return np.linalg.norm(pb[None, :, :] - pa[:, None, :], axis=-1)
+        # Below 8 terms numpy's sum is sequential, so accumulating one
+        # coordinate at a time gives the same bits. It is also faster: a
+        # 256 x 1000 block of 2-D points takes 1.8 ms against 13.8 ms for the
+        # broadcast norm (Xeon, numpy 2.4), whose reduction over a length-2
+        # axis costs one inner-loop call per distance.
+        acc = np.zeros((len(pa), len(pb)))
+        for k in range(dim):
+            diff = np.subtract.outer(pa[:, k], pb[:, k])
+            diff *= diff
+            acc += diff
+        return np.sqrt(acc, out=acc)
 
     def pair_distances(self, ids_a, ids_b) -> np.ndarray:
         """Elementwise distances between two equal-length index arrays."""
