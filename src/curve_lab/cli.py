@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
 Exit status contract: 0 when every requested check passes, 1 when a check
-fails (or a recovery/forge run comes up empty), 2 on input errors or unknown
-commands.  Artifacts are written atomically and contain no timestamps, so
-re-running an identical config reproduces them byte for byte.
+fails (or a recovery/forge run comes up empty), 2 on input errors, unknown
+commands and usage errors.  Every handler returns ``(payload, exit_code)``;
+the payload is a JSON-able dict or a string written verbatim, and ``main``
+writes it once, atomically to ``--out`` or else to stdout.  Artifacts contain
+no timestamps, so re-running an identical config reproduces them byte for
+byte.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from typing import Optional
 
@@ -25,68 +27,60 @@ from .curves import (SampledCurve, arc_length_reparam, hausdorff1_content,
 from .errors import HorizonError, InputError
 from .lipschitz import LipschitzSample, mcshane_extend_all, probe_family, speed_via_probes
 from .metric import MetricSpace, validate_metric
-from .verify import (CheckReport, ac_p_test, area_formula_check, check_contraction,
+from .verify import (_report, ac_p_test, area_formula_check, check_contraction,
                      continuous_representative, discontinuity_measure, luzin_n_probe,
                      variation_integral_check)
 from .witnesses import (alternating_separated_witness, banach_steinhaus_forge,
-                        diagonal_forge_problem, sawtooth_witness,
-                        variation_preserving_witness, ForgeProblem)
+                        diagonal_forge_problem, sawtooth_witness, ForgeProblem)
 
 
 # -- I/O helpers ----------------------------------------------------------------
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".curve-lab-")
+def _emit(payload, path: Optional[str]) -> None:
+    """Write a payload (dict as sorted JSON, str verbatim) to stdout, or to
+    ``path`` through a temporary file in the same directory and a rename."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".curve-lab-{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        with open(tmp, "w") as fh:
+            fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
-def _write_json(path: Optional[str], obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        _atomic_write(path, text)
-    else:
-        sys.stdout.write(text)
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def _load_space(path: Optional[str]) -> Optional[MetricSpace]:
-    if path is None:
-        return None
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read space file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"space file {path} is not valid JSON: {exc}") from exc
-    return MetricSpace.from_json(doc)
+    return None if path is None else MetricSpace.from_json(_read_json(path, "space"))
 
 
 def _load_curve(curve_path: str, space_path: Optional[str]) -> SampledCurve:
-    space = _load_space(space_path)
-    try:
-        with open(curve_path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read curve file {curve_path}: {exc}") from exc
-    return load_curve_csv(text, space)
+    return load_curve_csv(curve_path, _load_space(space_path))
 
 
 def _load_values(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read values file {path}: {exc}") from exc
-    text = text.strip()
+    text = _read_text(path, "values").strip()
     try:
         if text.startswith("["):
             values = np.asarray(json.loads(text), dtype=float)
@@ -100,14 +94,7 @@ def _load_values(path: str) -> np.ndarray:
 
 
 def _load_sample(path: str, space: MetricSpace) -> LipschitzSample:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read sample file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"sample file {path} is not valid JSON: {exc}") from exc
-    return LipschitzSample.from_json(doc, space)
+    return LipschitzSample.from_json(_read_json(path, "sample"), space)
 
 
 def _int_list(text: str) -> list[int]:
@@ -124,34 +111,24 @@ def _float_list(text: str) -> list[float]:
         raise InputError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _tolerance_override(report: CheckReport) -> CheckReport:
+def _verdict(report) -> tuple[dict, int]:
+    """A check's payload and exit code, with the ``CURVE_LAB_TOLERANCE``
+    override applied to its tolerance and verdict."""
     raw = os.environ.get("CURVE_LAB_TOLERANCE")
-    if raw is None:
-        return report
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise InputError(f"CURVE_LAB_TOLERANCE must be a float, got {raw!r}") from exc
-    return replace(report, tolerance=tol, verdict=report.residual <= tol)
+    if raw is not None:
+        try:
+            tol = float(raw)
+        except ValueError as exc:
+            raise InputError(f"CURVE_LAB_TOLERANCE must be a float, got {raw!r}") from exc
+        report = replace(report, tolerance=tol, verdict=report.residual <= tol)
+    return report.to_json(), 0 if report.verdict else 1
 
 
-def _emit_report(report: CheckReport, out: Optional[str]) -> int:
-    report = _tolerance_override(report)
-    _write_json(out, report.to_json())
-    return 0 if report.verdict else 1
+# -- subcommand handlers: each returns (payload, exit_code) ---------------------------
 
 
-# -- subcommand handlers ----------------------------------------------------------
-
-
-def _cmd_validate_metric(args) -> int:
-    try:
-        with open(args.space) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read space file {args.space}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"space file {args.space} is not valid JSON: {exc}") from exc
+def _cmd_validate_metric(args):
+    doc = _read_json(args.space, "space")
     if isinstance(doc, dict) and doc.get("kind") in ("euclidean", "graph"):
         space = MetricSpace.from_json(doc)
         matrix = space.submatrix(range(space.n))
@@ -169,187 +146,152 @@ def _cmd_validate_metric(args) -> int:
             for v in report.violations
         ],
     }
-    _write_json(args.out, payload)
-    return 0 if report.passed else 1
+    return payload, 0 if report.passed else 1
 
 
-def _cmd_variation(args) -> int:
+def _cmd_variation(args):
     curve = _load_curve(args.curve, args.space)
-    if args.out:
-        _write_json(args.out, stats_json(curve))
-    else:
-        sys.stdout.write(f"{total_variation(curve)}\n")
-    return 0
+    return (stats_json(curve) if args.out else f"{total_variation(curve)}\n"), 0
 
 
-def _cmd_speed(args) -> int:
+def _cmd_speed(args):
     curve = _load_curve(args.curve, args.space)
     value = metric_speed(curve, args.t, args.window, side=args.side)
     if args.out:
-        _write_json(args.out, {"t": args.t, "window": args.window,
-                               "side": args.side, "speed": value})
-    else:
-        sys.stdout.write(f"{value}\n")
-    return 0
+        return {"t": args.t, "window": args.window, "side": args.side, "speed": value}, 0
+    return f"{value}\n", 0
 
 
-def _cmd_reparam(args) -> int:
-    curve = _load_curve(args.curve, args.space)
-    rep = arc_length_reparam(curve)
+def _cmd_reparam(args):
+    rep = arc_length_reparam(_load_curve(args.curve, args.space))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "point_id"])
     for t, p in zip(rep.times, rep.samples):
         writer.writerow([repr(float(t)), int(p)])
-    _atomic_write(args.out, buf.getvalue())
-    return 0
+    return buf.getvalue(), 0
 
 
-def _cmd_content(args) -> int:
+def _cmd_content(args):
     curve = _load_curve(args.curve, args.space)
     value = hausdorff1_content(curve.space, curve.samples, args.delta)
-    if args.out:
-        _write_json(args.out, {"delta": args.delta, "content": value})
-    else:
-        sys.stdout.write(f"{value}\n")
-    return 0
+    return ({"delta": args.delta, "content": value} if args.out else f"{value}\n"), 0
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     space = _load_space(args.space)
-    if space is None:
-        raise InputError("extend requires --space")
     sample = _load_sample(args.h, space)
     queries = _int_list(args.queries) if args.queries else list(range(space.n))
     values = mcshane_extend_all(sample, queries, envelope=args.envelope)
-    _write_json(args.out, {
+    return {
         "envelope": args.envelope,
         "queries": [int(q) for q in queries],
         "values": [float(v) for v in values],
         "L": sample.L,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_probes(args) -> int:
+def _cmd_probes(args):
     curve = _load_curve(args.curve, args.space)
     family = probe_family(curve, args.n)
     payload = {"centers": [int(c) for c in family.centers]}
     if args.t is not None:
+        if args.window is None:
+            raise InputError("probes --t needs --window")
         payload["speed"] = speed_via_probes(curve, family, args.t, args.window,
                                             side=args.side)
-    _write_json(args.out, payload)
-    return 0
+    return payload, 0
 
 
-def _cmd_sawtooth(args) -> int:
+def _cmd_sawtooth(args):
     curve = _load_curve(args.curve, args.space)
-    witness = sawtooth_witness(curve, args.tooth)
-    _write_json(args.out, witness.to_json())
-    return 0
+    return sawtooth_witness(curve, args.tooth).to_json(), 0
 
 
-def _cmd_altwitness(args) -> int:
+def _cmd_altwitness(args):
     space = _load_space(args.space)
-    if space is None:
-        raise InputError("altwitness requires --space")
-    points = _int_list(args.points)
-    radii = _float_list(args.radii)
-    witness = alternating_separated_witness(space, points, radii)
-    _write_json(args.out, witness.to_json())
-    return 0
+    witness = alternating_separated_witness(space, _int_list(args.points),
+                                            _float_list(args.radii))
+    return witness.to_json(), 0
 
 
-def _cmd_forge(args) -> int:
+def _cmd_forge(args):
     problem = diagonal_forge_problem()
     if args.horizon is not None:
         problem = ForgeProblem(functional=problem.functional, horizon=args.horizon)
     result = banach_steinhaus_forge(problem, args.depth)
-    _write_json(args.out, {
+    return {
         "alphas": list(result.alphas),
         "indices": list(result.indices),
         "level_bounds": list(result.level_bounds),
         "selection_slacks": [dict(s) for s in result.selection_slacks],
-    })
-    return 0
+    }, 0
 
 
-def _cmd_check(args) -> int:
-    kind = args.kind
-    if kind == "contraction":
-        curve = _load_curve(args.curve, args.space)
-        sample = _load_sample(args.h, curve.space)
-        return _emit_report(check_contraction(curve, sample), args.out)
-    if kind == "area":
-        curve = _load_curve(args.curve, args.space)
-        if args.values:
-            values = _load_values(args.values)
-        elif args.h:
-            sample = _load_sample(args.h, curve.space)
-            values = mcshane_extend_all(sample, curve.samples)
-        else:
-            raise InputError("check area requires --values or --h")
-        weights = _load_values(args.weights) if args.weights else None
-        return _emit_report(area_formula_check(curve, values, weights), args.out)
-    if kind == "varint":
-        curve = _load_curve(args.curve, args.space)
-        return _emit_report(variation_integral_check(curve), args.out)
-    if kind == "disc":
+def _cmd_check_contraction(args):
+    curve = _load_curve(args.curve, args.space)
+    return _verdict(check_contraction(curve, _load_sample(args.h, curve.space)))
+
+
+def _cmd_check_area(args):
+    curve = _load_curve(args.curve, args.space)
+    if args.values:
         values = _load_values(args.values)
-        profile = discontinuity_measure(values, args.epsilon, args.delta)
-        report = CheckReport(
-            name="discontinuity", lhs=profile.measure, rhs=0.0,
-            residual=profile.measure, tolerance=float(args.measure_tolerance),
-            verdict=profile.measure <= args.measure_tolerance,
-            context={"epsilon": profile.epsilon, "delta": profile.delta,
-                     "pair_count": profile.pair_count},
-        )
-        return _emit_report(report, args.out)
-    if kind == "acp":
-        curve = _load_curve(args.curve, args.space)
-        result = ac_p_test(curve, args.p, refinements=0)
-        _write_json(args.out, {"p": result.p, "norm_estimate": result.norm_estimate,
-                               "refinement_trend": list(result.refinement_trend),
-                               "verdict": result.verdict})
-        return 0 if result.verdict != "AC_p-inconsistent" else 1
-    if kind == "luzin":
-        curve = _load_curve(args.curve, args.space)
-        intervals = []
-        for tok in args.null_set.split(","):
-            a, _, b = tok.partition(":")
-            try:
-                intervals.append((float(a), float(b)))
-            except ValueError as exc:
-                raise InputError(f"null-set interval {tok!r} must be a:b") from exc
-        return _emit_report(luzin_n_probe(curve, intervals, args.delta), args.out)
-    raise InputError(f"unknown check kind {kind!r}")
+    else:
+        values = mcshane_extend_all(_load_sample(args.h, curve.space), curve.samples)
+    weights = _load_values(args.weights) if args.weights else None
+    return _verdict(area_formula_check(curve, values, weights))
 
 
-def _cmd_recover(args) -> int:
+def _cmd_check_varint(args):
+    return _verdict(variation_integral_check(_load_curve(args.curve, args.space)))
+
+
+def _cmd_check_disc(args):
+    profile = discontinuity_measure(_load_values(args.values), args.epsilon, args.delta)
+    return _verdict(_report(
+        "discontinuity", profile.measure, 0.0, args.measure_tolerance, one_sided=True,
+        context={"epsilon": profile.epsilon, "delta": profile.delta,
+                 "pair_count": profile.pair_count}))
+
+
+def _cmd_check_acp(args):
+    result = ac_p_test(_load_curve(args.curve, args.space), args.p, refinements=0)
+    return {"p": result.p, "norm_estimate": result.norm_estimate,
+            "refinement_trend": list(result.refinement_trend),
+            "verdict": result.verdict}, 0 if result.verdict != "AC_p-inconsistent" else 1
+
+
+def _cmd_check_luzin(args):
+    curve = _load_curve(args.curve, args.space)
+    intervals = []
+    for tok in args.null_set.split(","):
+        a, _, b = tok.partition(":")
+        try:
+            intervals.append((float(a), float(b)))
+        except ValueError as exc:
+            raise InputError(f"null-set interval {tok!r} must be a:b") from exc
+    return _verdict(luzin_n_probe(curve, intervals, args.delta))
+
+
+def _cmd_recover(args):
     values = _load_values(args.values)
-    schedule = _float_list(args.epsilons)
-    result = continuous_representative(values, schedule, window=args.window)
+    result = continuous_representative(values, _float_list(args.epsilons), window=args.window)
     if result is None:
-        _write_json(args.out, {"found": False})
-        return 1
+        return {"found": False}, 1
     cleaned, fraction = result
-    _write_json(args.out, {"found": True, "modified_fraction": fraction,
-                           "values": [float(v) for v in cleaned]})
-    return 0
+    return {"found": True, "modified_fraction": fraction,
+            "values": [float(v) for v in cleaned]}, 0
 
 
 def _digest(config) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _cmd_report(args) -> int:
-    try:
-        with open(args.bundle) as fh:
-            configs = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read bundle file {args.bundle}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bundle file {args.bundle} is not valid JSON: {exc}") from exc
+def _cmd_report(args):
+    """Run each bundle entry's handler in-process; the payload is the
+    ``.jsonl`` and ``.csv`` summaries keyed by file suffix."""
+    configs = _read_json(args.bundle, "bundle")
     if not isinstance(configs, list):
         raise InputError("bundle must be a JSON list of {'argv': [...]} configs")
 
@@ -360,145 +302,131 @@ def _cmd_report(args) -> int:
         argv = config.get("argv") if isinstance(config, dict) else None
         if not isinstance(argv, list):
             raise InputError(f"bundle entry {config!r} lacks an 'argv' list")
-        out_path = tempfile.mktemp(prefix="curve-lab-sub-", suffix=".json")
+        argv = [str(a) for a in argv]
+        row = {"name": " ".join(argv), "digest": _digest(config), "verdict": "",
+               "residual": "", "tolerance": ""}
         try:
-            code = _run(parser, [str(a) for a in argv] + ["--out", out_path])
-            payload = None
-            if os.path.exists(out_path):
-                with open(out_path) as fh:
-                    payload = json.load(fh)
+            sub = parser.parse_args(argv)
+            if sub.func is _cmd_report:
+                raise InputError("a bundle entry cannot run report")
+            payload, code = sub.func(sub)
         except (InputError, SystemExit) as exc:
             sys.stderr.write(f"error: {exc}\n")
-            rows.append({"name": " ".join(str(a) for a in argv),
-                         "digest": _digest(config), "verdict": "error",
-                         "residual": "", "tolerance": ""})
-            worst = 2
-            continue
+            row["verdict"], code = "error", 2
         except HorizonError as exc:
             sys.stderr.write(f"error: {exc}\n")
-            rows.append({"name": " ".join(str(a) for a in argv),
-                         "digest": _digest(config), "verdict": "fail",
-                         "residual": "", "tolerance": ""})
-            worst = max(worst, 1)
-            continue
-        finally:
-            if os.path.exists(out_path):
-                os.unlink(out_path)
-        name = (payload or {}).get("name", " ".join(str(a) for a in argv))
-        verdict = (payload or {}).get("verdict", "pass" if code == 0 else "fail")
-        rows.append({
-            "name": name, "digest": _digest(config), "verdict": verdict,
-            "residual": (payload or {}).get("residual", ""),
-            "tolerance": (payload or {}).get("tolerance", ""),
-        })
-        if code != 0:
-            worst = max(worst, code)
+            row["verdict"], code = "fail", 1
+        else:
+            row["verdict"] = "pass" if code == 0 else "fail"
+            if isinstance(payload, dict):
+                row.update((k, payload[k]) for k in ("name", "verdict", "residual", "tolerance")
+                           if k in payload)
+        rows.append(row)
+        worst = max(worst, code)
 
     def order(row):
         rank = {"fail": 0, "error": 0}.get(row["verdict"], 1)
         return (rank, str(row["name"]), row["digest"])
 
     rows.sort(key=order)
-    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
-    _atomic_write(args.out_prefix + ".jsonl", lines)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["name", "digest", "verdict",
-                                             "residual", "tolerance"])
+    writer = csv.DictWriter(buf, fieldnames=["name", "digest", "verdict", "residual", "tolerance"])
     writer.writeheader()
     writer.writerows(rows)
-    _atomic_write(args.out_prefix + ".csv", buf.getvalue())
-    return worst
+    return {".jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
+            ".csv": buf.getvalue()}, worst
 
 
 # -- parser -----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="curve-lab",
-                                     description="metric-curve constructions and checks")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized operation (default 0)")
-    sub = parser.add_subparsers(dest="command")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they end in one ``error:`` line and
+    exit 2 from ``main``, and in an ``error`` row inside ``report``."""
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="curve-lab", description="metric-curve constructions and checks")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def add(group, name, func, curve=False):
+        p = group.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if curve:
+            p.add_argument("--curve", required=True)
+            p.add_argument("--space", default=None)
         return p
 
-    p = add("validate-metric", _cmd_validate_metric)
+    p = add(commands, "validate-metric", _cmd_validate_metric)
     p.add_argument("--space", required=True)
 
-    for name, func in (("variation", _cmd_variation),):
-        p = add(name, func)
-        p.add_argument("--curve", required=True)
-        p.add_argument("--space", default=None)
+    add(commands, "variation", _cmd_variation, curve=True)
 
-    p = add("speed", _cmd_speed)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--space", default=None)
+    p = add(commands, "speed", _cmd_speed, curve=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--side", choices=["both", "left", "right"], default="both")
 
-    p = add("reparam", _cmd_reparam)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--space", default=None)
+    add(commands, "reparam", _cmd_reparam, curve=True)
 
-    p = add("content", _cmd_content)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--space", default=None)
+    p = add(commands, "content", _cmd_content, curve=True)
     p.add_argument("--delta", type=float, required=True)
 
-    p = add("extend", _cmd_extend)
+    p = add(commands, "extend", _cmd_extend)
     p.add_argument("--space", required=True)
     p.add_argument("--h", required=True, help="Lipschitz sample JSON")
     p.add_argument("--queries", default=None, help="comma-separated point ids")
     p.add_argument("--envelope", choices=["upper", "lower", "average"], default="upper")
 
-    p = add("probes", _cmd_probes)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--space", default=None)
+    p = add(commands, "probes", _cmd_probes, curve=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--window", type=float, default=None)
     p.add_argument("--side", choices=["both", "left", "right"], default="both")
 
-    p = add("sawtooth", _cmd_sawtooth)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--space", default=None)
+    p = add(commands, "sawtooth", _cmd_sawtooth, curve=True)
     p.add_argument("--tooth", type=float, required=True)
 
-    p = add("altwitness", _cmd_altwitness)
+    p = add(commands, "altwitness", _cmd_altwitness)
     p.add_argument("--space", required=True)
     p.add_argument("--points", required=True, help="comma-separated point ids in order")
     p.add_argument("--radii", required=True, help="comma-separated radii")
 
-    p = add("forge", _cmd_forge)
+    p = add(commands, "forge", _cmd_forge)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
 
-    p = add("check", _cmd_check)
-    p.add_argument("kind", choices=["contraction", "area", "varint", "disc",
-                                    "acp", "luzin"])
-    p.add_argument("--curve", default=None)
-    p.add_argument("--space", default=None)
-    p.add_argument("--h", default=None)
-    p.add_argument("--values", default=None)
+    kinds = commands.add_parser("check").add_subparsers(dest="kind", required=True)
+    p = add(kinds, "contraction", _cmd_check_contraction, curve=True)
+    p.add_argument("--h", required=True, help="Lipschitz sample JSON")
+    p = add(kinds, "area", _cmd_check_area, curve=True)
+    heights = p.add_mutually_exclusive_group(required=True)
+    heights.add_argument("--values", help="heights along the curve")
+    heights.add_argument("--h", help="Lipschitz sample JSON, extended along the curve")
     p.add_argument("--weights", default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--null-set", dest="null_set", default=None,
-                   help="comma-separated a:b time intervals")
+    add(kinds, "varint", _cmd_check_varint, curve=True)
+    p = add(kinds, "disc", _cmd_check_disc)
+    p.add_argument("--values", required=True)
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
     p.add_argument("--measure-tolerance", type=float, default=0.0)
+    p = add(kinds, "acp", _cmd_check_acp, curve=True)
+    p.add_argument("--p", type=float, required=True)
+    p = add(kinds, "luzin", _cmd_check_luzin, curve=True)
+    p.add_argument("--null-set", dest="null_set", required=True,
+                   help="comma-separated a:b time intervals")
+    p.add_argument("--delta", type=float, required=True)
 
-    p = add("recover", _cmd_recover)
+    p = add(commands, "recover", _cmd_recover)
     p.add_argument("--values", required=True)
     p.add_argument("--epsilons", required=True, help="decreasing comma-separated schedule")
     p.add_argument("--window", type=int, default=5)
 
-    p = sub.add_parser("report")
+    p = commands.add_parser("report")
     p.set_defaults(func=_cmd_report)
     p.add_argument("--bundle", required=True, help="JSON list of {'argv': [...]}")
     p.add_argument("--out-prefix", required=True)
@@ -506,34 +434,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CHECK_REQUIRED = {
-    "contraction": ["curve", "h"],
-    "area": ["curve"],
-    "varint": ["curve"],
-    "disc": ["values", "epsilon", "delta"],
-    "acp": ["curve", "p"],
-    "luzin": ["curve", "null_set", "delta"],
-}
-
-
-def _run(parser: argparse.ArgumentParser, argv) -> int:
-    # argparse exits 2 on usage errors and 0 on --help via SystemExit.
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
-    if args.command == "check":
-        missing = [f"--{k.replace('_', '-')}" for k in _CHECK_REQUIRED[args.kind]
-                   if getattr(args, k) is None]
-        if missing:
-            raise InputError(f"check {args.kind} requires {', '.join(missing)}")
-    return args.func(args)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        return _run(parser, argv)
+        args = _build_parser().parse_args(argv)
+        payload, code = args.func(args)
+        if args.func is _cmd_report:
+            for suffix, text in payload.items():
+                _emit(text, args.out_prefix + suffix)
+        else:
+            _emit(payload, args.out)
+        return code
     except HorizonError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

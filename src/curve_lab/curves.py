@@ -218,29 +218,36 @@ def load_curve_csv(text_or_path, space: MetricSpace | None = None) -> SampledCur
     Header ``t,point_id`` references an existing space; header ``t,x1,...,xn``
     builds a Euclidean space from the (deduplicated) coordinate rows.
     """
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        with open(text_or_path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    else:
-        rows = list(csv.reader(io.StringIO(text_or_path)))
+    try:
+        if isinstance(text_or_path, str) and "\n" not in text_or_path:
+            with open(text_or_path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        else:
+            rows = list(csv.reader(io.StringIO(text_or_path)))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read curve file {text_or_path}: {exc}") from exc
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise InputError("empty curve CSV")
     header = [c.strip() for c in rows[0]]
     body = rows[1:]
-    if header[:2] == ["t", "point_id"]:
-        if space is None:
-            raise InputError("curve references point ids but no space was given")
+    by_id = header[:2] == ["t", "point_id"]
+    if header[0] != "t" or len(header) < 2:
+        raise InputError(f"unrecognized curve CSV header {header!r}")
+    if by_id and space is None:
+        raise InputError("curve references point ids but no space was given")
+    for k, r in enumerate(body, start=1):
+        if len(r) != len(header):
+            raise InputError(f"curve CSV row {k} has {len(r)} cells, the header has {len(header)}")
+    try:
         times = [float(r[0]) for r in body]
-        samples = [int(r[1]) for r in body]
-        return SampledCurve(space, times, samples)
-    if header[0] == "t":
-        times = [float(r[0]) for r in body]
-        coords = np.array([[float(c) for c in r[1:]] for r in body])
-        uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
-        built = MetricSpace.from_points(uniq)
-        return SampledCurve(built, times, inverse)
-    raise InputError(f"unrecognized curve CSV header {header!r}")
+        cells = [[int(r[1])] if by_id else [float(c) for c in r[1:]] for r in body]
+    except ValueError as exc:
+        raise InputError(f"curve CSV has a non-numeric cell: {exc}") from exc
+    if by_id:
+        return SampledCurve(space, times, [c[0] for c in cells])
+    uniq, inverse = np.unique(np.array(cells), axis=0, return_inverse=True)
+    return SampledCurve(MetricSpace.from_points(uniq), times, inverse)
 
 
 def stats_json(curve: SampledCurve) -> dict:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -72,6 +72,8 @@ class LipschitzSample:
             raise InputError("support and values lengths differ")
         if len(self.support) == 0:
             raise InputError("empty support")
+        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.L)):
+            raise InputError("sample values and L must be finite")
         if self.L < 0:
             raise InputError(f"Lipschitz constant must be nonnegative, got {self.L}")
         if len(self.support) >= 2:
@@ -81,12 +83,6 @@ class LipschitzSample:
                     f"declared L={self.L} below the data's Lipschitz constant {lc}"
                 )
 
-    def value_at(self, point_id: int) -> float:
-        try:
-            return float(self.values[self.support.index(int(point_id))])
-        except ValueError:
-            raise InputError(f"point {point_id} not in support") from None
-
     def to_json(self) -> dict:
         return {"support": list(self.support), "values": list(self.values), "L": self.L}
 
@@ -94,12 +90,17 @@ class LipschitzSample:
     def from_json(cls, doc, space: MetricSpace) -> "LipschitzSample":
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        return cls(
-            space=space,
-            support=tuple(int(i) for i in doc["support"]),
-            values=tuple(float(v) for v in doc["values"]),
-            L=float(doc["L"]),
-        )
+        if not isinstance(doc, dict):
+            raise InputError("Lipschitz sample must be a JSON object")
+        try:
+            support = tuple(int(i) for i in doc["support"])
+            values = tuple(float(v) for v in doc["values"])
+            L = float(doc["L"])
+        except KeyError as exc:
+            raise InputError(f"Lipschitz sample has no {exc.args[0]!r} key") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"Lipschitz sample entries must be numbers: {exc}") from None
+        return cls(space=space, support=support, values=values, L=L)
 
 
 def mcshane_extend(sample: LipschitzSample, query: int, envelope: str = "upper") -> float:

@@ -3,7 +3,7 @@ alternating separated-ball witnesses, and an inductive selector that forges a
 unit-ball element on which a sequence of functionals diverges."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -242,9 +242,10 @@ def banach_steinhaus_forge(problem: ForgeProblem, depth: int) -> ForgeResult:
                 "growth_inequality": alpha * growth - need,
             }
         )
-        # Both selection inequalities must hold exactly, no tolerance.
-        assert max(alpha, alpha * cross) <= cap
-        assert alpha * growth >= need
+        # The growth inequality holds by the loop's exit; the cap inequality
+        # must hold exactly too, with no tolerance.
+        if max(alpha, alpha * cross) > cap:
+            raise InputError(f"level {j}: max(alpha, alpha * p_m{m_j}(z_m{m})) exceeds 2**-{j}")
 
     combo = tuple((m, a) for m, a in zip(indices, alphas))
     level_bounds = []

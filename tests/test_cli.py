@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from curve_lab import cli
 from curve_lab.cli import main
 
 L_CSV = "t,x1,x2\n0,0,0\n0.5,1,0\n1,1,1\n"
@@ -41,11 +45,19 @@ def test_sawtooth_witness_artifact(seg, tmp_path):
 
 def test_check_contraction_fake_l_exits_2(seg, tmp_path, capsys):
     fake = tmp_path / "fake.json"
-    # Values with slope 2 but declared L = 1: inconsistent sample data.
-    fake.write_text(json.dumps(
-        {"support": list(range(9)), "values": [i / 4 for i in range(9)], "L": 1.0}))
-    assert main(["check", "contraction", "--curve", seg, "--h", str(fake)]) == 2
-    assert "error" in capsys.readouterr().err
+    support = list(range(9))
+    # Values with slope 2 but declared L = 1: inconsistent sample data; then
+    # a NaN value, a missing L and a non-numeric entry.
+    for doc in ({"support": support, "values": [i / 4 for i in range(9)], "L": 1.0},
+                {"support": support, "values": [0.0, float("nan")] + [1.0] * 7, "L": 1.0},
+                {"support": support, "values": [i / 8 for i in range(9)]},
+                {"support": support, "values": [i / 8 for i in range(9)], "L": "one"}):
+        fake.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", "contraction", "--curve", seg, "--h", str(fake)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line[:6] for line in captured.err.splitlines()] == ["error:"]
 
 
 def test_check_contraction_passes(seg, tmp_path):
@@ -59,15 +71,17 @@ def test_check_contraction_passes(seg, tmp_path):
     assert doc["verdict"] == "pass"
 
 
-def test_unknown_command_exits_2():
-    with pytest.raises(SystemExit) as exc_info:
-        main(["frobnicate"])
-    assert exc_info.value.code == 2
+def test_unknown_command_exits_2(capsys):
+    assert main(["frobnicate"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "frobnicate" in err[0]
 
 
-def test_missing_file_exits_2(capsys):
+def test_missing_file_exits_2(lpoly, capsys):
     assert main(["variation", "--curve", "/nonexistent/c.csv"]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["variation", "--curve", lpoly, "--out", "/nonexistent/tv.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write /nonexistent/tv.json")
 
 
 def test_validate_metric(tmp_path, capsys):
@@ -99,6 +113,10 @@ def test_reparam_roundtrip(lpoly, tmp_path, capsys):
     assert lines[0] == "t,point_id"
     times = [float(line.split(",")[0]) for line in lines[1:]]
     assert times == [0.0, 1.0, 2.0]
+    # Without --out the same CSV goes to stdout.
+    capsys.readouterr()
+    assert main(["reparam", "--curve", lpoly]) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode()
 
 
 def test_extend_and_probes(tmp_path, capsys):
@@ -116,6 +134,8 @@ def test_extend_and_probes(tmp_path, capsys):
     assert main(["probes", "--curve", str(seg), "--n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["centers"]) == 2
+    assert main(["probes", "--curve", str(seg), "--n", "2", "--t", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: probes --t needs --window\n"
 
 
 def test_altwitness(tmp_path, capsys):
@@ -202,8 +222,29 @@ def test_check_acp_and_luzin(seg, capsys):
 
 
 def test_check_missing_required_flag_exits_2(seg, capsys):
-    assert main(["check", "luzin", "--curve", seg, "--delta", "0.1"]) == 2
-    assert "--null-set" in capsys.readouterr().err
+    # Missing required flags, and flags that belong to another kind.
+    for argv, flag in ((["luzin", "--curve", seg, "--delta", "0.1"], "--null-set"),
+                       (["area", "--curve", seg], "--values"),
+                       (["varint", "--curve", seg, "--p", "2"], "--p"),
+                       (["disc", "--values", seg, "--epsilon", "1", "--delta", "0.1",
+                         "--curve", seg], "--curve"),
+                       ([], "kind")):
+        assert main(["check", *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+
+
+@pytest.mark.parametrize("text", ["t,x1\n0,0\n1\n", "t,point_id\n0,0\n1\n",
+                                  "t,x1\n0,0\n1,a\n", "t\n0\n1\n", ""])
+def test_malformed_curve_csv_exits_2(tmp_path, capsys, text):
+    curve = tmp_path / "bad.csv"
+    curve.write_text(text)
+    space = tmp_path / "line.json"
+    space.write_text(json.dumps({"kind": "euclidean", "data": [[0.0], [1.0]]}))
+    assert main(["variation", "--curve", str(curve), "--space", str(space)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line[:6] for line in captured.err.splitlines()] == ["error:"]
 
 
 def test_tolerance_env_override(seg, tmp_path, monkeypatch):
@@ -212,9 +253,14 @@ def test_tolerance_env_override(seg, tmp_path, monkeypatch):
         {"support": list(range(9)), "values": [i / 8 for i in range(9)], "L": 1.0}))
     out = tmp_path / "r.json"
     monkeypatch.setenv("CURVE_LAB_TOLERANCE", "1e6")
-    assert main(["check", "contraction", "--curve", seg, "--h", str(h),
-                 "--out", str(out)]) == 0
+    argv = ["check", "contraction", "--curve", seg, "--h", str(h)]
+    assert main(argv + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["tolerance"] == 1e6
+    # A report row carries the same overridden tolerance.
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps([{"argv": argv}]))
+    assert main(["report", "--bundle", str(bundle), "--out-prefix", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s.jsonl").read_text())["tolerance"] == 1e6
 
 
 class TestReportBundle:
@@ -243,15 +289,19 @@ class TestReportBundle:
             {"argv": ["check", "varint", "--curve", seg]},
             {"argv": ["check", "luzin", "--curve", seg,
                       "--null-set", "0.25:0.375", "--delta", "0.05"]},
+            # A CSV-producing subcommand runs in a bundle too.
+            {"argv": ["reparam", "--curve", seg]},
         ]
         bundle = tmp_path / "bundle.json"
         bundle.write_text(json.dumps(configs))
         prefix = str(tmp_path / "summary")
         assert main(["report", "--bundle", str(bundle),
                      "--out-prefix", prefix]) == 0
-        lines = (tmp_path / "summary.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert all(json.loads(line)["verdict"] == "pass" for line in lines)
+        rows = [json.loads(line) for line in
+                (tmp_path / "summary.jsonl").read_text().strip().splitlines()]
+        assert len(rows) == 4
+        assert all(row["verdict"] == "pass" for row in rows)
+        assert f"reparam --curve {seg}" in {row["name"] for row in rows}
 
     def test_mixed_results_failures_first(self, tmp_path):
         seg, h = self.write_inputs(tmp_path)
@@ -298,6 +348,25 @@ class TestReportBundle:
         assert len(lines) == 2
         verdicts = {json.loads(line)["verdict"] for line in lines}
         assert verdicts == {"pass", "error"}
+
+
+def test_readme_cli_lines_parse():
+    """Every `curve-lab ...` line of README's CLI block parses (optional
+    `[...]` groups and `# ...` comments stripped), and together they reach
+    every handler, so README and parser agree on subcommands and required
+    flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    parser = cli._build_parser()
+    reached = set()
+    for line in block.splitlines():
+        line = re.sub(r"\[[^\]]*\]", "", line.split("#", 1)[0]).strip()
+        if line:
+            tokens = shlex.split(line)
+            assert tokens[0] == "curve-lab"
+            reached.add(parser.parse_args(tokens[1:]).func)
+    handlers = {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
+    assert reached == handlers
 
 
 def test_entry_point_subprocess(lpoly):

@@ -75,6 +75,14 @@ class TestMcShane:
         assert back.support == sample.support
         assert back.values == sample.values
         assert back.L == sample.L
+        for bad in ({"support": [0, 1], "values": [0.0, 1.0]},
+                    {"support": [0, 1], "values": [0.0, float("nan")], "L": 1.5},
+                    {"support": [0, 1], "values": [0.0, 1.0], "L": float("inf")},
+                    {"support": [0, 1], "values": [0.0, "one"], "L": 1.5},
+                    {"support": [0, 1], "values": [0.0, None], "L": 1.5},
+                    [[0, 1], [0.0, 1.0], 1.5]):
+            with pytest.raises(InputError):
+                LipschitzSample.from_json(bad, space)
 
 
 class TestProbeFamily:
