@@ -26,7 +26,7 @@ from .curves import (SampledCurve, arc_length_reparam, hausdorff1_content,
                      load_curve_csv, metric_speed, stats_json, total_variation)
 from .errors import HorizonError, InputError
 from .lipschitz import LipschitzSample, mcshane_extend_all, probe_family, speed_via_probes
-from .metric import MetricSpace, validate_metric
+from .metric import BLOCK, MetricSpace, validate_metric
 from .verify import (_report, ac_p_test, area_formula_check, check_contraction,
                      continuous_representative, discontinuity_measure, luzin_n_probe,
                      variation_integral_check)
@@ -120,6 +120,8 @@ def _verdict(report) -> tuple[dict, int]:
             tol = float(raw)
         except ValueError as exc:
             raise InputError(f"CURVE_LAB_TOLERANCE must be a float, got {raw!r}") from exc
+        if not 0 <= tol < np.inf:
+            raise InputError(f"CURVE_LAB_TOLERANCE must be finite and non-negative, got {raw!r}")
         report = replace(report, tolerance=tol, verdict=report.residual <= tol)
     return report.to_json(), 0 if report.verdict else 1
 
@@ -127,11 +129,36 @@ def _verdict(report) -> tuple[dict, int]:
 # -- subcommand handlers: each returns (payload, exit_code) ---------------------------
 
 
+def _by_construction(space: MetricSpace, kind: str) -> bool:
+    """Whether a loaded ``euclidean`` or ``graph`` space is a metric without a
+    triangle scan.  The loader has checked finite coordinates without
+    duplicates, and positive finite weights on a connected graph; shortest
+    paths are then a metric.  Euclidean distances are too, unless rounding
+    breaks them: a squared difference that under- or overflows can put
+    distinct points at distance 0 or inf, or skew a triangle by more than the
+    slack.  Distances whose squares are normal floats rule that out."""
+    if kind == "graph":
+        return True
+    ids = np.arange(space.n)
+    smallest = np.sqrt(np.finfo(float).tiny)
+    for lo in range(0, space.n, BLOCK):
+        rows = ids[lo:lo + BLOCK]
+        d = space.dist_block(rows, ids)
+        d[np.arange(len(rows)), rows] = smallest
+        if not np.all((d >= smallest) & (d < np.inf)):
+            return False
+    return True
+
+
 def _cmd_validate_metric(args):
     doc = _read_json(args.space, "space")
     if isinstance(doc, dict) and doc.get("kind") in ("euclidean", "graph"):
         space = MetricSpace.from_json(doc)
-        matrix = space.submatrix(range(space.n))
+        # An overflowing distance is reported below as a non-finite entry.
+        with np.errstate(over="ignore"):
+            if _by_construction(space, doc["kind"]):
+                return {"passed": True, "violations": []}, 0
+            matrix = space.submatrix(range(space.n))
     elif isinstance(doc, dict):
         if "data" not in doc:
             raise InputError(f"space file {args.space} has no 'data' key")
@@ -248,6 +275,8 @@ def _cmd_check_varint(args):
 
 
 def _cmd_check_disc(args):
+    if not 0 <= args.measure_tolerance < np.inf:
+        raise InputError(f"--measure-tolerance must be finite and non-negative, got {args.measure_tolerance}")
     profile = discontinuity_measure(_load_values(args.values), args.epsilon, args.delta)
     return _verdict(_report(
         "discontinuity", profile.measure, 0.0, args.measure_tolerance, one_sided=True,
@@ -309,7 +338,7 @@ def _cmd_report(args):
             sub = parser.parse_args(argv)
             if sub.func is _cmd_report:
                 raise InputError("a bundle entry cannot run report")
-            payload, code = sub.func(sub)
+            payload, code = _run(sub)
         except (InputError, SystemExit) as exc:
             sys.stderr.write(f"error: {exc}\n")
             row["verdict"], code = "error", 2
@@ -434,10 +463,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> tuple:
+    """Call the parsed command's handler.  Finite input whose arithmetic
+    overflows is an input error, not an inf in the output."""
+    try:
+        with np.errstate(over="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        raise InputError(f"input out of floating-point range: {exc}") from exc
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        payload, code = args.func(args)
+        payload, code = _run(args)
         if args.func is _cmd_report:
             for suffix, text in payload.items():
                 _emit(text, args.out_prefix + suffix)

@@ -26,6 +26,8 @@ class SampledCurve:
             raise InputError("a curve needs at least two sample times")
         if len(times) != len(samples):
             raise InputError(f"{len(times)} times but {len(samples)} samples")
+        if not np.all(np.isfinite(times)):
+            raise InputError("sample times must be finite")
         if not np.all(np.diff(times) > 0):
             raise InputError("sample times must be strictly increasing")
         if samples.min() < 0 or samples.max() >= space.n:
@@ -133,8 +135,8 @@ def arc_length_reparam(curve: SampledCurve) -> SampledCurve:
 
 
 def _window_indices(curve: SampledCurve, t: float, window: float, side: str) -> tuple[int, int]:
-    if window <= 0:
-        raise InputError(f"window must be positive, got {window}")
+    if not 0 < window < np.inf:
+        raise InputError(f"window must be positive and finite, got {window}")
     if not curve.a <= t <= curve.b:
         raise InputError(f"time {t!r} outside [{curve.a}, {curve.b}]")
     lo = t - window if side in ("both", "left") else t

@@ -190,7 +190,7 @@ def speed_via_probes(curve: SampledCurve, probes: ProbeFamily, t: float, window:
 def local_lip_estimate(f, space: MetricSpace, x: int, radius: float) -> float:
     """Max difference quotient of f over the punctured ball of the given
     radius around x; 0 if the ball holds no other point."""
-    if radius <= 0:
+    if not radius > 0:
         raise InputError(f"radius must be positive, got {radius}")
     x = space.check_id(x)
     dists = space.dist_row(x)

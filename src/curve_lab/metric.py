@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import InputError
 
@@ -24,6 +22,12 @@ TRIANGLE_RTOL = 1e-9
 # points holds at most BLOCK x m distances at a time (BLOCK x m x dim
 # coordinate differences on coordinate spaces of 8 or more dimensions).
 BLOCK = 256
+
+# Rows per block of the triangle check (internal): each middle point updates
+# a TRIANGLE_BLOCK x n block of sums, which stays in cache.  On a symmetric
+# 2000-point table 32 rows took 8.0 s against 8.2-9.3 s for 64 and 10.4 s
+# for 128 (2-vCPU Xeon, numpy 2.4); at 1000 points 32 and 64 tie near 1.1 s.
+TRIANGLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,13 @@ class ValidationReport:
         return [v for v in self.violations if v.axiom == axiom]
 
 
+def _float_array(data, what: str) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a numeric array: {exc}") from exc
+
+
 def validate_metric(candidate) -> ValidationReport:
     """Check a raw distance table against the metric axioms.
 
@@ -51,7 +62,7 @@ def validate_metric(candidate) -> ValidationReport:
     least one witnessing tuple.  Non-square or non-finite tables raise
     :class:`InputError`.
     """
-    d = np.asarray(candidate, dtype=float)
+    d = _float_array(candidate, "distance table")
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError(f"distance table must be square, got shape {d.shape}")
     if d.size == 0:
@@ -80,24 +91,55 @@ def validate_metric(candidate) -> ValidationReport:
     for i, j in nonpos[:8]:
         violations.append(Violation("positivity", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} <= 0"))
 
-    # Exhaustive triple scan, vectorized one source row at a time.
+    # Only rows that hold a violation are scanned for witnesses, in the order
+    # the exhaustive triple scan would visit them.  A sum that overflows to
+    # inf is no shortcut, so overflow is not an error here.
     reported = 0
-    for i in range(n):
-        if reported >= 8:
-            break
-        slack = d[i] - (d[i][:, None] + d)  # slack[j, k] = d(i,k) - d(i,j) - d(j,k)
-        bad = np.argwhere(slack > tol)
-        for j, k in bad[:8 - reported]:
-            violations.append(
-                Violation(
-                    "triangle",
-                    (int(i), int(k), int(j)),
-                    f"dist({i},{k})={d[i, k]!r} > dist({i},{j})+dist({j},{k})={d[i, j] + d[j, k]!r}",
+    with np.errstate(over="ignore"):
+        for i in _triangle_rows(d, tol, symmetric=not asym):
+            slack = d[i] - (d[i][:, None] + d)  # slack[j, k] = d(i,k) - d(i,j) - d(j,k)
+            bad = np.argwhere(slack > tol)
+            for j, k in bad[:8 - reported]:
+                violations.append(
+                    Violation(
+                        "triangle",
+                        (int(i), int(k), int(j)),
+                        f"dist({i},{k})={d[i, k]!r} > dist({i},{j})+dist({j},{k})={d[i, j] + d[j, k]!r}",
+                    )
                 )
-            )
-            reported += 1
+                reported += 1
+            if reported >= 8:
+                break
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
+
+
+def _triangle_rows(d: np.ndarray, tol: float, symmetric: bool):
+    """Yield, in ascending order and one row block at a time, the rows i with
+    some j, k where ``d[i, k] - (d[i, j] + d[j, k]) > tol``.
+
+    A block's rows get the min-plus square ``min_j d[i, j] + d[j, k]``; as
+    rounding is monotone, ``d[i, k]`` minus that minimum exceeds tol exactly
+    when one of the differences does.  On a symmetric table the pair (i, k)
+    violates iff (k, i) does, with the same sums, so a block needs only the
+    columns from its first row on: earlier columns were rows of earlier
+    blocks, which flagged this block's rows already.
+    """
+    n = d.shape[0]
+    flagged = np.zeros(n, dtype=bool)
+    for lo in range(0, n, TRIANGLE_BLOCK):
+        hi = min(lo + TRIANGLE_BLOCK, n)
+        first = lo if symmetric else 0
+        closure = np.full((hi - lo, n - first), np.inf)
+        sums = np.empty_like(closure)
+        for j in range(n):
+            np.add.outer(d[lo:hi, j], d[j, first:], out=sums)
+            np.minimum(closure, sums, out=closure)
+        bad = d[lo:hi, first:] - closure > tol
+        flagged[lo:hi] |= bad.any(axis=1)
+        if symmetric:
+            flagged[first:] |= bad.any(axis=0)
+        yield from (int(i) for i in np.flatnonzero(flagged[lo:hi]) + lo)
 
 
 class MetricSpace:
@@ -114,7 +156,7 @@ class MetricSpace:
         if (dmat is None) == (coords is None):
             raise InputError("exactly one of dmat/coords must be given")
         if dmat is not None:
-            dmat = np.asarray(dmat, dtype=float)
+            dmat = _float_array(dmat, "distance table")
             if not _validated:
                 report = validate_metric(dmat)
                 if not report.passed:
@@ -125,7 +167,7 @@ class MetricSpace:
             self._coords = None
             self._n = dmat.shape[0]
         else:
-            coords = np.atleast_2d(np.asarray(coords, dtype=float))
+            coords = np.atleast_2d(_float_array(coords, "coordinates"))
             if not np.all(np.isfinite(coords)):
                 raise InputError("coordinates contain non-finite entries")
             # Euclidean distances satisfy the axioms automatically except
@@ -155,6 +197,9 @@ class MetricSpace:
     def from_graph(cls, n: int, edges, labels=None) -> "MetricSpace":
         """Build a space from a weighted undirected edge list via all-pairs
         shortest paths, cached at load time."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import shortest_path
+
         edges = list(edges)
         if n < 1:
             raise InputError("graph needs at least one node")

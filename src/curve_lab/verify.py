@@ -129,8 +129,8 @@ def discontinuity_measure(values: Sequence[float], epsilon: float, delta: float,
     the grid cell area.  A function continuous at scale (epsilon, delta) gives
     zero; an interior jump of size >= epsilon gives about delta**2."""
     v = np.asarray(values, dtype=float)
-    if epsilon <= 0 or delta <= 0:
-        raise InputError("epsilon and delta must be positive")
+    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
+        raise InputError(f"epsilon and delta must be positive and finite, got {epsilon}, {delta}")
     if times is None:
         t = np.linspace(0.0, 1.0, len(v))
     else:
@@ -142,8 +142,8 @@ def discontinuity_measure(values: Sequence[float], epsilon: float, delta: float,
     dt = float(np.mean(np.diff(t)))
     count = 0
     # Count ordered pairs by sliding offset; offsets beyond delta/dt cannot
-    # contribute.
-    max_off = int(math.ceil(delta / dt)) + 1
+    # contribute, nor can offsets beyond the trace (delta/dt may overflow).
+    max_off = int(math.ceil(min(delta / dt, len(v)))) + 1
     for off in range(1, min(max_off, len(v))):
         close = np.abs(t[off:] - t[:-off]) < delta
         jump = np.abs(v[off:] - v[:-off]) >= epsilon
@@ -164,8 +164,8 @@ def continuous_representative(values: Sequence[float],
     one grid cell (no continuous representative at the requested scales)."""
     v = np.array(values, dtype=float)
     sched = [float(e) for e in epsilon_schedule]
-    if not sched or any(e <= 0 for e in sched):
-        raise ScheduleError(f"epsilon schedule must be nonempty and positive: {sched}")
+    if not sched or not all(0 < e < math.inf for e in sched):
+        raise ScheduleError(f"epsilon schedule must be nonempty, positive and finite: {sched}")
     if any(b >= a for a, b in zip(sched[:-1], sched[1:])):
         raise ScheduleError(f"epsilon schedule must be strictly decreasing: {sched}")
     if window < 3:
@@ -214,7 +214,7 @@ def ac_p_test(curve: SampledCurve, p: float,
     grid refinement.  A curve that is absolutely continuous with p-integrable
     speed has a stable norm; an unbounded-speed curve (like a square-root cusp
     at p >= 2) shows a growing trend and is reported inconsistent."""
-    if p < 1:
+    if not p >= 1:
         raise InputError(f"p must be >= 1, got {p}")
     trend = [_speed_norm(curve, p)]
     if refine is None or refinements < 1:
@@ -236,12 +236,12 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
     curve parametrized over a small time set is controlled by the worst step
     quotient seen outside that set, times the set's total length.  A curve that tears a time-null
     set into positive length fails."""
-    if delta <= 0:
-        raise InputError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise InputError(f"delta must be positive and finite, got {delta}")
     intervals = [(float(a), float(b)) for a, b in null_set]
     for a, b in intervals:
-        if b <= a:
-            raise InputError(f"degenerate interval ({a}, {b})")
+        if not -math.inf < a < b < math.inf:
+            raise InputError(f"interval ({a}, {b}) must be finite and nonempty")
     mask = np.zeros(len(curve.times), dtype=bool)
     for a, b in intervals:
         mask |= (curve.times >= a) & (curve.times <= b)

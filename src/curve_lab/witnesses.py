@@ -20,7 +20,7 @@ class SawtoothSpec:
     length: float
 
     def __post_init__(self):
-        if self.tooth <= 0:
+        if not self.tooth > 0:
             raise InputError(f"tooth must be positive, got {self.tooth}")
         if self.tooth > self.length:
             raise InputError(f"tooth {self.tooth} exceeds curve length {self.length}")
@@ -40,7 +40,7 @@ class WitnessFunction:
 def triangle_wave(t, tooth: float):
     """Continuous triangle wave: period 2*tooth, range [0, tooth], slope +-1,
     rising on [2k*tooth, (2k+1)*tooth] and falling on the next tooth."""
-    if tooth <= 0:
+    if not tooth > 0:
         raise InputError(f"tooth must be positive, got {tooth}")
     r = np.mod(np.asarray(t, dtype=float), 2.0 * tooth)
     out = np.where(r <= tooth, r, 2.0 * tooth - r)
@@ -95,7 +95,7 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
 def variation_preserving_witness(curve: SampledCurve, slack: float) -> WitnessFunction:
     """Sawtooth witness with tooth = slack/2, targeting a post-composition
     variation of at least total_variation - slack with sup bound slack/2."""
-    if slack <= 0:
+    if not slack > 0:
         raise InputError(f"slack must be positive, got {slack}")
     witness = sawtooth_witness(curve, slack / 2.0)
     certs = dict(witness.certificates)
@@ -119,8 +119,8 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         raise InputError(f"{len(pts)} points but {len(radii)} radii")
     if len(pts) == 0:
         raise InputError("empty point list")
-    if np.any(radii <= 0):
-        raise InputError("radii must be positive")
+    if not np.all((radii > 0) & (radii < np.inf)):
+        raise InputError("radii must be positive and finite")
     if len(set(pts)) != len(pts):
         raise InputError("ordered points must be distinct")
     dmat = space.submatrix(pts)

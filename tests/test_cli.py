@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -30,18 +31,28 @@ def lpoly(tmp_path):
     return str(path)
 
 
+def assert_input_error(argv, capsys):
+    """``main(argv)`` exits 2 with one ``error:`` line and no stdout."""
+    capsys.readouterr()
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line[:6] for line in captured.err.splitlines()] == ["error:"], argv
+
+
 def test_variation_prints_value(lpoly, capsys):
     assert main(["variation", "--curve", lpoly]) == 0
     assert capsys.readouterr().out.strip() == "2.0"
 
 
-def test_sawtooth_witness_artifact(seg, tmp_path):
+def test_sawtooth_witness_artifact(seg, tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["sawtooth", "--curve", seg, "--tooth", "0.25",
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["certificates"]["composed_variation"] >= 1.0 - 1e-9
     assert doc["certificates"]["sup_abs"] <= 0.25
+    assert_input_error(["sawtooth", "--curve", seg, "--tooth", "nan"], capsys)
 
 def test_check_contraction_fake_l_exits_2(seg, tmp_path, capsys):
     fake = tmp_path / "fake.json"
@@ -98,12 +109,32 @@ def test_validate_metric(tmp_path, capsys):
     assert not doc["passed"]
     assert any(v["axiom"] == "triangle" for v in doc["violations"])
 
+    # Euclidean and graph spaces are metrics once they load; distinct points
+    # whose distance rounds to 0 or overflows are still reported.
+    cases = (({"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}, 0, set()),
+             ({"kind": "graph", "n": 3, "data": [[0, 1, 1.0], [1, 2, 2.0]]}, 0, set()),
+             ({"kind": "euclidean", "data": [[0, 0], [1e-200, 0], [1, 1]]}, 1, {"positivity"}),
+             ({"kind": "euclidean", "data": [[0, 0], [1e200, 0]]}, 2, None))
+    for doc, code, axioms in cases:
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate-metric", "--space", str(bad)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.splitlines() == ["error: distance table contains non-finite entries"]
+        else:
+            out = json.loads(captured.out)
+            assert out["passed"] == (code == 0)
+            assert {v["axiom"] for v in out["violations"]} == axioms
+
 
 def test_speed_and_content(seg, capsys):
     assert main(["speed", "--curve", seg, "--t", "0.5", "--window", "0.25"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(1.0)
     assert main(["content", "--curve", seg, "--delta", "0.25"]) == 0
     assert 0.8 <= float(capsys.readouterr().out) <= 1.2
+    for window in ("nan", "inf", "0"):
+        assert_input_error(["speed", "--curve", seg, "--t", "0.5", "--window", window], capsys)
 
 
 def test_reparam_roundtrip(lpoly, tmp_path, capsys):
@@ -136,6 +167,8 @@ def test_extend_and_probes(tmp_path, capsys):
     assert len(doc["centers"]) == 2
     assert main(["probes", "--curve", str(seg), "--n", "2", "--t", "0.5"]) == 2
     assert capsys.readouterr().err == "error: probes --t needs --window\n"
+    assert_input_error(["probes", "--curve", str(seg), "--n", "2", "--t", "0.5",
+                        "--window", "nan"], capsys)
 
 
 def test_altwitness(tmp_path, capsys):
@@ -184,6 +217,14 @@ def test_check_disc_and_recover(tmp_path, capsys):
 
     assert main(["recover", "--values", str(step), "--epsilons", "0.5,0.25"]) == 1
 
+    # NaN or inf scales are input errors, never a pass.
+    disc = ["check", "disc", "--values", str(smooth)]
+    for flags in (["--epsilon", "nan", "--delta", "0.01"], ["--epsilon", "0.5", "--delta", "nan"],
+                  ["--epsilon", "inf", "--delta", "0.1"], ["--epsilon", "0.5", "--delta", "inf"],
+                  ["--epsilon", "0.5", "--delta", "0.1", "--measure-tolerance", "inf"]):
+        assert_input_error(disc + flags, capsys)
+    assert_input_error(["recover", "--values", str(vals), "--epsilons", "nan"], capsys)
+
 
 @pytest.mark.parametrize("text", ["[0.0, NaN, 1.0]", "0.0\nnan\n1.0\n", "[1.0, Infinity]",
                                   "[0.0, 1.0", "[[0.0], [1.0, 2.0]]"])
@@ -220,6 +261,12 @@ def test_check_acp_and_luzin(seg, capsys):
     assert main(["check", "luzin", "--curve", seg, "--null-set", "0.25:0.375",
                  "--delta", "0.05"]) == 0
 
+    assert_input_error(["check", "acp", "--curve", seg, "--p", "nan"], capsys)
+    for null_set, delta in (("nan:nan", "0.01"), ("0.25:0.375", "nan"),
+                            ("0.25:0.375", "inf"), ("0.25:inf", "0.01"), ("0.5:0.5", "0.01")):
+        assert_input_error(["check", "luzin", "--curve", seg, "--null-set", null_set,
+                            "--delta", delta], capsys)
+
 
 def test_check_missing_required_flag_exits_2(seg, capsys):
     # Missing required flags, and flags that belong to another kind.
@@ -235,7 +282,9 @@ def test_check_missing_required_flag_exits_2(seg, capsys):
 
 
 @pytest.mark.parametrize("text", ["t,x1\n0,0\n1\n", "t,point_id\n0,0\n1\n",
-                                  "t,x1\n0,0\n1,a\n", "t\n0\n1\n", ""])
+                                  "t,x1\n0,0\n1,a\n", "t\n0\n1\n", "",
+                                  # a non-finite time; a chord whose square overflows
+                                  "t,x1\n-inf,0\n1,1\n", "t,x1\n0,0\n1,1e200\n"])
 def test_malformed_curve_csv_exits_2(tmp_path, capsys, text):
     curve = tmp_path / "bad.csv"
     curve.write_text(text)
@@ -261,6 +310,10 @@ def test_tolerance_env_override(seg, tmp_path, monkeypatch):
     bundle.write_text(json.dumps([{"argv": argv}]))
     assert main(["report", "--bundle", str(bundle), "--out-prefix", str(tmp_path / "s")]) == 0
     assert json.loads((tmp_path / "s.jsonl").read_text())["tolerance"] == 1e6
+    # An infinite tolerance would pass anything.
+    for raw in ("inf", "nan", "-1"):
+        monkeypatch.setenv("CURVE_LAB_TOLERANCE", raw)
+        assert main(argv) == 2
 
 
 class TestReportBundle:
@@ -375,3 +428,30 @@ def test_entry_point_subprocess(lpoly):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2.0"
+
+
+SCIPY_PROBE = """
+import json, sys
+from curve_lab.cli import main
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+seen = {"import": loaded()}
+seen["euclidean_exit"] = main(["validate-metric", "--space", sys.argv[1]])
+seen["euclidean"] = loaded()
+seen["graph_exit"] = main(["validate-metric", "--space", sys.argv[2]])
+sys.stderr.write(json.dumps(seen))
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is needed by graph spaces alone, so it is imported only there.
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"kind": "graph", "n": 3, "data": [[0, 1, 1.0], [1, 2, 2.0]]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(points), str(graph)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    seen = json.loads(proc.stderr)
+    assert seen == {"import": [], "euclidean_exit": 0, "euclidean": [], "graph_exit": 0}
+    assert proc.stdout.count('"passed": true') == 2

@@ -138,6 +138,9 @@ class TestMetricSpeed:
         # Both window ends snap to the same grid time at t = 0.
         with pytest.raises(InputError):
             metric_speed(curve, 0.0, 1e-6)
+        for window in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match="window must be positive and finite"):
+                metric_speed(curve, 0.5, window)
 
 
 class TestHausdorff1Content:
@@ -215,3 +218,5 @@ class TestCurveIO:
         space = line_space([0.0, 1.0])
         with pytest.raises(InputError):
             SampledCurve(space, [0.0, 0.0], [0, 1])
+        with pytest.raises(InputError, match="finite"):
+            SampledCurve(space, [float("-inf"), 0.0], [0, 1])

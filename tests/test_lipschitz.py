@@ -175,6 +175,8 @@ class TestLocalLipEstimate:
     def test_isolated_point_returns_zero(self):
         space = line_space([0.0, 10.0])
         assert local_lip_estimate(lambda y: float(y), space, 0, 1.0) == 0.0
+        with pytest.raises(InputError):
+            local_lip_estimate(lambda y: float(y), space, 0, float("nan"))
 
     def test_triangle_wave_slope(self):
         from curve_lab import triangle_wave

@@ -8,7 +8,80 @@ from hypothesis import strategies as st
 
 from curve_lab import (InputError, MetricSpace, maximal_separated_net,
                        metric_projection, validate_metric)
+from curve_lab.metric import TRIANGLE_BLOCK, TRIANGLE_RTOL
 from conftest import line_space
+
+
+def reference_report(d):
+    """The exhaustive per-row scan ``validate_metric`` ran before its
+    min-plus prefilter, as (passed, [(axiom, witness, detail), ...])."""
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    tol = TRIANGLE_RTOL * (float(np.max(np.abs(d))) or 1.0)
+    found = []
+    for i in np.flatnonzero(np.abs(np.diag(d)) > 0)[:8]:
+        found.append(("zero-diagonal", (int(i),), f"dist({i},{i}) = {d[i, i]!r}"))
+    asym = [(int(i), int(j)) for i, j in np.argwhere(d != d.T) if i < j]
+    for i, j in asym[:8]:
+        found.append(("symmetry", (i, j), f"dist({i},{j})={d[i, j]!r} != dist({j},{i})={d[j, i]!r}"))
+    off = d.copy()
+    np.fill_diagonal(off, 1.0)
+    for i, j in np.argwhere(off <= 0)[:8]:
+        found.append(("positivity", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} <= 0"))
+    reported = 0
+    for i in range(n):
+        if reported >= 8:
+            break
+        slack = d[i] - (d[i][:, None] + d)
+        for j, k in np.argwhere(slack > tol)[:8 - reported]:
+            found.append(("triangle", (int(i), int(k), int(j)),
+                          f"dist({i},{k})={d[i, k]!r} > dist({i},{j})+dist({j},{k})={d[i, j] + d[j, k]!r}"))
+            reported += 1
+    return not found, found
+
+
+def report_tuples(report):
+    return report.passed, [(v.axiom, v.witness, v.detail) for v in report.violations]
+
+
+def planted_tables(n, seed):
+    """Named distance tables on n points: a Euclidean metric, and copies with
+    triangle violations planted in the first row, the last row, across the
+    first block boundary, in many rows at once, and next to asymmetric,
+    negative and zero off-diagonal entries."""
+    rng = np.random.default_rng(seed)
+    xy = rng.normal(size=(n, 2))
+    d = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=-1))
+    tables = {"metric": d}
+
+    def plant(pairs, symmetric=True):
+        t = d.copy()
+        for i, k in pairs:
+            t[i, k] += 10.0
+            if symmetric:
+                t[k, i] = t[i, k]
+        return t
+
+    if n >= 2:
+        tables["first-row"] = plant([(0, n - 1)])
+        tables["last-row"] = plant([(n - 1, 0)], symmetric=False)
+        tables["many"] = plant([(i, (i + 1 + n // 2) % n) for i in range(0, n, max(1, n // 12))])
+        mixed = plant([(n - 1, n // 2)])
+        mixed[0, 1] = -mixed[0, 1]
+        mixed[1, 0] = 0.0
+        tables["mixed"] = mixed
+    if n > TRIANGLE_BLOCK:
+        tables["block-boundary"] = plant([(TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK)])
+    if n >= 3:
+        # One violating pair, first row against last, with one witness each
+        # way: every point is 2 apart but m, which is 1 from both ends.
+        m = n // 2
+        sparse = np.full((n, n), 2.0)
+        np.fill_diagonal(sparse, 0.0)
+        sparse[m, [0, n - 1]] = sparse[[0, n - 1], m] = 1.0
+        sparse[0, n - 1] = sparse[n - 1, 0] = 2.5
+        tables["sparse"] = sparse
+    return tables
 
 
 class TestValidateMetric:
@@ -60,6 +133,44 @@ class TestValidateMetric:
         space = line_space(xs)
         d = space.submatrix(range(space.n))
         assert validate_metric(d).passed
+
+
+class TestValidateMetricMatchesRowScan:
+    @pytest.mark.parametrize("n", [1, 2, TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK,
+                                   TRIANGLE_BLOCK + 1, 300])
+    def test_planted_violations(self, n):
+        for name, table in planted_tables(n, seed=n).items():
+            assert report_tuples(validate_metric(table)) == reference_report(table), name
+            if name == "metric":
+                assert validate_metric(table).passed
+            elif n >= 3:  # two points have no triangle to break
+                assert validate_metric(table).by_axiom("triangle"), name
+
+    def test_sparse_violation_reported_from_both_ends(self):
+        n = 2 * TRIANGLE_BLOCK + 3
+        report = validate_metric(planted_tables(n, seed=0)["sparse"])
+        assert [v.witness for v in report.violations] == [(0, n - 1, n // 2), (n - 1, 0, n // 2)]
+
+    def test_more_than_eight_witnesses_stop_at_eight(self):
+        table = planted_tables(TRIANGLE_BLOCK + 1, seed=1)["many"]
+        report = validate_metric(table)
+        assert len(report.by_axiom("triangle")) == 8
+        assert report_tuples(report) == reference_report(table)
+
+    def test_tiny_tables(self):
+        for table in ([[0.0]], [[-1.0]], [[0, -1], [-1, 0]], [[0, 0], [3, 0]],
+                      [[0, 1, 3], [1, 0, 1], [3, 1, 0]]):
+            assert report_tuples(validate_metric(table)) == reference_report(table)
+
+    def test_random_integer_tables(self):
+        # Small integer entries: ties, zeros, negatives and asymmetry.
+        rng = np.random.default_rng(4)
+        for trial in range(40):
+            n = int(rng.integers(1, 2 * TRIANGLE_BLOCK + 3))
+            table = rng.integers(-1, 5, size=(n, n)).astype(float)
+            if trial % 2:
+                table = np.minimum(table, table.T)
+            assert report_tuples(validate_metric(table)) == reference_report(table)
 
 
 class TestMetricSpaceConstruction:

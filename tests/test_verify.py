@@ -138,6 +138,11 @@ class TestDiscontinuityMeasure:
     def test_invalid_parameters(self):
         with pytest.raises(InputError):
             discontinuity_measure([0.0, 1.0], 0.0, 0.1)
+        # NaN and inf scales are rejected too; an infinite delta used to
+        # overflow the offset count, an infinite epsilon to pass everything.
+        for eps, delta in ((np.nan, 0.1), (0.5, np.nan), (np.inf, 0.1), (0.5, np.inf)):
+            with pytest.raises(InputError):
+                discontinuity_measure([0.0, 1.0], eps, delta)
 
 
 class TestContinuousRepresentative:
@@ -187,6 +192,9 @@ class TestContinuousRepresentative:
             continuous_representative(values, [0.1, 0.2])
         with pytest.raises(ScheduleError):
             continuous_representative(values, [0.5], window=2)
+        for sched in ([np.nan], [np.inf, 0.5]):
+            with pytest.raises(ScheduleError):
+                continuous_representative(values, sched)
 
 
 class TestACP:
@@ -240,6 +248,9 @@ class TestACP:
     def test_p_below_one_rejected(self):
         with pytest.raises(InputError):
             ac_p_test(unit_segment(5), 0.5)
+        with pytest.raises(InputError):
+            ac_p_test(unit_segment(5), np.nan)
+        assert ac_p_test(unit_segment(5), np.inf).p == np.inf
 
 
 class TestLuzinN:
@@ -267,3 +278,8 @@ class TestLuzinN:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InputError):
             luzin_n_probe(unit_segment(5), [(0.5, 0.5)], 0.1)
+        # Non-finite intervals and scales are rejected, not read as empty.
+        for null_set, delta in (([(np.nan, np.nan)], 0.1), ([(-np.inf, np.inf)], 0.1),
+                                ([(0.2, 0.4)], np.nan), ([(0.2, 0.4)], np.inf)):
+            with pytest.raises(InputError):
+                luzin_n_probe(unit_segment(5), null_set, delta)

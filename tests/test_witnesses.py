@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curve_lab import (ForgeProblem, HorizonError, InputError, SampledCurve,
-                       alternating_separated_witness, banach_steinhaus_forge,
+                       SawtoothSpec, alternating_separated_witness, banach_steinhaus_forge,
                        diagonal_forge_problem, lip_constant, sawtooth_witness,
                        total_variation, triangle_wave,
                        variation_preserving_witness)
@@ -36,6 +36,10 @@ class TestTriangleWave:
     def test_nonpositive_tooth_rejected(self):
         with pytest.raises(InputError):
             triangle_wave(0.5, 0.0)
+        with pytest.raises(InputError):
+            triangle_wave(0.5, float("nan"))
+        with pytest.raises(InputError):
+            SawtoothSpec(tooth=float("nan"), length=1.0)
 
 
 class TestSawtoothWitness:
@@ -122,6 +126,8 @@ class TestVariationPreservingWitness:
         curve = euclidean_curve([[x, 0.0] for x in xs], xs)
         with pytest.raises(InputError):
             variation_preserving_witness(curve, 0.0)
+        with pytest.raises(InputError):
+            variation_preserving_witness(curve, float("nan"))
 
 
 class TestAlternatingWitness:
