@@ -373,8 +373,22 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors raise InputError, so they end in one ``error:`` line and
     exit 2 from ``main``, and in an ``error`` row inside ``report``."""
 
+    # Flags whose value may start with '-', such as the interval -0.5:0.5;
+    # argparse would read a separate value of that form as an unknown option.
+    DASHED_VALUES = ("--null-set",)
+
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        glued = []
+        for arg in args:
+            if glued and glued[-1] in self.DASHED_VALUES and not arg.startswith("--"):
+                glued[-1] += f"={arg}"
+            else:
+                glued.append(arg)
+        return super().parse_known_args(glued, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -183,14 +183,18 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
         gaps = space.pair_distances(centers[:-1], centers[1:])
         total += float(np.sum(np.minimum(gaps, delta)))
     # Cluster of the last center: target points whose nearest center is it.
+    # Every target point lies within delta/2 of its nearest center (a member
+    # at 0, a rejected candidate below the net's epsilon), so only the points
+    # that close to the last center can be in its cluster.
     if len(centers) == 1:
         cluster = target
     else:
+        near = target[space.dist_block(centers[-1:], target)[0] < delta / 2.0]
         nearest = np.concatenate([
-            np.argmin(space.dist_block(centers, target[lo:lo + BLOCK]), axis=0)
-            for lo in range(0, len(target), BLOCK)
+            np.argmin(space.dist_block(centers, near[lo:lo + BLOCK]), axis=0)
+            for lo in range(0, len(near), BLOCK)
         ])
-        cluster = target[nearest == len(centers) - 1]
+        cluster = near[nearest == len(centers) - 1]
     if len(cluster) > 1:
         total += max(float(np.max(space.dist_block(cluster[lo:lo + BLOCK], cluster)))
                      for lo in range(0, len(cluster), BLOCK))

@@ -16,43 +16,61 @@ from .metric import BLOCK, MetricSpace
 _L_RTOL = 1e-12
 
 
-def lip_constant(points, values, space: MetricSpace) -> float:
+def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
     """Largest pairwise difference quotient |dv| / dist over the given points.
 
-    Exact on finite data.  Duplicate point ids with differing values have an
-    infinite quotient and raise :class:`InconsistentDataError`.
+    ``values`` holds one value per point, or one row per point with a column
+    per function; a 2-D ``values`` gets an array of per-column constants from
+    one pass over the distances.  Exact on finite data.  Duplicate point ids
+    with differing values have an infinite quotient and raise
+    :class:`InconsistentDataError`; distinct ids at distance 0 (coordinates
+    whose difference underflows) raise :class:`InputError`.
     """
-    ids = [space.check_id(p) for p in points]
+    ids = np.asarray([space.check_id(p) for p in points], dtype=int)
     vals = np.asarray(values, dtype=float)
     if len(ids) != len(vals):
         raise InputError(f"{len(ids)} points but {len(vals)} values")
     if len(ids) < 2:
         raise InputError("need at least two points")
-    seen: dict[int, float] = {}
-    for i, v in zip(ids, vals):
-        if i in seen and seen[i] != v:
-            raise InconsistentDataError(f"point {i} carries two values {seen[i]!r} and {v!r}")
-        seen[i] = float(v)
-    uid = np.array(sorted(seen))
-    uv = np.array([seen[i] for i in uid])
+    uid, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    uv = vals[first]
+    conflict = (vals != uv[inverse]).reshape(len(ids), -1).any(axis=1)
+    conflict &= np.arange(len(ids)) != first[inverse]
+    if conflict.any():
+        k = int(np.argmax(conflict))
+        a, b = uv[inverse[k]].tolist(), vals[k].tolist()
+        raise InconsistentDataError(f"point {ids[k]} carries two values {a!r} and {b!r}")
     if len(uid) < 2:
-        return 0.0
-    return _max_quotient(space, uid, uv)
+        return 0.0 if vals.ndim == 1 else np.zeros(vals.shape[1])
+    q = _max_quotient(space, uid, uv.reshape(len(uid), -1))
+    return float(q[0]) if vals.ndim == 1 else q
 
 
-def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> float:
-    """max |values[i] - values[j]| / dist(ids[i], ids[j]) over pairs i < j of
-    at least two distinct ids, one row block of the upper triangle at a time."""
+def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per column c, max |values[i, c] - values[j, c]| / dist(ids[i], ids[j])
+    over pairs of at least two distinct ids, one row block at a time against
+    the ids from the block's first row on.
+
+    A pair's quotient has the same bits in either order, so the pairs that a
+    block meets twice leave the maxima unchanged; the block's own diagonal is
+    divided by inf.  A zero distance anywhere else makes the maximum
+    non-finite, and the block is then searched for it."""
     m = len(ids)
-    block_max = []
+    best = np.zeros(values.shape[1])
     for lo in range(0, m - 1, BLOCK):
         hi = min(lo + BLOCK, m - 1)
         d = space.dist_block(ids[lo:hi], ids[lo:])
-        dv = np.abs(values[lo:hi, None] - values[None, lo:])
-        upper = np.arange(m - lo)[None, :] > np.arange(hi - lo)[:, None]
-        q = np.divide(dv, d, out=np.zeros_like(d), where=upper)
-        block_max.append(np.max(q))
-    return float(np.max(block_max))
+        d[np.arange(hi - lo), np.arange(hi - lo)] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c in range(values.shape[1]):
+                q = np.subtract.outer(values[lo:hi, c], values[lo:, c])
+                np.abs(q, out=q)
+                q /= d
+                best[c] = np.maximum(best[c], np.max(q))
+        if not np.all(np.isfinite(best)) and (d == 0).any():
+            i, j = np.argwhere(d == 0)[0]
+            raise InputError(f"distinct points {ids[lo + i]} and {ids[lo + j]} are at distance 0")
+    return best
 
 
 @dataclass(frozen=True)

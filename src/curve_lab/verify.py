@@ -74,7 +74,15 @@ def area_formula_check(curve: SampledCurve, values: Sequence[float],
                        weights: Optional[Sequence[float]] = None) -> CheckReport:
     """Discrete area formula: summing step weights against increments of a
     real-valued trace equals sweeping the level line and counting weighted
-    crossings of each elementary level interval."""
+    crossings of each elementary level interval.
+
+    The levels are the sample values themselves, so the two sides are the
+    same sum regrouped: an algebraic identity, reported to confirm the
+    bookkeeping, as for :func:`variation_integral_check`.  A step from lo to
+    hi crosses exactly the elementary intervals between the ranks of lo and
+    hi among the levels, so one difference array gives every interval's
+    weight, in O(n log n).
+    """
     h = np.asarray(values, dtype=float)
     if len(h) != len(curve.samples):
         raise InputError(f"{len(h)} values for {len(curve.samples)} samples")
@@ -84,16 +92,20 @@ def area_formula_check(curve: SampledCurve, values: Sequence[float],
         theta = np.asarray(weights, dtype=float)
         if len(theta) != len(h):
             raise InputError(f"{len(theta)} weights for {len(h)} values")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(theta))):
+        raise InputError("area formula values and weights must be finite")
     theta_bar = 0.5 * (theta[:-1] + theta[1:])
     lhs = float(np.sum(theta_bar * np.abs(np.diff(h))))
 
     levels = np.unique(h)
-    rhs = 0.0
-    lo = np.minimum(h[:-1], h[1:])
-    hi = np.maximum(h[:-1], h[1:])
-    for a, b in zip(levels[:-1], levels[1:]):
-        crossing = (lo <= a) & (hi >= b)
-        rhs += (b - a) * float(np.sum(theta_bar[crossing]))
+    first = np.searchsorted(levels, np.minimum(h[:-1], h[1:]))
+    last = np.searchsorted(levels, np.maximum(h[:-1], h[1:]))
+    # Interval k spans levels[k]..levels[k+1]; a step covers first..last-1.
+    starts = np.bincount(first, weights=theta_bar, minlength=len(levels))
+    ends = np.bincount(last, weights=theta_bar, minlength=len(levels))
+    crossing = np.cumsum(starts - ends)[:-1]
+    # Summed in interval order from 0.0, as a running total would.
+    rhs = float(np.cumsum(np.concatenate([[0.0], np.diff(levels) * crossing]))[-1])
     tol = 1e-6 * max(1.0, abs(rhs))
     return _report("area_formula", lhs, rhs, tol, one_sided=False,
                    context={"levels": len(levels)})
@@ -161,8 +173,18 @@ def continuous_representative(values: Sequence[float],
     the median of the locally dominant value cluster, sweeping a decreasing
     epsilon schedule.  Returns the cleaned trace and the fraction of samples
     modified, or None when the residual discontinuity measure still exceeds
-    one grid cell (no continuous representative at the requested scales)."""
+    one grid cell (no continuous representative at the requested scales).
+
+    Each sweep visits the samples in order and replaces one in place when
+    more than half of its window (``window`` samples either side, itself
+    included) lies at least epsilon away; a replacement is seen by the
+    samples after it.  A sample whose window holds no earlier replacement
+    is judged by one whole-array pass per epsilon, so only the ``window``
+    samples after each replacement are looked at one by one.
+    """
     v = np.array(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InputError("trace values must be finite")
     sched = [float(e) for e in epsilon_schedule]
     if not sched or not all(0 < e < math.inf for e in sched):
         raise ScheduleError(f"epsilon schedule must be nonempty, positive and finite: {sched}")
@@ -175,7 +197,15 @@ def continuous_representative(values: Sequence[float],
     n = len(v)
     modified = np.zeros(n, dtype=bool)
     for eps in sched:
-        for i in range(n):
+        hits = np.flatnonzero(_deviants(v, eps, window))
+        stale = -1  # windows up to here hold a replacement made in this sweep
+        i = 0
+        while i < n:
+            if i > stale:
+                k = int(np.searchsorted(hits, i))
+                if k == len(hits):
+                    break
+                i = int(hits[k])
             lo, hi = max(0, i - window), min(n, i + window + 1)
             nbhd = v[lo:hi]
             close = np.abs(nbhd - v[i]) < eps
@@ -184,11 +214,24 @@ def continuous_representative(values: Sequence[float],
             if np.sum(far) > len(nbhd) / 2.0:
                 v[i] = float(np.median(nbhd[far]))
                 modified[i] = True
+                stale = i + window
+            i += 1
     dt = 1.0 / (n - 1)
     residual = discontinuity_measure(v, sched[-1], max(2.5 * dt, 2.0 * dt))
     if residual.measure > dt * dt:
         return None
     return v, float(np.mean(modified))
+
+
+def _deviants(v: np.ndarray, eps: float, window: int) -> np.ndarray:
+    """Mask of the samples whose window, in the trace as it stands, holds
+    more than half its samples at least eps away: the samples a sweep
+    replaces unless a replacement before them changes their window."""
+    padded = np.concatenate([np.full(window, np.inf), v, np.full(window, np.inf)])
+    spans = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1)
+    close = np.count_nonzero(np.abs(spans - v[:, None]) < eps, axis=1)
+    size = np.minimum(np.arange(len(v)), window) + np.minimum(np.arange(len(v))[::-1], window) + 1
+    return 2 * close < size
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .curves import SampledCurve, arc_length_reparam, total_variation
 from .errors import HorizonError, InputError
-from .lipschitz import LipschitzSample, _max_quotient, lip_constant
+from .lipschitz import LipschitzSample, lip_constant
 from .metric import MetricSpace
 
 
@@ -49,8 +49,8 @@ def triangle_wave(t, tooth: float):
 
 def _chord_arc_defect(space: MetricSpace, samples: np.ndarray, s: np.ndarray) -> float:
     """Max over pairs of distinct samples of (arc separation / distance) - 1,
-    floored at 0; the arc coordinate's Lipschitz constant on the samples."""
-    return max(1.0, _max_quotient(space, samples, s)) - 1.0
+    floored at 0: the arc coordinate's Lipschitz constant on the samples, less 1."""
+    return max(1.0, lip_constant(samples, s, space)) - 1.0
 
 
 def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
@@ -70,8 +70,10 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
 
     s = curve.arc_coordinates()
     values = triangle_wave(s, tooth)
-    eta = _chord_arc_defect(curve.space, curve.samples, s)
-    lc = lip_constant(curve.samples, values, curve.space)
+    # One pass over the distances gives the wave's constant and the arc
+    # coordinate's, whose excess over 1 is the chord-arc defect.
+    lc, lip_s = lip_constant(curve.samples, np.column_stack([values, s]), curve.space)
+    lc, eta = float(lc), max(1.0, float(lip_s)) - 1.0
     realization = LipschitzSample(
         space=curve.space,
         support=tuple(int(i) for i in curve.samples),

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from curve_lab import (InconsistentDataError, LipschitzSample, MetricSpace,
+from curve_lab import (InconsistentDataError, InputError, LipschitzSample, MetricSpace,
                        hausdorff1_content, lip_constant, maximal_separated_net,
                        mcshane_extend_all, sawtooth_witness)
 from curve_lab import lipschitz, witnesses
@@ -198,3 +198,72 @@ def test_sawtooth_computes_lip_constant_once(monkeypatch):
     assert len(calls) == 1
     assert witness.realization.L == max(1.0, witness.certificates["lip_constant"])
 
+
+
+# -- one pass for several functions; the last H1 cluster from nearby points ------------
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_lip_constant_of_columns_matches_per_column_calls(n):
+    rng = np.random.default_rng(n)
+    for space in _spaces(n):
+        for k in (1, 2, 3):
+            values = rng.standard_normal((n, k)) * rng.choice([1e-3, 1.0, 1e3], size=k)
+            ids = np.concatenate([rng.permutation(n), rng.choice(n, size=n // 3)])
+            got = lip_constant(ids, values[ids], space)
+            assert got.shape == (k,)
+            for c in range(k):
+                assert got[c] == lip_constant(ids, values[ids, c], space) == _ref_lip(space, values[:, c])
+
+
+def test_lip_constant_of_columns_rejects_a_conflict_in_any_column():
+    n = BLOCK + 1
+    space = _spaces(n)[0]
+    ids = list(range(n)) + [7]
+    values = np.column_stack([np.linspace(0.0, 1.0, n + 1), np.zeros(n + 1)])
+    values[-1] = values[7]
+    assert lip_constant(ids, values, space).shape == (2,)
+    values[-1, 1] = 1.0
+    with pytest.raises(InconsistentDataError, match="point 7"):
+        lip_constant(ids, values, space)
+    with pytest.raises(InconsistentDataError):
+        lip_constant(ids, values[:, 1], space)
+    assert lip_constant(ids, values[:, 0], space) == _ref_lip(space, values[:n, 0])
+    assert np.array_equal(lip_constant([3, 3], np.ones((2, 2)), space), [0.0, 0.0])
+
+
+def test_lip_constant_rejects_distinct_points_at_distance_zero():
+    # 1e-200 squared underflows, so the two points are distinct but at 0.
+    space = MetricSpace.from_points([[0.0, 0.0], [1.0, 1.0], [1e-200, 0.0]])
+    assert space.dist(0, 2) == 0.0
+    for values in ([0.0, 1.0, 0.0], [0.0, 1.0, 0.5], np.zeros((3, 2))):
+        with pytest.raises(InputError, match="points 0 and 2 are at distance 0"):
+            lip_constant([0, 1, 2], values, space)
+
+
+def _clusters(space, target, delta):
+    centers = maximal_separated_net(space, target, delta / 2.0).members
+    nearest = np.argmin(_rows(space, centers, np.asarray(target)), axis=0)
+    return centers, np.bincount(nearest, minlength=len(centers))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.3])
+def test_hausdorff1_content_last_cluster_of_several_points(delta):
+    xs = np.linspace(0.0, 1.0, 2 * BLOCK + 3)
+    for space in (line_space(xs), MetricSpace.from_points(np.column_stack([xs, xs ** 2]))):
+        target = np.arange(space.n)
+        centers, sizes = _clusters(space, target, delta)
+        assert len(centers) > 1 and sizes[-1] >= 3
+        assert hausdorff1_content(space, target, delta) == _ref_content(space, target, delta)
+        # Targets in reverse order put the last center at the other end.
+        target = target[::-1]
+        assert hausdorff1_content(space, target, delta) == _ref_content(space, target, delta)
+
+
+def test_hausdorff1_content_with_one_center():
+    space = _spaces(BLOCK + 1)[0]
+    target = np.concatenate([np.arange(BLOCK + 1), [4, 4, 9]])
+    centers, _ = _clusters(space, target, 10.0)
+    assert len(centers) == 1
+    content = hausdorff1_content(space, target, 10.0)
+    assert content == _ref_content(space, target, 10.0) == float(np.max(_full(space)))

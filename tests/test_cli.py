@@ -268,6 +268,33 @@ def test_check_acp_and_luzin(seg, capsys):
                             "--delta", delta], capsys)
 
 
+def test_check_luzin_null_set_with_negative_times(tmp_path, capsys):
+    curve = tmp_path / "centered.csv"
+    curve.write_text("t,x1\n" + "".join(f"{t},{t + 1}\n" for t in (-1, -0.5, 0, 0.5, 1)))
+    outputs = []
+    for argv in (["--null-set", "-0.5:0.5"], ["--null-set=-0.5:0.5"]):
+        assert main(["check", "luzin", "--curve", str(curve), *argv, "--delta", "0.1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    assert doc["context"]["null_set_samples"] == 3 and doc["context"]["set_length"] == 1.0
+    assert main(["check", "luzin", "--curve", str(curve), "--null-set", "-1:-0.5,0.5:1",
+                 "--delta", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["context"]["null_set_samples"] == 4
+    # A flag in the value's place is still a missing value.
+    assert_input_error(["check", "luzin", "--curve", str(curve), "--null-set",
+                        "--delta", "0.1"], capsys)
+
+
+def test_sawtooth_on_distinct_points_at_distance_zero_exits_2(tmp_path, capsys):
+    # 1e-200 squared underflows: the first two points are distinct at distance 0.
+    curve = tmp_path / "tiny.csv"
+    curve.write_text("t,x1,x2\n0,0,0\n0.5,1e-200,0\n1,1,1\n")
+    assert_input_error(["sawtooth", "--curve", str(curve), "--tooth", "0.1"], capsys)
+    assert main(["sawtooth", "--curve", str(curve), "--tooth", "0.1"]) == 2
+    assert "points 0 and 1 are at distance 0" in capsys.readouterr().err
+
+
 def test_check_missing_required_flag_exits_2(seg, capsys):
     # Missing required flags, and flags that belong to another kind.
     for argv, flag in ((["luzin", "--curve", seg, "--delta", "0.1"], "--null-set"),
