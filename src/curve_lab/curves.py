@@ -174,7 +174,7 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
     """
     if not delta > 0:
         raise InputError(f"delta must be positive, got {delta}")
-    target = np.asarray([space.check_id(t) for t in target], dtype=int)
+    target = space.check_ids(target)
     if not len(target):
         raise InputError("target set is empty")
     centers = list(maximal_separated_net(space, target, delta / 2.0).members)
@@ -212,6 +212,10 @@ def chord_arc_profile(curve: SampledCurve) -> np.ndarray:
         raise InputError("chord-arc profile requires positive total variation")
     arcs = chords[:-1] + chords[1:]
     spans = curve.space.pair_distances(curve.samples[:-2], curve.samples[2:])
+    if not np.all(spans > 0):
+        i = int(np.argmin(spans > 0))
+        a, b = curve.samples[i], curve.samples[i + 2]
+        raise InputError(f"distinct points {a} and {b} (samples {i} and {i + 2}) are at distance 0")
     return arcs / spans
 
 

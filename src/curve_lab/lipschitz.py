@@ -1,6 +1,7 @@
 """Lipschitz constants, McShane extension, and distance-probe families."""
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import InitVar, dataclass
@@ -26,7 +27,7 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
     :class:`InconsistentDataError`; distinct ids at distance 0 (coordinates
     whose difference underflows) raise :class:`InputError`.
     """
-    ids = np.asarray([space.check_id(p) for p in points], dtype=int)
+    ids = space.check_ids(points)
     vals = np.asarray(values, dtype=float)
     if len(ids) != len(vals):
         raise InputError(f"{len(ids)} points but {len(vals)} values")
@@ -46,9 +47,123 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
     return float(q[0]) if vals.ndim == 1 else q
 
 
+# -- exact pruning on coordinate spaces -----------------------------------------
+#
+# The kernels below split their ids, in order, into chunks of CHUNK points and
+# bound every distance between two chunks from below by the gap between their
+# bounding boxes.  A chunk pair whose bound cannot change a maximum or a
+# minimum is never passed to dist_block; the answer is the max or min of the
+# same computed values, so it keeps its bits.  The gaps are deflated and the
+# bounds inflated by a relative slack, so that rounding in the bounds (the
+# gap sums its squares sequentially, the 8-D and wider distances pairwise)
+# never prunes a pair the full scan would have counted.
+
+# Points per chunk (internal).
+CHUNK = 32
+# Queries per block of the McShane extension (internal).
+QUERY_BLOCK = 128
+_GAP_RTOL = 1e-12
+_BOUND_RTOL = 1e-9
+
+
+def _box_extent(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Diagonal of the bounding box of boxes (rows of lo and hi), an upper
+    bound on every distance between their points; inf if its square
+    overflows, and then no pruning is safe because a skipped pair could be
+    one whose distance overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(np.square(hi.max(axis=0) - lo.min(axis=0)))))
+
+
+def _chunks(space: MetricSpace, ids: np.ndarray):
+    """Positions of consecutive chunks of ids, (c, CHUNK), the last padded
+    with copies of its last position, and the chunks' bounding boxes, lower
+    and upper corners (c, dim)."""
+    pos = np.minimum(np.arange(-(-len(ids) // CHUNK) * CHUNK), len(ids) - 1).reshape(-1, CHUNK)
+    pts = space.coords[ids[pos]]
+    return pos, pts.min(axis=1), pts.max(axis=1)
+
+
+def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Gaps between every box of a (rows) and every box of b (columns),
+    deflated so that they stay below every computed distance between a point
+    of one box and a point of the other."""
+    acc = 0.0
+    for k in range(lo_a.shape[1]):
+        # The larger of lo_a - hi_b and lo_b - hi_a, at least 0; the second
+        # is written -hi_a - (-lo_b), an outer difference with the same bits.
+        g = np.subtract.outer(lo_a[:, k], hi_b[:, k])
+        np.maximum(g, np.subtract.outer(-hi_a[:, k], -lo_b[:, k]), out=g)
+        np.maximum(g, 0.0, out=g)
+        g *= g
+        acc = acc + g
+    return np.sqrt(acc) * (1.0 - _GAP_RTOL)
+
+
 def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per column c, max |values[i, c] - values[j, c]| / dist(ids[i], ids[j])
-    over pairs of at least two distinct ids, one row block at a time against
+    over pairs of distinct ids, pruned by chunk boxes on coordinate spaces.
+
+    A chunk pair's quotients are at most its bound, the largest value spread
+    between the chunks over their box gap.  A seed of computed quotients
+    gives each column a threshold, and the chunk pairs whose bounds fall
+    below the thresholds in every column are skipped.  When more than half
+    of the pairs survive, or on matrix spaces, every pair is computed
+    (:func:`_max_quotient_all`)."""
+    if space.coords is None or len(ids) <= CHUNK or not np.all(np.isfinite(values)):
+        return _max_quotient_all(space, ids, values)
+    pos, lo, hi = _chunks(space, ids)
+    if not np.isfinite(_box_extent(lo, hi)):
+        return _max_quotient_all(space, ids, values)
+    pids, pvals = ids[pos], values[pos]
+    c = len(pos)
+    gap = _box_gaps(lo, hi, lo, hi)
+    # The largest distance between two boxes is the gap between the boxes
+    # with their corners swapped.
+    far = _box_gaps(hi, lo, hi, lo)
+    vmin, vmax = pvals.min(axis=1), pvals.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        spread = np.maximum(vmax[:, None, :] - vmin[None, :, :], vmax[None, :, :] - vmin[:, None, :])
+        bound = spread / gap[:, :, None] * (1.0 + _BOUND_RTOL)
+        # The pair of largest spread lies at most `far` apart, so each chunk
+        # pair holds a quotient of about spread / far or more.
+        floor = spread / far[:, :, None]
+    bound[gap == 0] = np.inf  # a zero-distance pair is never skipped
+    floor[np.arange(c), np.arange(c)] = -np.inf
+    # The seed: in each column, the computed quotients of the chunk pair of
+    # highest floor, in one stacked dist_block call.  (The pair of highest
+    # bound would be two neighbouring chunks of a curve, whose boxes nearly
+    # touch.)
+    a, b = np.divmod(np.argmax(floor.reshape(c * c, -1), axis=0), c)
+    d = space.dist_block(pids[a], pids[b])
+    col = np.arange(values.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seed = np.max(np.abs(pvals[a, :, None, col] - pvals[b, None, :, col]) / d, axis=(1, 2))
+    if not np.all(np.isfinite(seed)):  # a zero distance, as below
+        return _max_quotient_all(space, ids, values)
+    upper = np.triu(~np.all(bound < seed, axis=2))
+    if 2 * np.count_nonzero(upper) > c * (c + 1) // 2:
+        return _max_quotient_all(space, ids, values)
+    best = np.zeros(values.shape[1])
+    for r in range(c):
+        rows = np.unique(pos[r])
+        cols = np.unique(pos[upper[r]])  # starts with the rows: upper[r, r] holds
+        d = space.dist_block(ids[rows], ids[cols])
+        d[np.arange(len(rows)), np.arange(len(rows))] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(values.shape[1]):
+                q = np.subtract.outer(values[rows, k], values[cols, k])
+                np.abs(q, out=q)
+                q /= d
+                best[k] = np.maximum(best[k], np.max(q))
+    if not np.all(np.isfinite(best)):
+        # A zero distance: the full scan names its pair as it always has.
+        return _max_quotient_all(space, ids, values)
+    return best
+
+
+def _max_quotient_all(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """:func:`_max_quotient` over every pair, one row block at a time against
     the ids from the block's first row on.
 
     A pair's quotient has the same bits in either order, so the pairs that a
@@ -132,29 +247,71 @@ def mcshane_extend(sample: LipschitzSample, query: int, envelope: str = "upper")
 
 
 def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "upper") -> np.ndarray:
-    """Vectorized McShane extension at many query ids (default: all points)."""
+    """Vectorized McShane extension at many query ids (default: all points).
+
+    On coordinate spaces each block of queries skips the support chunks that
+    cannot hold any of its queries' minima (maxima for ``lower``); the
+    results keep their bits (:func:`_envelope_rows`)."""
     space = sample.space
     if queries is None:
         queries = np.arange(space.n)
     if envelope not in ("upper", "lower", "average"):
         raise InputError(f"unknown envelope {envelope!r}")
-    queries = np.asarray([space.check_id(q) for q in queries], dtype=int)
+    queries = space.check_ids(queries)
     sup = np.asarray(sample.support, dtype=int)
-    vals = np.asarray(sample.values, dtype=float)[:, None]
-    upper = np.empty(len(queries))
-    lower = np.empty(len(queries))
-    for lo in range(0, len(queries), BLOCK):
-        # dists: (n_support, block of queries)
-        dists = sample.L * space.dist_block(sup, queries[lo:lo + BLOCK])
-        if envelope != "lower":
-            upper[lo:lo + BLOCK] = np.min(vals + dists, axis=0)
-        if envelope != "upper":
-            lower[lo:lo + BLOCK] = np.max(vals - dists, axis=0)
-    if envelope == "upper":
-        return upper
-    if envelope == "lower":
-        return lower
-    return 0.5 * (upper + lower)
+    vals = np.asarray(sample.values, dtype=float)
+    L = sample.L
+    signs = {"upper": (1.0,), "lower": (-1.0,), "average": (1.0, -1.0)}[envelope]
+    step, rows = BLOCK, {sign: itertools.repeat(None) for sign in signs}
+    if (space.coords is not None and len(sup) > CHUNK
+            and np.isfinite(np.max(np.abs(vals)) + L * _box_extent(space.coords, space.coords))):
+        step, chunks = QUERY_BLOCK, _chunks(space, sup)
+        rows = {sign: _envelope_rows(space, sup, vals, L, chunks, queries, sign) for sign in signs}
+    out = {sign: np.empty(len(queries)) for sign in signs}
+    for lo in range(0, len(queries), step):
+        q = queries[lo:lo + step]
+        every = None  # distances to the whole support, shared by the envelopes
+        for sign in signs:
+            r = next(rows[sign])
+            if r is None:
+                if every is None:
+                    # dists: (n_support, block of queries)
+                    every = L * space.dist_block(sup, q)
+                v, dists = vals[:, None], every
+            else:
+                v, dists = vals[r, None], L * space.dist_block(sup[r], q)
+            out[sign][lo:lo + step] = np.min(v + dists, axis=0) if sign > 0 else np.max(v - dists, axis=0)
+    if envelope == "average":
+        return 0.5 * (out[1.0] + out[-1.0])
+    return out[signs[0]]
+
+
+def _envelope_rows(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: float, chunks,
+                   queries: np.ndarray, sign: float):
+    """Yields, for each block of QUERY_BLOCK queries, the support rows that
+    may hold the upper envelope's minimum (sign +1) or the lower envelope's
+    maximum (sign -1) at one of its queries; None when no chunk of the
+    support can be skipped.
+
+    In sign form every term is sign * v + L * d and both envelopes take a
+    minimum.  A chunk's terms are at least its smallest sign * v plus L times
+    the gap from the query to its box.  Each query first computes the terms
+    of its chunk of smallest bound; their minimum is a term, so a chunk whose
+    bound exceeds it for every query of the block cannot hold a minimum.
+    The bounds are computed for 8 blocks at a time."""
+    pos, lo, hi = chunks
+    w = sign * vals[pos]
+    wmin = w.min(axis=1)
+    for start in range(0, len(queries), 8 * QUERY_BLOCK):
+        q = queries[start:start + 8 * QUERY_BLOCK]
+        x = space.coords[q]
+        bound = wmin + L * _box_gaps(x, x, lo, hi)
+        first = np.argmin(bound, axis=1)
+        d = space.dist_block(q[:, None], sup[pos[first]])[:, 0, :]
+        best = np.min(w[first] + L * d, axis=1)
+        beat = bound <= (best + _BOUND_RTOL * np.abs(best))[:, None]
+        for keep in np.logical_or.reduceat(beat, np.arange(0, len(q), QUERY_BLOCK), axis=0):
+            yield None if keep.all() else np.unique(pos[keep])
 
 
 @dataclass(frozen=True)
@@ -187,11 +344,16 @@ def probe_family(curve: SampledCurve, n: int) -> ProbeFamily:
         n = len(distinct)
     ids = np.asarray(distinct, dtype=int)
     chosen = [0]
-    mindist = space.dist_row(ids[0], ids)
+    mindist = space.dist_block(ids[:1], ids)[0]
     while len(chosen) < n:
         nxt = int(np.argmax(mindist))
+        if mindist[nxt] == 0:
+            # Every sample left is at distance 0 from a chosen one.
+            k = next(k for k in range(len(ids)) if k not in chosen)
+            c = chosen[int(np.argmin(space.dist_block(ids[k:k + 1], ids[chosen])[0]))]
+            raise InputError(f"distinct points {ids[c]} and {ids[k]} are at distance 0")
         chosen.append(nxt)
-        mindist = np.minimum(mindist, space.dist_row(ids[nxt], ids))
+        np.minimum(mindist, space.dist_block(ids[nxt:nxt + 1], ids)[0], out=mindist)
     return ProbeFamily(space=space, centers=tuple(int(ids[c]) for c in chosen))
 
 

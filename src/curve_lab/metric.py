@@ -271,28 +271,40 @@ class MetricSpace:
 
     def dist_block(self, ids_a, ids_b) -> np.ndarray:
         """Distances from every point of ids_a (rows) to every point of ids_b
-        (columns), bit-identical to stacking ``dist_row(i, ids_b)``."""
+        (columns), bit-identical to stacking ``dist_row(i, ids_b)``.
+
+        Stacked id blocks of shapes (..., r) and (..., c) give stacked
+        distance blocks of shape (..., r, c), with the same bits per entry."""
         ids_a = np.asarray(ids_a, dtype=int)
         ids_b = np.asarray(ids_b, dtype=int)
         if self._dmat is not None:
-            return self._dmat[np.ix_(ids_a, ids_b)]
-        pa = self._coords[ids_a]
-        pb = self._coords[ids_b]
-        dim = pa.shape[1]
+            return self._dmat[ids_a[..., :, None], ids_b[..., None, :]]
+        dim = self._coords.shape[1]
         if dim >= 8:
             # numpy sums 8 or more squares pairwise; the broadcast norm keeps
             # that order.
-            return np.linalg.norm(pb[None, :, :] - pa[:, None, :], axis=-1)
+            pa = self._coords[ids_a]
+            pb = self._coords[ids_b]
+            return np.linalg.norm(pb[..., None, :, :] - pa[..., :, None, :], axis=-1)
         # Below 8 terms numpy's sum is sequential, so accumulating one
         # coordinate at a time gives the same bits. It is also faster: a
         # 256 x 1000 block of 2-D points takes 1.8 ms against 13.8 ms for the
         # broadcast norm (Xeon, numpy 2.4), whose reduction over a length-2
-        # axis costs one inner-loop call per distance.
-        acc = np.zeros((len(pa), len(pb)))
+        # axis costs one inner-loop call per distance.  Gathering each
+        # coordinate by itself keeps the operands contiguous: a one-row
+        # block of 1000 2-D points takes 19 us against 42 us for slicing
+        # columns of the gathered points.
+        acc = None
         for k in range(dim):
-            diff = np.subtract.outer(pa[:, k], pb[:, k])
+            ck = self._coords[:, k]
+            diff = ck[ids_a][..., :, None] - ck[ids_b][..., None, :]
             diff *= diff
-            acc += diff
+            if acc is None:
+                acc = diff
+            else:
+                acc += diff
+        if acc is None:  # no coordinates: a single point
+            return np.zeros(ids_a.shape + ids_b.shape[-1:])
         return np.sqrt(acc, out=acc)
 
     def pair_distances(self, ids_a, ids_b) -> np.ndarray:
@@ -311,6 +323,31 @@ class MetricSpace:
         if not 0 <= i < self._n:
             raise InputError(f"point id {i} out of range [0, {self._n})")
         return i
+
+    def check_ids(self, ids) -> np.ndarray:
+        """:meth:`check_id` over a sequence, as one integer array; the error
+        names the first bad id in input order."""
+        try:
+            arr = np.asarray(ids)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu":
+            # Floats, strings, generators and the like convert one by one,
+            # with int() semantics.
+            return np.asarray([self.check_id(i) for i in ids], dtype=int)
+        bad = (arr < 0) | (arr >= self._n)
+        if bad.any():
+            self.check_id(arr[np.argmax(bad)])
+        return arr.astype(int, copy=False)
+
+    def same_as(self, other: "MetricSpace") -> bool:
+        """True if other is this space or holds equal coordinates or an
+        equal distance table."""
+        if other is self:
+            return True
+        mine = self._dmat if self._coords is None else self._coords
+        theirs = other._dmat if other._coords is None else other._coords
+        return (self._coords is None) == (other._coords is None) and np.array_equal(mine, theirs)
 
 
 @dataclass(frozen=True)
@@ -331,7 +368,7 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    candidates = [space.check_id(c) for c in candidates]
+    candidates = space.check_ids(candidates).tolist()
     if not candidates:
         raise InputError("candidate list is empty")
     members: list[int] = []
@@ -353,8 +390,8 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
 def metric_projection(space: MetricSpace, x: int, target) -> int:
     """Nearest point of ``target`` to ``x``; ties broken by lowest identifier."""
     x = space.check_id(x)
-    target = sorted({space.check_id(t) for t in target})
-    if not target:
+    target = np.unique(space.check_ids(target))
+    if not len(target):
         raise InputError("projection target is empty")
     dists = space.dist_row(x, target)
-    return target[int(np.argmin(dists))]  # argmin returns first = lowest id
+    return int(target[np.argmin(dists)])  # argmin returns first = lowest id

@@ -57,7 +57,7 @@ def _report(name, lhs, rhs, tolerance, one_sided, context=None) -> CheckReport:
 def check_contraction(curve: SampledCurve, sample: LipschitzSample) -> CheckReport:
     """Variation of an L-Lipschitz function along the curve is at most
     L times the curve's variation."""
-    if sample.space is not curve.space and sample.space.n != curve.space.n:
+    if not sample.space.same_as(curve.space):
         raise InputError("Lipschitz sample and curve live on different spaces")
     values = mcshane_extend_all(sample, curve.samples)
     lhs = float(np.sum(np.abs(np.diff(values))))

@@ -115,7 +115,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
     of any post-composition along a curve visiting the points in order: the
     alternating signs make every adjacent jump equal the radius sum exactly.
     """
-    pts = [space.check_id(p) for p in ordered_points]
+    pts = space.check_ids(ordered_points).tolist()
     radii = np.asarray(radii, dtype=float)
     if len(pts) != len(radii):
         raise InputError(f"{len(pts)} points but {len(radii)} radii")

@@ -9,10 +9,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from curve_lab import (InconsistentDataError, InputError, LipschitzSample, MetricSpace,
+from curve_lab import (InconsistentDataError, InputError, LipschitzSample, MetricSpace, SampledCurve,
                        hausdorff1_content, lip_constant, maximal_separated_net,
-                       mcshane_extend_all, sawtooth_witness)
+                       mcshane_extend_all, sawtooth_witness, triangle_wave)
 from curve_lab import lipschitz, witnesses
+from curve_lab.lipschitz import CHUNK
 from curve_lab.metric import BLOCK
 from conftest import euclidean_curve, line_space
 
@@ -267,3 +268,196 @@ def test_hausdorff1_content_with_one_center():
     assert len(centers) == 1
     content = hausdorff1_content(space, target, 10.0)
     assert content == _ref_content(space, target, 10.0) == float(np.max(_full(space)))
+
+
+# -- box-pruned kernels on coordinate spaces ---------------------------------------------
+
+PRUNE_SIZES = [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3]
+
+
+def _helix(n, dim, seed=0):
+    """Curve-ordered points: a line in 1-D, else a spiral helix of two
+    turns, rotated into dim dimensions when dim > 3."""
+    t = np.linspace(0.0, 1.0, n)
+    if dim == 1:
+        return 3.0 * t[:, None]
+    theta = 4.0 * np.pi * t
+    base = np.column_stack([(0.2 + t) * np.cos(theta), (0.2 + t) * np.sin(theta), t])[:, :dim]
+    if dim <= 3:
+        return base
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return np.pad(base, ((0, 0), (0, dim - 3))) @ q
+
+
+def _sawtooth_columns(space):
+    """The two columns sawtooth_witness hands to lip_constant: the triangle
+    wave of the arc coordinate and the arc coordinate itself."""
+    curve = SampledCurve(space, np.linspace(0.0, 1.0, space.n), np.arange(space.n))
+    s = curve.arc_coordinates()
+    return np.column_stack([triangle_wave(s, 0.05), s])
+
+
+def _ref_quotients(space, ids, values):
+    ids = np.asarray(ids)
+    d = _rows(space, ids, ids)
+    distinct = ids[:, None] != ids[None, :]
+    return np.array([np.max(np.abs(values[:, None, c] - values[None, :, c])[distinct] / d[distinct])
+                     for c in range(values.shape[1])])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Records the calls of the unpruned quotient scan."""
+    calls = []
+    original = lipschitz._max_quotient_all
+
+    def recording(*args):
+        calls.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(lipschitz, "_max_quotient_all", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", PRUNE_SIZES)
+def test_pruned_quotient_matches_reference(n, dim, fallbacks):
+    space = MetricSpace.from_points(_helix(n, dim, seed=n))
+    ids = np.concatenate([np.arange(n), np.arange(0, n, 3)])
+    rng = np.random.default_rng(n + dim)
+    ordered = _sawtooth_columns(space)
+    if dim == 1:
+        # On a line the arc coordinate has quotient 1 at every pair, so no
+        # chunk pair can be skipped; a finer wave takes its place.
+        ordered[:, 1] = triangle_wave(ordered[:, 1], 0.02)
+    # Distances to two points are 1-Lipschitz with quotients near 1 in
+    # every direction: most chunk pairs survive and the scan falls back.
+    far = np.column_stack([np.linalg.norm(space.coords - space.coords[k], axis=1) for k in (0, n // 2)])
+    for values, pruned in ((ordered, True), (far, False), (rng.standard_normal((n, 2)), None)):
+        fallbacks.clear()
+        got = lip_constant(ids, values[ids], space)
+        assert np.array_equal(got, _ref_quotients(space, np.arange(n), values))
+        for c in range(2):
+            assert lip_constant(ids, values[ids, c], space) == got[c]
+        if n == 2 * BLOCK + 3 and pruned is not None:
+            assert (fallbacks == []) == pruned, (n, dim, fallbacks)
+
+
+def test_pruned_quotient_rejects_conflicting_duplicates():
+    n = 2 * BLOCK + 3
+    space = MetricSpace.from_points(_helix(n, 2))
+    values = _sawtooth_columns(space)
+    ids = np.concatenate([np.arange(n), [n - 5]])
+    bad = np.vstack([values, values[n - 5] + [0.0, 1.0]])
+    with pytest.raises(InconsistentDataError, match=f"point {n - 5}"):
+        lip_constant(ids, bad, space)
+
+
+def test_pruned_quotient_is_exact_on_collinear_points_in_8d():
+    # Values ramp up within each chunk and drop at its end, so the largest
+    # quotient of two adjacent chunks is that of their closest pair, whose
+    # distance is the box gap.  dist_block sums 8 squares pairwise and the
+    # gap sums them one by one: without the slack, a gap rounded above the
+    # distance would skip the pair that holds the maximum.
+    rng = np.random.default_rng(8)
+    n = 2 * BLOCK + 3
+    for _ in range(20):
+        u = rng.uniform(0.5, 2.0, size=8)
+        t = np.cumsum(rng.uniform(1.0, 2.0, size=n))
+        space = MetricSpace.from_points(t[:, None] * u)
+        ramp = (np.arange(n) % CHUNK) / CHUNK
+        values = np.column_stack([ramp, -2.0 * ramp])
+        assert np.array_equal(lip_constant(np.arange(n), values, space),
+                              _ref_quotients(space, np.arange(n), values))
+
+
+def test_pruned_quotient_finds_zero_distance_in_a_far_chunk(fallbacks):
+    # The first sample sits at the origin and the last 1e-200 away: distinct
+    # points at distance 0, CHUNKs apart along the curve.
+    n = 2 * BLOCK + 3
+    pts = _helix(n, 2)
+    pts[0] = 0.0
+    space = MetricSpace.from_points(np.vstack([pts, [[1e-200, 0.0]]]))
+    values = np.vstack([_sawtooth_columns(MetricSpace.from_points(pts)), [[0.0, 0.0]]])
+    values[0] = 0.0
+    for v in (values, values[:, 0], values[:, 1] + np.arange(n + 1)):
+        with pytest.raises(InputError, match=f"distinct points 0 and {n} are at distance 0"):
+            lip_constant(np.arange(n + 1), v, space)
+
+
+def test_pruning_skips_most_of_a_sawtooth(monkeypatch):
+    n = 1000
+    curve = SampledCurve(MetricSpace.from_points(_helix(n, 2)), np.linspace(0.0, 1.0, n), np.arange(n))
+    entries = []
+    original = MetricSpace.dist_block
+
+    def counting(self, ids_a, ids_b):
+        out = original(self, ids_a, ids_b)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(MetricSpace, "dist_block", counting)
+    witness = sawtooth_witness(curve, 0.05)
+    pruned = sum(entries)
+    entries.clear()
+    full = lipschitz._max_quotient_all(curve.space, np.arange(n), _sawtooth_columns(curve.space))
+    assert full[0] == witness.certificates["lip_constant"]
+    assert pruned < 0.4 * sum(entries), (pruned, sum(entries))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", PRUNE_SIZES)
+def test_pruned_mcshane_envelopes_match_reference(n, dim, monkeypatch):
+    skipped = []
+    original = lipschitz._envelope_rows
+
+    def recording(*args):
+        rows = original(*args)
+        skipped.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(lipschitz, "_envelope_rows", recording)
+    space = MetricSpace.from_points(_helix(n, dim, seed=n))
+    rng = np.random.default_rng(n * dim)
+    wave = _sawtooth_columns(space)[:, 0]
+    # A wave along the curve, a distance function and random data, each on
+    # a support in curve order with repeated ids.
+    support = np.concatenate([np.arange(0, n, 2), [0, n - 1, n - 1]])
+    for values in (wave, np.linalg.norm(space.coords - space.coords[n // 3], axis=1),
+                   rng.standard_normal(n)):
+        values = values[support]
+        L = lip_constant(support, values, space)
+        sample = LipschitzSample(space, tuple(int(s) for s in support),
+                                 tuple(float(v) for v in values), L)
+        queries = np.concatenate([np.arange(n), np.arange(n)[::-7]])
+        d = _rows(space, support, queries)
+        upper = np.min(values[:, None] + L * d, axis=0)
+        lower = np.max(values[:, None] - L * d, axis=0)
+        assert np.array_equal(mcshane_extend_all(sample, queries, envelope="upper"), upper)
+        assert np.array_equal(mcshane_extend_all(sample, queries, envelope="lower"), lower)
+        assert np.array_equal(mcshane_extend_all(sample, queries, envelope="average"),
+                              0.5 * (upper + lower))
+    if n == 2 * BLOCK + 3:
+        assert any(skipped)
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_pruned_mcshane_is_exact_where_bounds_are_tight(dim):
+    # Support at the integers of a line, constant values: a query at a
+    # half-integer between two chunks is exactly the box gap away from the
+    # end points of both, so their bounds equal its answer.  In 8-D the gap
+    # and dist_block sum the squares in different orders, which the slack
+    # must absorb.
+    n = 2 * BLOCK + 3
+    xs = np.arange(n, dtype=float)
+    u = np.random.default_rng(dim).uniform(0.5, 2.0, size=dim)
+    space = MetricSpace.from_points(np.concatenate([xs, xs[:-1] + 0.5])[:, None] * u)
+    support = np.arange(n)
+    ends = n + np.arange(CHUNK - 1, n - 1, CHUNK)  # CHUNK - 0.5, 2 * CHUNK - 0.5, ...
+    for values in (np.zeros(n), -0.25 * _rows(space, support, ends[2:3])[:, 0]):
+        sample = LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), 1.0)
+        for queries in (ends, np.arange(space.n)):
+            d = _rows(space, support, queries)
+            for envelope, ref in (("upper", np.min(values[:, None] + d, axis=0)),
+                                  ("lower", np.max(values[:, None] - d, axis=0))):
+                assert np.array_equal(mcshane_extend_all(sample, queries, envelope=envelope), ref)

@@ -295,6 +295,18 @@ def test_sawtooth_on_distinct_points_at_distance_zero_exits_2(tmp_path, capsys):
     assert "points 0 and 1 are at distance 0" in capsys.readouterr().err
 
 
+def test_probes_on_distinct_points_at_distance_zero_exits_2(tmp_path, capsys):
+    # The first and last samples are distinct points at distance 0; a third
+    # probe would repeat the first center.
+    curve = tmp_path / "tiny.csv"
+    curve.write_text("t,x1,x2\n0,0,0\n0.5,1,1\n1,1e-200,0\n")
+    assert main(["probes", "--curve", str(curve), "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["centers"] == [0, 2]
+    assert_input_error(["probes", "--curve", str(curve), "--n", "3"], capsys)
+    assert main(["probes", "--curve", str(curve), "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: distinct points 0 and 1 are at distance 0\n"
+
+
 def test_check_missing_required_flag_exits_2(seg, capsys):
     # Missing required flags, and flags that belong to another kind.
     for argv, flag in ((["luzin", "--curve", seg, "--delta", "0.1"], "--null-set"),

@@ -195,6 +195,13 @@ class TestChordArcProfile:
         with pytest.raises(InputError):
             chord_arc_profile(curve)
 
+    def test_zero_span_rejected(self):
+        # Samples 0 and 2 are distinct points 1e-200 apart, at distance 0.
+        space = MetricSpace.from_points([[0.0, 0.0], [1.0, 1.0], [1e-200, 0.0]])
+        curve = SampledCurve(space, [0.0, 0.5, 1.0], [0, 1, 2])
+        with pytest.raises(InputError, match=r"points 0 and 2 \(samples 0 and 2\) are at distance 0"):
+            chord_arc_profile(curve)
+
 
 class TestCurveIO:
     def test_point_id_csv_requires_space(self):

@@ -91,6 +91,17 @@ class TestProbeFamily:
         family = probe_family(curve, 1)
         assert list(family.centers) == [0]
 
+    def test_no_center_repeats_at_distance_zero(self):
+        # Samples 0 and 2 are distinct points 1e-200 apart, at distance 0.
+        pts = [[0.0, 0.0], [1.0, 1.0], [1e-200, 0.0]]
+        assert probe_family(euclidean_curve(pts), 2).centers == (0, 1)
+        with pytest.raises(InputError, match="distinct points 0 and 2 are at distance 0"):
+            probe_family(euclidean_curve(pts), 3)
+        pts.append([2.0, 0.0])
+        assert probe_family(euclidean_curve(pts), 3).centers == (0, 3, 1)
+        with pytest.raises(InputError, match="distinct points 0 and 2 are at distance 0"):
+            probe_family(euclidean_curve(pts), 4)
+
     def test_segment_two_probes_are_endpoints(self):
         coords = [[t, 0.0] for t in np.linspace(0, 1, 11)]
         curve = euclidean_curve(coords, np.linspace(0, 1, 11))

@@ -229,6 +229,20 @@ class TestMetricSpaceConstruction:
         with pytest.raises(InputError):
             MetricSpace.from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
+    def test_check_ids_matches_check_id(self):
+        space = line_space(range(5))
+        good = ([4, 0, 0, 3], (1, 2), range(5), np.arange(5, dtype=np.uint8),
+                [2.7, 0.0], (i for i in [3, 1]), [True], [])
+        for ids in good:
+            expected = [space.check_id(i) for i in ids] if not hasattr(ids, "__next__") else [3, 1]
+            got = space.check_ids(ids)
+            assert got.dtype == int and got.tolist() == expected
+        # The error names the first bad id in input order, as check_id does.
+        for ids, bad in (([0, 7, -1], 7), (np.array([3, -2, 9]), -2), ([-0.5, 5.5], 5),
+                         (np.array([2 ** 63], dtype=np.uint64), 2 ** 63)):
+            with pytest.raises(InputError, match=rf"^point id {bad} out of range \[0, 5\)$"):
+                space.check_ids(ids)
+
 
 class TestSeparatedNet:
     def test_greedy_scan_on_line(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curve_lab import (InputError, LipschitzSample, SampledCurve, ScheduleError,
+from curve_lab import (InputError, LipschitzSample, MetricSpace, SampledCurve, ScheduleError,
                        ac_p_test, area_formula_check, check_contraction,
                        continuous_representative, discontinuity_measure,
                        luzin_n_probe, total_variation, triangle_wave,
@@ -47,6 +47,27 @@ class TestContraction:
             sample = LipschitzSample(space=curve.space, support=support,
                                      values=values, L=L)
             assert check_contraction(curve, sample).verdict
+
+
+    def test_sample_on_another_space_rejected(self):
+        # A 1-Lipschitz sample on points 50 apart, checked against a curve
+        # on points 1 apart, would report a "fail" that says nothing.
+        far = MetricSpace.from_points([[0.0, 0.0], [0.0, 50.0], [0.0, 100.0]])
+        sample = LipschitzSample(space=far, support=(0, 1, 2), values=(0.0, 50.0, 100.0), L=1.0)
+        curve = euclidean_curve([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(InputError, match="different spaces"):
+            check_contraction(curve, sample)
+        # The same coordinates in another object, or the same table, pass.
+        same = MetricSpace.from_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        sample = LipschitzSample(space=same, support=(0, 2), values=(0.0, 2.0), L=1.0)
+        assert check_contraction(curve, sample).verdict
+        table = same.dist_block(range(3), range(3))
+        on_table = SampledCurve(MetricSpace.from_matrix(table), [0.0, 1.0, 2.0], [0, 1, 2])
+        sample = LipschitzSample(space=MetricSpace.from_matrix(table), support=(0, 2),
+                                 values=(0.0, 2.0), L=1.0)
+        assert check_contraction(on_table, sample).verdict
+        with pytest.raises(InputError, match="different spaces"):
+            check_contraction(curve, sample)
 
 
 class TestAreaFormula:
