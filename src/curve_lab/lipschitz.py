@@ -10,7 +10,7 @@ import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import BLOCK, MetricSpace
+from .metric import BLOCK, CHUNK, MetricSpace, _box_extent, _box_gaps, _chunks
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -49,55 +49,13 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
 
 # -- exact pruning on coordinate spaces -----------------------------------------
 #
-# The kernels below split their ids, in order, into chunks of CHUNK points and
-# bound every distance between two chunks from below by the gap between their
-# bounding boxes.  A chunk pair whose bound cannot change a maximum or a
-# minimum is never passed to dist_block; the answer is the max or min of the
-# same computed values, so it keeps its bits.  The gaps are deflated and the
-# bounds inflated by a relative slack, so that rounding in the bounds (the
-# gap sums its squares sequentially, the 8-D and wider distances pairwise)
-# never prunes a pair the full scan would have counted.
+# The quotient and the envelopes bound their chunk pairs from the box gaps of
+# metric._box_gaps; the bounds are inflated by a relative slack on top of the
+# gaps' deflation, for the rounding of the division and the products.
 
-# Points per chunk (internal).
-CHUNK = 32
 # Queries per block of the McShane extension (internal).
 QUERY_BLOCK = 128
-_GAP_RTOL = 1e-12
 _BOUND_RTOL = 1e-9
-
-
-def _box_extent(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Diagonal of the bounding box of boxes (rows of lo and hi), an upper
-    bound on every distance between their points; inf if its square
-    overflows, and then no pruning is safe because a skipped pair could be
-    one whose distance overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(np.square(hi.max(axis=0) - lo.min(axis=0)))))
-
-
-def _chunks(space: MetricSpace, ids: np.ndarray):
-    """Positions of consecutive chunks of ids, (c, CHUNK), the last padded
-    with copies of its last position, and the chunks' bounding boxes, lower
-    and upper corners (c, dim)."""
-    pos = np.minimum(np.arange(-(-len(ids) // CHUNK) * CHUNK), len(ids) - 1).reshape(-1, CHUNK)
-    pts = space.coords[ids[pos]]
-    return pos, pts.min(axis=1), pts.max(axis=1)
-
-
-def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Gaps between every box of a (rows) and every box of b (columns),
-    deflated so that they stay below every computed distance between a point
-    of one box and a point of the other."""
-    acc = 0.0
-    for k in range(lo_a.shape[1]):
-        # The larger of lo_a - hi_b and lo_b - hi_a, at least 0; the second
-        # is written -hi_a - (-lo_b), an outer difference with the same bits.
-        g = np.subtract.outer(lo_a[:, k], hi_b[:, k])
-        np.maximum(g, np.subtract.outer(-hi_a[:, k], -lo_b[:, k]), out=g)
-        np.maximum(g, 0.0, out=g)
-        g *= g
-        acc = acc + g
-    return np.sqrt(acc) * (1.0 - _GAP_RTOL)
 
 
 def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -145,9 +103,11 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
     if 2 * np.count_nonzero(upper) > c * (c + 1) // 2:
         return _max_quotient_all(space, ids, values)
     best = np.zeros(values.shape[1])
+    m = len(ids)
     for r in range(c):
-        rows = np.unique(pos[r])
-        cols = np.unique(pos[upper[r]])  # starts with the rows: upper[r, r] holds
+        rows = np.arange(r * CHUNK, min((r + 1) * CHUNK, m))
+        # The columns start with the rows: upper[r, r] holds.
+        cols = np.flatnonzero(np.repeat(upper[r], CHUNK)[:m])
         d = space.dist_block(ids[rows], ids[cols])
         d[np.arange(len(rows)), np.arange(len(rows))] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,11 +129,17 @@ def _max_quotient_all(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -
     A pair's quotient has the same bits in either order, so the pairs that a
     block meets twice leave the maxima unchanged; the block's own diagonal is
     divided by inf.  A zero distance anywhere else makes the maximum
-    non-finite, and the block is then searched for it."""
+    non-finite, and the block is then searched for it: its first zero row is
+    the smallest id position in any zero pair, whatever the block size.
+
+    A block holds about 2**16 entries, from 8 to BLOCK rows: a fresh block of
+    BLOCK x m floats (1-2 MB at m = 500-1000) is served by mmap and
+    page-faulted in on every call."""
     m = len(ids)
     best = np.zeros(values.shape[1])
-    for lo in range(0, m - 1, BLOCK):
-        hi = min(lo + BLOCK, m - 1)
+    lo = 0
+    while lo < m - 1:
+        hi = min(lo + min(max(2 ** 16 // (m - lo), 8), BLOCK), m - 1)
         d = space.dist_block(ids[lo:hi], ids[lo:])
         d[np.arange(hi - lo), np.arange(hi - lo)] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -185,6 +151,7 @@ def _max_quotient_all(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -
         if not np.all(np.isfinite(best)) and (d == 0).any():
             i, j = np.argwhere(d == 0)[0]
             raise InputError(f"distinct points {ids[lo + i]} and {ids[lo + j]} are at distance 0")
+        lo = hi
     return best
 
 
@@ -311,7 +278,7 @@ def _envelope_rows(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: flo
         best = np.min(w[first] + L * d, axis=1)
         beat = bound <= (best + _BOUND_RTOL * np.abs(best))[:, None]
         for keep in np.logical_or.reduceat(beat, np.arange(0, len(q), QUERY_BLOCK), axis=0):
-            yield None if keep.all() else np.unique(pos[keep])
+            yield None if keep.all() else np.flatnonzero(np.repeat(keep, CHUNK)[:len(sup)])
 
 
 @dataclass(frozen=True)

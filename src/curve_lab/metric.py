@@ -29,6 +29,56 @@ BLOCK = 256
 # for 128 (2-vCPU Xeon, numpy 2.4); at 1000 points 32 and 64 tie near 1.1 s.
 TRIANGLE_BLOCK = 32
 
+# -- exact pruning on coordinate spaces -----------------------------------------
+#
+# The pruned kernels (the greedy net below, the Lipschitz quotient and the
+# McShane envelopes) split their ids, in order, into chunks of CHUNK points and
+# bound every distance between two chunks from below by the gap between their
+# bounding boxes.  A chunk pair whose bound cannot change a maximum, a minimum
+# or an admission is never passed to dist_block; the answer comes from the same
+# computed values, so it keeps its bits.  The gaps are deflated by a relative
+# slack, so that rounding in the bounds (the gap sums its squares
+# sequentially, the 8-D and wider distances pairwise) never prunes a pair the
+# full scan would have counted.
+
+# Points per chunk (internal).
+CHUNK = 32
+_GAP_RTOL = 1e-12
+
+
+def _box_extent(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Diagonal of the bounding box of boxes (rows of lo and hi), an upper
+    bound on every distance between their points; inf if its square
+    overflows, and then no pruning is safe because a skipped pair could be
+    one whose distance overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(np.square(hi.max(axis=0) - lo.min(axis=0)))))
+
+
+def _chunks(space: "MetricSpace", ids: np.ndarray):
+    """Positions of consecutive chunks of ids, (c, CHUNK), the last padded
+    with copies of its last position, and the chunks' bounding boxes, lower
+    and upper corners (c, dim)."""
+    pos = np.minimum(np.arange(-(-len(ids) // CHUNK) * CHUNK), len(ids) - 1).reshape(-1, CHUNK)
+    pts, starts = space.coords[ids], np.arange(0, len(ids), CHUNK)
+    return pos, np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+
+
+def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Gaps between every box of a (rows) and every box of b (columns),
+    deflated so that they stay below every computed distance between a point
+    of one box and a point of the other."""
+    acc = 0.0
+    for k in range(lo_a.shape[1]):
+        # The larger of lo_a - hi_b and lo_b - hi_a, at least 0; the second
+        # is written -hi_a - (-lo_b), an outer difference with the same bits.
+        g = np.subtract.outer(lo_a[:, k], hi_b[:, k])
+        np.maximum(g, np.subtract.outer(-hi_a[:, k], -lo_b[:, k]), out=g)
+        np.maximum(g, 0.0, out=g)
+        g *= g
+        acc = acc + g
+    return np.sqrt(acc) * (1.0 - _GAP_RTOL)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -365,12 +415,21 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
 
     The result is epsilon-separated and maximal over the candidate set; the
     greedy order makes it deterministic and idempotent on its own output.
+    On coordinate spaces a candidate meets only the members whose chunk box
+    lies within epsilon of its own (:func:`_pruned_net`), with the same
+    result.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    candidates = space.check_ids(candidates).tolist()
-    if not candidates:
+    candidates = space.check_ids(candidates)
+    if not len(candidates):
         raise InputError("candidate list is empty")
+    if space.coords is not None and len(candidates) > CHUNK:
+        _, lo, hi = _chunks(space, candidates)
+        if np.isfinite(_box_extent(lo, hi)):
+            members = _pruned_net(space, candidates, epsilon, lo, hi)
+            return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members))
+    candidates = candidates.tolist()
     members: list[int] = []
     for lo in range(0, len(candidates), BLOCK):
         block = candidates[lo:lo + BLOCK]
@@ -385,6 +444,54 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
                 members.append(c)
                 np.minimum(nearest, within[k], out=nearest)
     return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members))
+
+
+def _pruned_net(space: MetricSpace, candidates: np.ndarray, epsilon: float, lo: np.ndarray,
+                hi: np.ndarray) -> list[int]:
+    """The greedy net of :func:`maximal_separated_net`, one chunk of
+    candidates at a time, given the chunks' boxes (:func:`_chunks`).
+
+    A member in a chunk whose box gap to the candidates' chunk is at least
+    epsilon lies at a computed distance of at least epsilon from each of
+    them, so it rejects none, and only the other members are passed to
+    dist_block.  A chunk whose candidates lie at least epsilon apart admits
+    every candidate that no earlier member rejects, all at once; otherwise
+    its candidates are admitted one by one, as in the full scan, on the
+    outcomes of the same comparisons with epsilon."""
+    m = len(candidates)
+    members = np.empty(m, dtype=int)
+    owner = np.empty(m, dtype=int)  # the chunk of each member
+    count = 0
+    bits = 1 << np.arange(CHUNK)
+    for r in range(len(lo)):
+        if r % BLOCK == 0:
+            # Which earlier chunks lie within epsilon, for BLOCK chunks at a
+            # time.
+            within = _box_gaps(lo[r:r + BLOCK], hi[r:r + BLOCK], lo[:r + BLOCK], hi[:r + BLOCK]) < epsilon
+        block = candidates[r * CHUNK:(r + 1) * CHUNK]
+        k = len(block)
+        # One block of distances: the chunk to itself, then to the members
+        # of the chunks within epsilon of it.
+        near = members[:count][within[r % BLOCK][owner[:count]]]
+        d = space.dist_block(block, np.concatenate((block, near)))
+        admit = d[:, k:].min(axis=1, initial=np.inf) >= epsilon
+        close = d[:, :k] < epsilon
+        # The diagonal is 0 and always close.
+        if np.count_nonzero(close) > k:
+            # Bit j of rejects[i] is set iff candidate i would reject
+            # candidate j; a candidate is admitted iff no earlier member
+            # rejects it.
+            rejects = np.dot(close, bits[:k]).tolist()
+            ok, admit, rejected = admit.tolist(), [], 0
+            for i in range(k):
+                if ok[i] and not rejected >> i & 1:
+                    admit.append(i)
+                    rejected |= rejects[i]
+        admitted = block[admit]
+        members[count:count + len(admitted)] = admitted
+        owner[count:count + len(admitted)] = r
+        count += len(admitted)
+    return members[:count].tolist()
 
 
 def metric_projection(space: MetricSpace, x: int, target) -> int:

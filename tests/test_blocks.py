@@ -12,9 +12,8 @@ import pytest
 from curve_lab import (InconsistentDataError, InputError, LipschitzSample, MetricSpace, SampledCurve,
                        hausdorff1_content, lip_constant, maximal_separated_net,
                        mcshane_extend_all, sawtooth_witness, triangle_wave)
-from curve_lab import lipschitz, witnesses
-from curve_lab.lipschitz import CHUNK
-from curve_lab.metric import BLOCK
+from curve_lab import lipschitz, metric, witnesses
+from curve_lab.metric import BLOCK, CHUNK
 from conftest import euclidean_curve, line_space
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
@@ -153,12 +152,27 @@ def test_maximal_separated_net_matches_reference(n, eps):
         assert net.members == _ref_net(space, candidates, eps)
 
 
+@pytest.fixture
+def pruned_nets(monkeypatch):
+    """Records the calls of the box-pruned net."""
+    calls = []
+    original = metric._pruned_net
+
+    def recording(*args):
+        calls.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(metric, "_pruned_net", recording)
+    return calls
+
+
 @pytest.mark.parametrize("eps", [1.0, 2.0, 3.0])
-def test_net_admits_at_exactly_epsilon(eps):
+def test_net_admits_at_exactly_epsilon(eps, pruned_nets):
     n = 2 * BLOCK + 3
     space = line_space(range(n))
     net = maximal_separated_net(space, range(n), eps)
     assert net.members == tuple(range(0, n, int(eps))) == _ref_net(space, range(n), eps)
+    assert pruned_nets == [n]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -461,3 +475,111 @@ def test_pruned_mcshane_is_exact_where_bounds_are_tight(dim):
             for envelope, ref in (("upper", np.min(values[:, None] + d, axis=0)),
                                   ("lower", np.max(values[:, None] - d, axis=0))):
                 assert np.array_equal(mcshane_extend_all(sample, queries, envelope=envelope), ref)
+
+
+# -- box-pruned greedy net ---------------------------------------------------------------
+
+NET_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * BLOCK + 3]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", NET_SIZES)
+def test_pruned_net_matches_reference(n, dim, pruned_nets):
+    space = MetricSpace.from_points(_helix(n, dim, seed=n))
+    rng = np.random.default_rng(n + dim)
+    step = float(np.median(space.pair_distances(np.arange(n - 1), np.arange(1, n))))
+    # Curve order; curve order with repeated ids next to their first
+    # visit, within chunks and across chunk edges; random order with
+    # repeated ids.
+    curve = np.arange(n)
+    repeated = np.sort(np.concatenate([curve, np.arange(0, n, 3), [n - 1]]))
+    shuffled = rng.permutation(repeated)
+    for eps in (0.5 * step, 1.5 * step, 4.0 * step):
+        for candidates in (curve, repeated, shuffled):
+            assert maximal_separated_net(space, candidates, eps).members == _ref_net(space, candidates, eps)
+            assert hausdorff1_content(space, candidates, 2.0 * eps) == _ref_content(space, candidates, 2.0 * eps)
+    assert len(repeated) in pruned_nets
+    assert (n in pruned_nets) == (n > CHUNK)
+
+
+def test_pruned_net_is_exact_on_collinear_points_in_8d(pruned_nets):
+    # Steps within a chunk are longer than steps across chunk edges, so a
+    # chunk's first candidate is rejected iff the previous chunk's last lies
+    # closer than epsilon.  epsilon is the box gap of one edge, its 8 squares
+    # summed one at a time; dist_block sums them pairwise, and the two may
+    # round apart.  Without the slack on the gaps, a gap rounded above the
+    # distance would skip the member that rejects.
+    rng = np.random.default_rng(8)
+    n = 2 * BLOCK + 3
+    edges = np.arange(CHUNK, n, CHUNK)
+    for _ in range(10):
+        u = rng.uniform(0.5, 2.0, size=8)
+        steps = rng.uniform(3.0, 4.0, size=n)
+        steps[edges] = rng.uniform(1.0, 2.0, size=len(edges))
+        space = MetricSpace.from_points(np.cumsum(steps)[:, None] * u)
+        for e in edges:
+            acc = 0.0
+            for g in space.coords[e] - space.coords[e - 1]:
+                acc = acc + g * g
+            eps = float(np.sqrt(acc))
+            assert maximal_separated_net(space, range(n), eps).members == _ref_net(space, range(n), eps)
+    assert len(pruned_nets) == 10 * len(edges)
+
+
+def test_net_falls_back_when_the_box_extent_overflows(pruned_nets):
+    n = 2 * BLOCK + 3
+    space = MetricSpace.from_points(1e200 * _helix(n, 2))
+    with np.errstate(over="ignore"):
+        for eps in (1e190, 1e300):
+            assert maximal_separated_net(space, range(n), eps).members == _ref_net(space, range(n), eps)
+    assert pruned_nets == []
+
+
+def test_pruned_net_at_a_large_epsilon(pruned_nets):
+    # An epsilon beyond every box gap prunes nothing; one beyond the whole
+    # set admits the first candidate alone.
+    n = 2 * BLOCK + 3
+    space = MetricSpace.from_points(_helix(n, 3))
+    for eps in (0.8, 10.0):
+        assert maximal_separated_net(space, range(n), eps).members == _ref_net(space, range(n), eps)
+    assert maximal_separated_net(space, range(n), 10.0).members == (0,)
+    assert pruned_nets == [n, n, n]
+
+
+def test_net_pruning_skips_most_of_a_spiral(monkeypatch, pruned_nets):
+    n, eps = 1000, 0.005
+    space = MetricSpace.from_points(_helix(n, 2))
+    entries = []
+    original = MetricSpace.dist_block
+
+    def counting(self, ids_a, ids_b):
+        out = original(self, ids_a, ids_b)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(MetricSpace, "dist_block", counting)
+    members = maximal_separated_net(space, range(n), eps).members
+    assert pruned_nets == [n] and members == _ref_net(space, range(n), eps)
+    # The full scan passes each block of BLOCK candidates with the members
+    # admitted before it and with itself.
+    full = sum(min(BLOCK, n - lo) * (np.searchsorted(members, lo) + min(BLOCK, n - lo))
+               for lo in range(0, n, BLOCK))
+    assert sum(entries) < 0.3 * full, (sum(entries), full)
+
+
+@pytest.mark.parametrize("first, second, third", [(64, 65, 999), (200, 65, 66), (0, 999, 65), (2, 1, 3)])
+def test_quotient_scan_names_the_first_zero_pair_at_sub_block_edges(first, second, third):
+    # Three points pairwise at distance 0 (their coordinates' differences
+    # square to 0) among 1000: the full scan's first block holds 65 rows.
+    # The error names the smallest position in a zero pair and its smallest
+    # zero partner, whatever the block size.
+    n = 1000
+    pts = _helix(n, 2)
+    pts[[first, second, third]] = [[0.0, 1e-200], [0.0, 0.0], [1e-200, 0.0]]
+    space = MetricSpace.from_points(pts)
+    a, b = sorted((first, second, third))[:2]
+    values = np.random.default_rng(n).standard_normal(n)
+    with pytest.raises(InputError, match=f"distinct points {a} and {b} are at distance 0"):
+        lipschitz._max_quotient_all(space, np.arange(n), values[:, None])
+    with pytest.raises(InputError, match=f"distinct points {a} and {b} are at distance 0"):
+        lip_constant(np.arange(n), values, space)
