@@ -26,7 +26,7 @@ from .curves import (SampledCurve, arc_length_reparam, hausdorff1_content,
                      load_curve_csv, metric_speed, stats_json, total_variation)
 from .errors import HorizonError, InputError
 from .lipschitz import LipschitzSample, mcshane_extend_all, probe_family, speed_via_probes
-from .metric import BLOCK, MetricSpace, validate_metric
+from .metric import BLOCK, MetricSpace, space_document, validate_metric
 from .verify import (_report, ac_p_test, area_formula_check, check_contraction,
                      continuous_representative, discontinuity_measure, luzin_n_probe,
                      variation_integral_check)
@@ -76,7 +76,8 @@ def _load_space(path: Optional[str]) -> Optional[MetricSpace]:
 
 
 def _load_curve(curve_path: str, space_path: Optional[str]) -> SampledCurve:
-    return load_curve_csv(curve_path, _load_space(space_path))
+    space = _load_space(space_path)
+    return load_curve_csv(_read_text(curve_path, "curve"), space)
 
 
 def _load_values(path: str) -> np.ndarray:
@@ -88,6 +89,8 @@ def _load_values(path: str) -> np.ndarray:
             values = np.asarray([float(line) for line in text.splitlines() if line.strip()])
     except (ValueError, TypeError) as exc:
         raise InputError(f"values file {path} must be a JSON array or one float per line") from exc
+    if values.ndim != 1:
+        raise InputError(f"values file {path} must hold one list of numbers, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InputError(f"values file {path} contains non-finite entries")
     return values
@@ -97,18 +100,12 @@ def _load_sample(path: str, space: MetricSpace) -> LipschitzSample:
     return LipschitzSample.from_json(_read_json(path, "sample"), space)
 
 
-def _int_list(text: str) -> list[int]:
+def _list(text: str, kind) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated floats, got {text!r}") from exc
+        what = "integers" if kind is int else "floats"
+        raise InputError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 def _verdict(report) -> tuple[dict, int]:
@@ -152,19 +149,14 @@ def _by_construction(space: MetricSpace, kind: str) -> bool:
 
 def _cmd_validate_metric(args):
     doc = _read_json(args.space, "space")
-    if isinstance(doc, dict) and doc.get("kind") in ("euclidean", "graph"):
+    kind, matrix, _, _ = space_document(doc)
+    if kind != "matrix":
         space = MetricSpace.from_json(doc)
         # An overflowing distance is reported below as a non-finite entry.
         with np.errstate(over="ignore"):
-            if _by_construction(space, doc["kind"]):
+            if _by_construction(space, kind):
                 return {"passed": True, "violations": []}, 0
             matrix = space.submatrix(range(space.n))
-    elif isinstance(doc, dict):
-        if "data" not in doc:
-            raise InputError(f"space file {args.space} has no 'data' key")
-        matrix = doc["data"]
-    else:
-        matrix = doc
     report = validate_metric(matrix)
     payload = {
         "passed": report.passed,
@@ -208,7 +200,7 @@ def _cmd_content(args):
 def _cmd_extend(args):
     space = _load_space(args.space)
     sample = _load_sample(args.h, space)
-    queries = _int_list(args.queries) if args.queries else list(range(space.n))
+    queries = _list(args.queries, int) if args.queries else list(range(space.n))
     values = mcshane_extend_all(sample, queries, envelope=args.envelope)
     return {
         "envelope": args.envelope,
@@ -237,8 +229,8 @@ def _cmd_sawtooth(args):
 
 def _cmd_altwitness(args):
     space = _load_space(args.space)
-    witness = alternating_separated_witness(space, _int_list(args.points),
-                                            _float_list(args.radii))
+    witness = alternating_separated_witness(space, _list(args.points, int),
+                                            _list(args.radii, float))
     return witness.to_json(), 0
 
 
@@ -305,7 +297,7 @@ def _cmd_check_luzin(args):
 
 def _cmd_recover(args):
     values = _load_values(args.values)
-    result = continuous_representative(values, _float_list(args.epsilons), window=args.window)
+    result = continuous_representative(values, _list(args.epsilons, float), window=args.window)
     if result is None:
         return {"found": False}, 1
     cleaned, fraction = result

@@ -222,20 +222,16 @@ def chord_arc_profile(curve: SampledCurve) -> np.ndarray:
 # -- I/O ---------------------------------------------------------------------
 
 
-def load_curve_csv(text_or_path, space: MetricSpace | None = None) -> SampledCurve:
-    """Load a curve from CSV.
+def load_curve_csv(text: str, space: MetricSpace | None = None) -> SampledCurve:
+    """Load a curve from CSV text.
 
     Header ``t,point_id`` references an existing space; header ``t,x1,...,xn``
     builds a Euclidean space from the (deduplicated) coordinate rows.
     """
     try:
-        if isinstance(text_or_path, str) and "\n" not in text_or_path:
-            with open(text_or_path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        else:
-            rows = list(csv.reader(io.StringIO(text_or_path)))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"cannot read curve file {text_or_path}: {exc}") from exc
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise InputError(f"malformed curve CSV: {exc}") from exc
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise InputError("empty curve CSV")

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import InitVar, dataclass
 
@@ -172,6 +171,7 @@ class LipschitzSample:
             raise InputError("support and values lengths differ")
         if len(self.support) == 0:
             raise InputError("empty support")
+        self.space.check_ids(self.support)
         if not (np.all(np.isfinite(self.values)) and np.isfinite(self.L)):
             raise InputError("sample values and L must be finite")
         if self.L < 0:
@@ -188,8 +188,6 @@ class LipschitzSample:
 
     @classmethod
     def from_json(cls, doc, space: MetricSpace) -> "LipschitzSample":
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
         if not isinstance(doc, dict):
             raise InputError("Lipschitz sample must be a JSON object")
         try:

@@ -7,7 +7,6 @@ embedded point clouds cheap to hold.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +191,27 @@ def _triangle_rows(d: np.ndarray, tol: float, symmetric: bool):
         yield from (int(i) for i in np.flatnonzero(flagged[lo:hi]) + lo)
 
 
+def space_document(doc) -> tuple[str, list, list | None, int]:
+    """The kind, data, ``points`` labels and point count of a parsed space
+    document, ``{"kind": "matrix" | "euclidean" | "graph", "data": [...]}``;
+    a graph gives ``n`` or the labels.  Entries of ``data`` are checked later."""
+    if not isinstance(doc, dict) or "data" not in doc:
+        raise InputError("space document must be a JSON object with a 'data' key")
+    kind, data, labels = doc.get("kind"), doc["data"], doc.get("points")
+    if kind not in ("matrix", "euclidean", "graph"):
+        raise InputError(f"unknown space kind {kind!r}")
+    if not isinstance(data, list):
+        raise InputError(f"space 'data' must be a list, got {type(data).__name__}")
+    if not isinstance(labels, (list, type(None))):
+        raise InputError(f"space 'points' must be a list of labels, got {type(labels).__name__}")
+    n = len(data) if kind != "graph" else doc.get("n", None if labels is None else len(labels))
+    if type(n) is not int:
+        raise InputError(f"graph space needs an integer 'n' or a 'points' list, got {n!r}")
+    if labels is not None and len(labels) != n:
+        raise InputError(f"space has {n} points but {len(labels)} 'points' labels")
+    return kind, data, labels, n
+
+
 class MetricSpace:
     """An immutable finite metric space with O(1)-ish distance lookups.
 
@@ -217,7 +237,9 @@ class MetricSpace:
             self._coords = None
             self._n = dmat.shape[0]
         else:
-            coords = np.atleast_2d(_float_array(coords, "coordinates"))
+            coords = _float_array(coords, "coordinates")
+            if coords.ndim != 2:
+                raise InputError(f"coordinates must be rows of equal length, got shape {coords.shape}")
             if not np.all(np.isfinite(coords)):
                 raise InputError("coordinates contain non-finite entries")
             # Euclidean distances satisfy the axioms automatically except
@@ -255,7 +277,11 @@ class MetricSpace:
             raise InputError("graph needs at least one node")
         best: dict[tuple[int, int], float] = {}
         for e in edges:
-            i, j, weight = int(e[0]), int(e[1]), float(e[2])
+            try:
+                i, j, weight = e
+                i, j, weight = int(i), int(j), float(weight)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"graph edge {e!r} must be [i, j, weight]") from exc
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"edge ({i},{j}) out of range for {n} nodes")
             if weight <= 0 or not np.isfinite(weight):
@@ -274,24 +300,13 @@ class MetricSpace:
 
     @classmethod
     def from_json(cls, doc) -> "MetricSpace":
-        """Load from {"kind": "matrix"|"euclidean"|"graph", "points": [...], "data": ...}."""
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        if not isinstance(doc, dict) or "data" not in doc:
-            raise InputError("space document must be a JSON object with a 'data' key")
-        kind = doc.get("kind")
-        labels = doc.get("points")
-        data = doc["data"]
+        """Build a space from a parsed space document (:func:`space_document`)."""
+        kind, data, labels, n = space_document(doc)
         if kind == "matrix":
             return cls.from_matrix(data, labels=labels)
         if kind == "euclidean":
             return cls.from_points(data, labels=labels)
-        if kind == "graph":
-            n = len(labels) if labels is not None else doc.get("n")
-            if n is None:
-                raise InputError("graph space needs 'points' or 'n'")
-            return cls.from_graph(int(n), data, labels=labels)
-        raise InputError(f"unknown space kind {kind!r}")
+        return cls.from_graph(n, data, labels=labels)
 
     # -- queries -----------------------------------------------------------
 

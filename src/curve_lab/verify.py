@@ -13,7 +13,6 @@ import numpy as np
 from .curves import SampledCurve, hausdorff1_content, total_variation
 from .errors import InputError, ScheduleError
 from .lipschitz import LipschitzSample, mcshane_extend_all
-from .metric import MetricSpace
 
 
 @dataclass(frozen=True)

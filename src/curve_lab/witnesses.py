@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import SampledCurve, arc_length_reparam, total_variation
+from .curves import SampledCurve, total_variation
 from .errors import HorizonError, InputError
 from .lipschitz import LipschitzSample, lip_constant
 from .metric import MetricSpace

@@ -7,6 +7,23 @@ import numpy as np
 from curve_lab import MetricSpace, SampledCurve
 
 
+# Space documents that every command must reject with exit 2: fields of the
+# wrong type or shape, and points lists of the wrong length.
+MALFORMED_SPACES = [
+    {"kind": "graph", "n": "x", "data": [[0, 1, 1.0]]},
+    {"kind": "graph", "n": 1e400, "data": [[0, 1, 1.0]]},
+    {"kind": "graph", "n": 2, "data": [[0, 1]]},
+    {"kind": "graph", "n": 2, "data": [[0, 1, "a"]]},
+    {"kind": "graph", "n": 2, "data": 7},
+    {"kind": "graph", "n": 3, "points": ["a", "b"], "data": [[0, 1, 1.0]]},
+    {"kind": "euclidean", "points": 5, "data": [[0, 0], [1, 1]]},
+    {"kind": "euclidean", "data": [[[0], [1]], [[2], [3]]]},
+    {"kind": "euclidean", "data": [0, 1, 2]},
+    {"kind": "euclidean", "points": ["a"], "data": [[0, 0], [1, 1]]},
+    {"kind": "matrix", "points": ["a", "b", "c"], "data": [[0, 1], [1, 0]]},
+]
+
+
 def line_space(xs) -> MetricSpace:
     """Points on the real line as a 1-D Euclidean embedding."""
     return MetricSpace.from_points([[float(x)] for x in xs])

@@ -11,6 +11,7 @@ import pytest
 
 from curve_lab import cli
 from curve_lab.cli import main
+from conftest import MALFORMED_SPACES
 
 L_CSV = "t,x1,x2\n0,0,0\n0.5,1,0\n1,1,1\n"
 # Unit segment sampled at multiples of 1/8 so quarter-tooth folds land on-grid.
@@ -58,11 +59,14 @@ def test_check_contraction_fake_l_exits_2(seg, tmp_path, capsys):
     fake = tmp_path / "fake.json"
     support = list(range(9))
     # Values with slope 2 but declared L = 1: inconsistent sample data; then
-    # a NaN value, a missing L and a non-numeric entry.
+    # a NaN value, a missing L, a non-numeric entry and one-point supports
+    # outside the space.
     for doc in ({"support": support, "values": [i / 4 for i in range(9)], "L": 1.0},
                 {"support": support, "values": [0.0, float("nan")] + [1.0] * 7, "L": 1.0},
                 {"support": support, "values": [i / 8 for i in range(9)]},
-                {"support": support, "values": [i / 8 for i in range(9)], "L": "one"}):
+                {"support": support, "values": [i / 8 for i in range(9)], "L": "one"},
+                {"support": [-1], "values": [0.0], "L": 1.0},
+                {"support": [99], "values": [0.0], "L": 1.0}):
         fake.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["check", "contraction", "--curve", seg, "--h", str(fake)]) == 2
@@ -227,7 +231,8 @@ def test_check_disc_and_recover(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["[0.0, NaN, 1.0]", "0.0\nnan\n1.0\n", "[1.0, Infinity]",
-                                  "[0.0, 1.0", "[[0.0], [1.0, 2.0]]"])
+                                  "[0.0, 1.0", "[[0.0], [1.0, 2.0]]", "[[1, 2], [3, 4]]",
+                                  json.dumps([[i, i + 1] for i in range(6)])])
 def test_bad_values_file_exits_2(tmp_path, capsys, text):
     vals = tmp_path / "bad.txt"
     vals.write_text(text)
@@ -250,6 +255,17 @@ def test_space_without_data_exits_2(tmp_path, lpoly, capsys, doc):
     assert main(["variation", "--curve", lpoly, "--space", str(space)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all("'data'" in line for line in err)
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SPACES + [[[0, 1], [1, 0]],
+                                                   {"kind": "banach", "data": [[0, 1], [1, 0]]}])
+def test_malformed_space_exits_2(tmp_path, lpoly, capsys, doc):
+    # validate-metric reads the same documents as every other command; a bare
+    # table and an unknown kind are not among them.
+    space = tmp_path / "bad.json"
+    space.write_text(json.dumps(doc))
+    assert_input_error(["validate-metric", "--space", str(space)], capsys)
+    assert_input_error(["variation", "--curve", lpoly, "--space", str(space)], capsys)
 
 
 def test_check_acp_and_luzin(seg, capsys):
@@ -333,6 +349,17 @@ def test_malformed_curve_csv_exits_2(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line[:6] for line in captured.err.splitlines()] == ["error:"]
+
+
+def test_crlf_curve_file_loads_like_lf(tmp_path):
+    curves = []
+    for name, newline in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes(L_CSV.replace("\n", newline).encode())
+        curves.append(cli._load_curve(str(path), None))
+    lf, crlf = curves
+    assert np.array_equal(lf.times, crlf.times) and np.array_equal(lf.samples, crlf.samples)
+    assert np.array_equal(lf.space.coords, crlf.space.coords)
 
 
 def test_tolerance_env_override(seg, tmp_path, monkeypatch):

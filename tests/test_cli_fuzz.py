@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_lab.cli import main
+from conftest import MALFORMED_SPACES
 
 numbers = st.floats(allow_nan=True, allow_infinity=True, width=64)
 finite = st.floats(-4.0, 4.0)
@@ -28,7 +29,8 @@ space_docs = st.one_of(
               st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4), numbers), max_size=5)),
     st.sampled_from([{"kind": "matrix"}, {"kind": "banach", "data": []}, [[0, 1], [1, 0]],
                      {"kind": "graph", "data": [[0, 1]]}, {"kind": "matrix", "data": "x"},
-                     {"kind": "euclidean", "data": [[0, "a"], [1, 1]]}, 3]),
+                     {"kind": "euclidean", "data": [[0, "a"], [1, 1]]}, 3,
+                     {"kind": "banach", "data": [[0, 1], [1, 0]]}, *MALFORMED_SPACES]),
 )
 values_texts = st.one_of(
     st.builds(json.dumps, st.lists(numbers, max_size=12)),

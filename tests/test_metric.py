@@ -212,7 +212,7 @@ class TestMetricSpaceConstruction:
 
     @pytest.mark.parametrize("doc", [{"kind": "matrix", "points": [0, 1]},
                                      {"kind": "graph", "n": 3, "edges": [[0, 1, 1.0]]},
-                                     [[0, 1], [1, 0]]])
+                                     [[0, 1], [1, 0]], '{"kind": "matrix", "data": [[0]]}'])
     def test_from_json_without_data_key(self, doc):
         with pytest.raises(InputError, match="'data'"):
             MetricSpace.from_json(doc)
