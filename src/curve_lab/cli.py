@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -22,16 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (SampledCurve, arc_length_reparam, hausdorff1_content,
-                     load_curve_csv, metric_speed, stats_json, total_variation)
 from .errors import HorizonError, InputError
-from .lipschitz import LipschitzSample, mcshane_extend_all, probe_family, speed_via_probes
-from .metric import BLOCK, MetricSpace, space_document, validate_metric
-from .verify import (_report, ac_p_test, area_formula_check, check_contraction,
-                     continuous_representative, discontinuity_measure, luzin_n_probe,
-                     variation_integral_check)
-from .witnesses import (alternating_separated_witness, banach_steinhaus_forge,
-                        diagonal_forge_problem, sawtooth_witness, ForgeProblem)
+
+# Each loader and handler imports the library names it calls, so a command
+# loads only the modules it uses: validate-metric needs metric alone.
 
 
 # -- I/O helpers ----------------------------------------------------------------
@@ -71,11 +64,13 @@ def _read_json(path: str, what: str):
         raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
-def _load_space(path: Optional[str]) -> Optional[MetricSpace]:
+def _load_space(path: Optional[str]):
+    from .metric import MetricSpace
     return None if path is None else MetricSpace.from_json(_read_json(path, "space"))
 
 
-def _load_curve(curve_path: str, space_path: Optional[str]) -> SampledCurve:
+def _load_curve(curve_path: str, space_path: Optional[str]):
+    from .curves import load_curve_csv
     space = _load_space(space_path)
     return load_curve_csv(_read_text(curve_path, "curve"), space)
 
@@ -96,7 +91,8 @@ def _load_values(path: str) -> np.ndarray:
     return values
 
 
-def _load_sample(path: str, space: MetricSpace) -> LipschitzSample:
+def _load_sample(path: str, space):
+    from .lipschitz import LipschitzSample
     return LipschitzSample.from_json(_read_json(path, "sample"), space)
 
 
@@ -126,7 +122,7 @@ def _verdict(report) -> tuple[dict, int]:
 # -- subcommand handlers: each returns (payload, exit_code) ---------------------------
 
 
-def _by_construction(space: MetricSpace, kind: str) -> bool:
+def _by_construction(space, kind: str) -> bool:
     """Whether a loaded ``euclidean`` or ``graph`` space is a metric without a
     triangle scan.  The loader has checked finite coordinates without
     duplicates, and positive finite weights on a connected graph; shortest
@@ -134,6 +130,7 @@ def _by_construction(space: MetricSpace, kind: str) -> bool:
     breaks them: a squared difference that under- or overflows can put
     distinct points at distance 0 or inf, or skew a triangle by more than the
     slack.  Distances whose squares are normal floats rule that out."""
+    from .metric import BLOCK
     if kind == "graph":
         return True
     ids = np.arange(space.n)
@@ -148,6 +145,7 @@ def _by_construction(space: MetricSpace, kind: str) -> bool:
 
 
 def _cmd_validate_metric(args):
+    from .metric import MetricSpace, space_document, validate_metric
     doc = _read_json(args.space, "space")
     kind, matrix, _, _ = space_document(doc)
     if kind != "matrix":
@@ -169,11 +167,13 @@ def _cmd_validate_metric(args):
 
 
 def _cmd_variation(args):
+    from .curves import stats_json, total_variation
     curve = _load_curve(args.curve, args.space)
     return (stats_json(curve) if args.out else f"{total_variation(curve)}\n"), 0
 
 
 def _cmd_speed(args):
+    from .curves import metric_speed
     curve = _load_curve(args.curve, args.space)
     value = metric_speed(curve, args.t, args.window, side=args.side)
     if args.out:
@@ -182,6 +182,7 @@ def _cmd_speed(args):
 
 
 def _cmd_reparam(args):
+    from .curves import arc_length_reparam
     rep = arc_length_reparam(_load_curve(args.curve, args.space))
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -192,12 +193,14 @@ def _cmd_reparam(args):
 
 
 def _cmd_content(args):
+    from .curves import hausdorff1_content
     curve = _load_curve(args.curve, args.space)
     value = hausdorff1_content(curve.space, curve.samples, args.delta)
     return ({"delta": args.delta, "content": value} if args.out else f"{value}\n"), 0
 
 
 def _cmd_extend(args):
+    from .lipschitz import mcshane_extend_all
     space = _load_space(args.space)
     sample = _load_sample(args.h, space)
     queries = _list(args.queries, int) if args.queries else list(range(space.n))
@@ -211,6 +214,7 @@ def _cmd_extend(args):
 
 
 def _cmd_probes(args):
+    from .lipschitz import probe_family, speed_via_probes
     curve = _load_curve(args.curve, args.space)
     family = probe_family(curve, args.n)
     payload = {"centers": [int(c) for c in family.centers]}
@@ -223,11 +227,13 @@ def _cmd_probes(args):
 
 
 def _cmd_sawtooth(args):
+    from .witnesses import sawtooth_witness
     curve = _load_curve(args.curve, args.space)
     return sawtooth_witness(curve, args.tooth).to_json(), 0
 
 
 def _cmd_altwitness(args):
+    from .witnesses import alternating_separated_witness
     space = _load_space(args.space)
     witness = alternating_separated_witness(space, _list(args.points, int),
                                             _list(args.radii, float))
@@ -235,6 +241,7 @@ def _cmd_altwitness(args):
 
 
 def _cmd_forge(args):
+    from .witnesses import ForgeProblem, banach_steinhaus_forge, diagonal_forge_problem
     problem = diagonal_forge_problem()
     if args.horizon is not None:
         problem = ForgeProblem(functional=problem.functional, horizon=args.horizon)
@@ -248,11 +255,14 @@ def _cmd_forge(args):
 
 
 def _cmd_check_contraction(args):
+    from .verify import check_contraction
     curve = _load_curve(args.curve, args.space)
     return _verdict(check_contraction(curve, _load_sample(args.h, curve.space)))
 
 
 def _cmd_check_area(args):
+    from .lipschitz import mcshane_extend_all
+    from .verify import area_formula_check
     curve = _load_curve(args.curve, args.space)
     if args.values:
         values = _load_values(args.values)
@@ -263,10 +273,12 @@ def _cmd_check_area(args):
 
 
 def _cmd_check_varint(args):
+    from .verify import variation_integral_check
     return _verdict(variation_integral_check(_load_curve(args.curve, args.space)))
 
 
 def _cmd_check_disc(args):
+    from .verify import _report, discontinuity_measure
     if not 0 <= args.measure_tolerance < np.inf:
         raise InputError(f"--measure-tolerance must be finite and non-negative, got {args.measure_tolerance}")
     profile = discontinuity_measure(_load_values(args.values), args.epsilon, args.delta)
@@ -277,6 +289,7 @@ def _cmd_check_disc(args):
 
 
 def _cmd_check_acp(args):
+    from .verify import ac_p_test
     result = ac_p_test(_load_curve(args.curve, args.space), args.p, refinements=0)
     return {"p": result.p, "norm_estimate": result.norm_estimate,
             "refinement_trend": list(result.refinement_trend),
@@ -284,6 +297,7 @@ def _cmd_check_acp(args):
 
 
 def _cmd_check_luzin(args):
+    from .verify import luzin_n_probe
     curve = _load_curve(args.curve, args.space)
     intervals = []
     for tok in args.null_set.split(","):
@@ -296,6 +310,7 @@ def _cmd_check_luzin(args):
 
 
 def _cmd_recover(args):
+    from .verify import continuous_representative
     values = _load_values(args.values)
     result = continuous_representative(values, _list(args.epsilons, float), window=args.window)
     if result is None:
@@ -306,6 +321,7 @@ def _cmd_recover(args):
 
 
 def _digest(config) -> str:
+    import hashlib
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 

@@ -191,7 +191,7 @@ class LipschitzSample:
         if not isinstance(doc, dict):
             raise InputError("Lipschitz sample must be a JSON object")
         try:
-            support = tuple(int(i) for i in doc["support"])
+            support = tuple(space.check_id(i) for i in doc["support"])
             values = tuple(float(v) for v in doc["values"])
             L = float(doc["L"])
         except KeyError as exc:

@@ -95,6 +95,15 @@ class ValidationReport:
         return [v for v in self.violations if v.axiom == axiom]
 
 
+def _point_id(i) -> int:
+    """``int(i)`` of a point id; a bool, or a float that is not an integer,
+    is an input error rather than a truncated id."""
+    if isinstance(i, (bool, np.bool_)) or (isinstance(i, (float, np.floating))
+                                           and not float(i).is_integer()):
+        raise InputError(f"point id {i} is not an integer")
+    return int(i)
+
+
 def _float_array(data, what: str) -> np.ndarray:
     try:
         return np.asarray(data, dtype=float)
@@ -279,9 +288,11 @@ class MetricSpace:
         for e in edges:
             try:
                 i, j, weight = e
-                i, j, weight = int(i), int(j), float(weight)
+                i, j, weight = _point_id(i), _point_id(j), float(weight)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"graph edge {e!r} must be [i, j, weight]") from exc
+            except InputError as exc:
+                raise InputError(f"graph edge {e!r}: {exc}") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"edge ({i},{j}) out of range for {n} nodes")
             if weight <= 0 or not np.isfinite(weight):
@@ -376,15 +387,13 @@ class MetricSpace:
         """Elementwise distances between two equal-length index arrays."""
         ids_a = np.asarray(ids_a, dtype=int)
         ids_b = np.asarray(ids_b, dtype=int)
-        if self._dmat is not None:
-            return self._dmat[ids_a, ids_b]
-        return np.linalg.norm(self._coords[ids_a] - self._coords[ids_b], axis=-1)
+        return self.dist_block(ids_a[..., None], ids_b[..., None])[..., 0, 0]
 
     def submatrix(self, ids) -> np.ndarray:
         return self.dist_block(ids, ids)
 
     def check_id(self, i: int) -> int:
-        i = int(i)
+        i = _point_id(i)
         if not 0 <= i < self._n:
             raise InputError(f"point id {i} out of range [0, {self._n})")
         return i
@@ -397,8 +406,8 @@ class MetricSpace:
         except (TypeError, ValueError, OverflowError):
             arr = None
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu":
-            # Floats, strings, generators and the like convert one by one,
-            # with int() semantics.
+            # Floats, bools, strings, generators and the like convert one
+            # by one through check_id.
             return np.asarray([self.check_id(i) for i in ids], dtype=int)
         bad = (arr < 0) | (arr >= self._n)
         if bad.any():

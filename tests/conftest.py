@@ -8,7 +8,8 @@ from curve_lab import MetricSpace, SampledCurve
 
 
 # Space documents that every command must reject with exit 2: fields of the
-# wrong type or shape, and points lists of the wrong length.
+# wrong type or shape, points lists of the wrong length, and edge ends that
+# are not integers (truncating them would name other points).
 MALFORMED_SPACES = [
     {"kind": "graph", "n": "x", "data": [[0, 1, 1.0]]},
     {"kind": "graph", "n": 1e400, "data": [[0, 1, 1.0]]},
@@ -21,6 +22,8 @@ MALFORMED_SPACES = [
     {"kind": "euclidean", "data": [0, 1, 2]},
     {"kind": "euclidean", "points": ["a"], "data": [[0, 0], [1, 1]]},
     {"kind": "matrix", "points": ["a", "b", "c"], "data": [[0, 1], [1, 0]]},
+    {"kind": "graph", "n": 2, "data": [[0, 1.9, 1.0]]},
+    {"kind": "graph", "n": 2, "data": [[0, True, 1.0]]},
 ]
 
 

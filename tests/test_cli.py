@@ -175,6 +175,41 @@ def test_extend_and_probes(tmp_path, capsys):
                         "--window", "nan"], capsys)
 
 
+@pytest.mark.parametrize("support, bad", [([0, 2.9], "2.9"), ([0, True], "True")])
+def test_extend_non_integer_support_id_exits_2(tmp_path, capsys, support, bad):
+    # A fractional or boolean id names no point: reading 2.9 as 2 would
+    # certify h(2) = 2.9 on a 3-point line.
+    space = tmp_path / "line.json"
+    space.write_text(json.dumps({"kind": "euclidean", "data": [[0.0], [1.0], [2.0]]}))
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"support": support, "values": [0.0, 2.9], "L": 1.0}))
+    capsys.readouterr()
+    assert main(["extend", "--space", str(space), "--h", str(h)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: point id {bad} is not an integer"]
+
+
+def test_integral_float_ids_still_load(tmp_path, capsys):
+    space = tmp_path / "graph.json"
+    space.write_text(json.dumps({"kind": "graph", "n": 3, "data": [[0.0, 1.0, 1.0], [1, 2.0, 2.0]]}))
+    assert main(["validate-metric", "--space", str(space)]) == 0
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"support": [0.0, 2.0], "values": [0.0, 3.0], "L": 1.0}))
+    capsys.readouterr()
+    assert main(["extend", "--space", str(space), "--h", str(h), "--queries", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [1.0]
+
+
+def test_validate_metric_fractional_graph_edge_exits_2(tmp_path, capsys):
+    space = tmp_path / "graph.json"
+    space.write_text(json.dumps({"kind": "graph", "n": 2, "data": [[0, 1.9, 1.0]]}))
+    capsys.readouterr()
+    assert main(["validate-metric", "--space", str(space)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: graph edge [0, 1.9, 1.0]: point id 1.9 is not an integer"]
+
+
 def test_altwitness(tmp_path, capsys):
     space = tmp_path / "pts.json"
     space.write_text(json.dumps(
@@ -521,3 +556,38 @@ def test_cli_import_loads_no_scipy(tmp_path):
     seen = json.loads(proc.stderr)
     assert seen == {"import": [], "euclidean_exit": 0, "euclidean": [], "graph_exit": 0}
     assert proc.stdout.count('"passed": true') == 2
+
+
+LOAD_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import curve_lab
+else:
+    from curve_lab.cli import main
+    main(argv)
+sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("curve_lab."))))
+"""
+
+
+def loaded_modules(argv) -> set:
+    """The curve_lab submodules a fresh interpreter holds after
+    ``import curve_lab`` (argv None) or after running the CLI on argv."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, json.dumps(argv)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    return {m.removeprefix("curve_lab.") for m in json.loads(proc.stderr)}
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path, lpoly):
+    # `import curve_lab` is lazy, and each command imports what it calls.
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}))
+    assert loaded_modules(None) <= {"errors"}
+    validate = loaded_modules(["validate-metric", "--space", str(points)])
+    assert "metric" in validate
+    assert not validate & {"curves", "lipschitz", "witnesses", "verify"}
+    variation = loaded_modules(["variation", "--curve", lpoly])
+    assert {"metric", "curves"} <= variation
+    assert not variation & {"lipschitz", "witnesses", "verify"}

@@ -232,16 +232,37 @@ class TestMetricSpaceConstruction:
     def test_check_ids_matches_check_id(self):
         space = line_space(range(5))
         good = ([4, 0, 0, 3], (1, 2), range(5), np.arange(5, dtype=np.uint8),
-                [2.7, 0.0], (i for i in [3, 1]), [True], [])
+                [2.0, 0.0], np.array([4.0, 1.0]), (i for i in [3, 1]), [])
         for ids in good:
             expected = [space.check_id(i) for i in ids] if not hasattr(ids, "__next__") else [3, 1]
             got = space.check_ids(ids)
             assert got.dtype == int and got.tolist() == expected
         # The error names the first bad id in input order, as check_id does.
-        for ids, bad in (([0, 7, -1], 7), (np.array([3, -2, 9]), -2), ([-0.5, 5.5], 5),
+        for ids, bad in (([0, 7, -1], 7), (np.array([3, -2, 9]), -2), ([-1.0, 5.5], -1),
                          (np.array([2 ** 63], dtype=np.uint64), 2 ** 63)):
             with pytest.raises(InputError, match=rf"^point id {bad} out of range \[0, 5\)$"):
                 space.check_ids(ids)
+        # A fractional or boolean id is an error, not a truncated id.
+        for ids, bad in (([0, 2.7], "2.7"), ([True], "True"), (np.array([1.0, -0.5]), "-0.5"),
+                         (np.array([False]), "False"), ([float("nan")], "nan")):
+            with pytest.raises(InputError, match=rf"^point id {bad} is not an integer$"):
+                space.check_ids(ids)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 9])
+    def test_pair_distances_keep_the_norm_bits(self, dim):
+        # pair_distances goes through dist_block; its bits are those of the
+        # elementwise norm it used before, on coordinates and on tables.
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 1e6):
+            coords = rng.normal(size=(40, dim)) * scale
+            a, b = rng.integers(0, 40, size=(2, 300))
+            old = np.linalg.norm(coords[a] - coords[b], axis=-1)
+            space = MetricSpace.from_points(coords)
+            assert space.pair_distances(a, b).tobytes() == old.tobytes()
+            matrix = space.dist_block(np.arange(40), np.arange(40))
+            table = MetricSpace.from_matrix(matrix)
+            assert table.pair_distances(a, b).tobytes() == matrix[a, b].tobytes()
+            assert space.pair_distances(a[:0], b[:0]).shape == (0,)
 
 
 class TestSeparatedNet:

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import curve_lab
 
@@ -17,9 +20,8 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_unused_top_level_imports():
-    # __init__.py imports what it re-exports.
-    modules = sorted(p for p in Path(curve_lab.__file__).parent.glob("*.py")
-                     if p.name != "__init__.py")
+    # __init__.py resolves its exports lazily, so it is checked like the rest.
+    modules = sorted(Path(curve_lab.__file__).parent.glob("*.py"))
     assert modules
     found = []
     for path in modules:
@@ -32,3 +34,34 @@ def test_no_unused_top_level_imports():
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if (alias.asname or alias.name.split(".")[0]) not in used]
     assert found == []
+
+
+def test_no_unused_function_imports():
+    # cli.py imports per command; each such import must be used where it is.
+    found = []
+    for path in sorted(Path(curve_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            used = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            found += [f"{path.name}:{node.lineno} {alias.name}"
+                      for node in fn.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                      for alias in node.names
+                      if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert found == []
+
+
+def test_lazy_exports_resolve_to_their_home_modules():
+    names = curve_lab.__all__
+    assert len(set(names)) == len(names) == 53
+    for name in names:
+        obj = getattr(curve_lab, name)
+        assert obj.__module__.startswith("curve_lab.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(names) <= set(dir(curve_lab))
+    namespace = {}
+    exec("from curve_lab import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(names)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        curve_lab.no_such_name
