@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -115,7 +114,7 @@ def _verdict(report) -> tuple[dict, int]:
             raise InputError(f"CURVE_LAB_TOLERANCE must be a float, got {raw!r}") from exc
         if not 0 <= tol < np.inf:
             raise InputError(f"CURVE_LAB_TOLERANCE must be finite and non-negative, got {raw!r}")
-        report = replace(report, tolerance=tol, verdict=report.residual <= tol)
+        report = report._replace(tolerance=tol, verdict=report.residual <= tol)
     return report.to_json(), 0 if report.verdict else 1
 
 
@@ -328,6 +327,7 @@ def _digest(config) -> str:
 def _cmd_report(args):
     """Run each bundle entry's handler in-process; the payload is the
     ``.jsonl`` and ``.csv`` summaries keyed by file suffix."""
+    import contextlib
     configs = _read_json(args.bundle, "bundle")
     if not isinstance(configs, list):
         raise InputError("bundle must be a JSON list of {'argv': [...]} configs")
@@ -343,11 +343,16 @@ def _cmd_report(args):
         row = {"name": " ".join(argv), "digest": _digest(config), "verdict": "",
                "residual": "", "tolerance": ""}
         try:
-            sub = parser.parse_args(argv)
+            # A help request is the one way parsing exits; its text is not a result.
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    sub = parser.parse_args(argv)
+            except SystemExit:
+                raise InputError(f"bundle entry {row['name']!r} asks for help") from None
             if sub.func is _cmd_report:
                 raise InputError("a bundle entry cannot run report")
             payload, code = _run(sub)
-        except (InputError, SystemExit) as exc:
+        except InputError as exc:
             sys.stderr.write(f"error: {exc}\n")
             row["verdict"], code = "error", 2
         except HorizonError as exc:
@@ -399,89 +404,103 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(glued, namespace)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The full parser, or given ``argv`` only the branch it names: its
+    command and, under ``check``, its kind.  An argv that names no known
+    command or kind (a typo, top-level ``--help``, nothing) gets the full
+    parser, so usage errors and help text do not depend on the branch."""
     parser = _Parser(prog="curve-lab", description="metric-curve constructions and checks")
     commands = parser.add_subparsers(dest="command", required=True)
+    built = []
 
-    def add(group, name, func, curve=False):
+    def add(group, name, func=None, curve=False, out=True):
+        level = 0 if group is commands else 1
+        if argv is not None and argv[level:level + 1] != [name]:
+            return None
+        built.append(name)
         p = group.add_parser(name)
-        p.set_defaults(func=func)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if func is not None:
+            p.set_defaults(func=func)
+        if out:
+            p.add_argument("--out", default=None, help="output path (default: stdout)")
         if curve:
             p.add_argument("--curve", required=True)
             p.add_argument("--space", default=None)
         return p
 
-    p = add(commands, "validate-metric", _cmd_validate_metric)
-    p.add_argument("--space", required=True)
+    if p := add(commands, "validate-metric", _cmd_validate_metric):
+        p.add_argument("--space", required=True)
 
     add(commands, "variation", _cmd_variation, curve=True)
 
-    p = add(commands, "speed", _cmd_speed, curve=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--window", type=float, required=True)
-    p.add_argument("--side", choices=["both", "left", "right"], default="both")
+    if p := add(commands, "speed", _cmd_speed, curve=True):
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--window", type=float, required=True)
+        p.add_argument("--side", choices=["both", "left", "right"], default="both")
 
     add(commands, "reparam", _cmd_reparam, curve=True)
 
-    p = add(commands, "content", _cmd_content, curve=True)
-    p.add_argument("--delta", type=float, required=True)
+    if p := add(commands, "content", _cmd_content, curve=True):
+        p.add_argument("--delta", type=float, required=True)
 
-    p = add(commands, "extend", _cmd_extend)
-    p.add_argument("--space", required=True)
-    p.add_argument("--h", required=True, help="Lipschitz sample JSON")
-    p.add_argument("--queries", default=None, help="comma-separated point ids")
-    p.add_argument("--envelope", choices=["upper", "lower", "average"], default="upper")
+    if p := add(commands, "extend", _cmd_extend):
+        p.add_argument("--space", required=True)
+        p.add_argument("--h", required=True, help="Lipschitz sample JSON")
+        p.add_argument("--queries", default=None, help="comma-separated point ids")
+        p.add_argument("--envelope", choices=["upper", "lower", "average"], default="upper")
 
-    p = add(commands, "probes", _cmd_probes, curve=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--side", choices=["both", "left", "right"], default="both")
+    if p := add(commands, "probes", _cmd_probes, curve=True):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--t", type=float, default=None)
+        p.add_argument("--window", type=float, default=None)
+        p.add_argument("--side", choices=["both", "left", "right"], default="both")
 
-    p = add(commands, "sawtooth", _cmd_sawtooth, curve=True)
-    p.add_argument("--tooth", type=float, required=True)
+    if p := add(commands, "sawtooth", _cmd_sawtooth, curve=True):
+        p.add_argument("--tooth", type=float, required=True)
 
-    p = add(commands, "altwitness", _cmd_altwitness)
-    p.add_argument("--space", required=True)
-    p.add_argument("--points", required=True, help="comma-separated point ids in order")
-    p.add_argument("--radii", required=True, help="comma-separated radii")
+    if p := add(commands, "altwitness", _cmd_altwitness):
+        p.add_argument("--space", required=True)
+        p.add_argument("--points", required=True, help="comma-separated point ids in order")
+        p.add_argument("--radii", required=True, help="comma-separated radii")
 
-    p = add(commands, "forge", _cmd_forge)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=None)
+    if p := add(commands, "forge", _cmd_forge):
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--horizon", type=int, default=None)
 
-    kinds = commands.add_parser("check").add_subparsers(dest="kind", required=True)
-    p = add(kinds, "contraction", _cmd_check_contraction, curve=True)
-    p.add_argument("--h", required=True, help="Lipschitz sample JSON")
-    p = add(kinds, "area", _cmd_check_area, curve=True)
-    heights = p.add_mutually_exclusive_group(required=True)
-    heights.add_argument("--values", help="heights along the curve")
-    heights.add_argument("--h", help="Lipschitz sample JSON, extended along the curve")
-    p.add_argument("--weights", default=None)
-    add(kinds, "varint", _cmd_check_varint, curve=True)
-    p = add(kinds, "disc", _cmd_check_disc)
-    p.add_argument("--values", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--measure-tolerance", type=float, default=0.0)
-    p = add(kinds, "acp", _cmd_check_acp, curve=True)
-    p.add_argument("--p", type=float, required=True)
-    p = add(kinds, "luzin", _cmd_check_luzin, curve=True)
-    p.add_argument("--null-set", dest="null_set", required=True,
-                   help="comma-separated a:b time intervals")
-    p.add_argument("--delta", type=float, required=True)
+    if check := add(commands, "check", out=False):
+        kinds = check.add_subparsers(dest="kind", required=True)
+        if p := add(kinds, "contraction", _cmd_check_contraction, curve=True):
+            p.add_argument("--h", required=True, help="Lipschitz sample JSON")
+        if p := add(kinds, "area", _cmd_check_area, curve=True):
+            heights = p.add_mutually_exclusive_group(required=True)
+            heights.add_argument("--values", help="heights along the curve")
+            heights.add_argument("--h", help="Lipschitz sample JSON, extended along the curve")
+            p.add_argument("--weights", default=None)
+        add(kinds, "varint", _cmd_check_varint, curve=True)
+        if p := add(kinds, "disc", _cmd_check_disc):
+            p.add_argument("--values", required=True)
+            p.add_argument("--epsilon", type=float, required=True)
+            p.add_argument("--delta", type=float, required=True)
+            p.add_argument("--measure-tolerance", type=float, default=0.0)
+        if p := add(kinds, "acp", _cmd_check_acp, curve=True):
+            p.add_argument("--p", type=float, required=True)
+        if p := add(kinds, "luzin", _cmd_check_luzin, curve=True):
+            p.add_argument("--null-set", dest="null_set", required=True,
+                           help="comma-separated a:b time intervals")
+            p.add_argument("--delta", type=float, required=True)
 
-    p = add(commands, "recover", _cmd_recover)
-    p.add_argument("--values", required=True)
-    p.add_argument("--epsilons", required=True, help="decreasing comma-separated schedule")
-    p.add_argument("--window", type=int, default=5)
+    if p := add(commands, "recover", _cmd_recover):
+        p.add_argument("--values", required=True)
+        p.add_argument("--epsilons", required=True, help="decreasing comma-separated schedule")
+        p.add_argument("--window", type=int, default=5)
 
-    p = commands.add_parser("report")
-    p.set_defaults(func=_cmd_report)
-    p.add_argument("--bundle", required=True, help="JSON list of {'argv': [...]}")
-    p.add_argument("--out-prefix", required=True)
+    if p := add(commands, "report", _cmd_report, out=False):
+        p.add_argument("--bundle", required=True, help="JSON list of {'argv': [...]}")
+        p.add_argument("--out-prefix", required=True)
 
+    # Nothing built, or check without a kind: argv named no known branch.
+    if built in ([], ["check"]):
+        return _build_parser()
     return parser
 
 
@@ -496,8 +515,9 @@ def _run(args) -> tuple:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         payload, code = _run(args)
         if args.func is _cmd_report:
             for suffix, text in payload.items():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,22 +73,25 @@ class SampledCurve:
         raise InputError(f"time {t!r} is not on the curve's grid")
 
 
-@dataclass(frozen=True)
 class Partition:
     """An ordered time grid from a to b whose knots lie on a curve's grid."""
 
-    knots: tuple[float, ...]
+    __slots__ = ("knots",)
 
-    def __post_init__(self):
-        k = self.knots
-        if len(k) < 2:
+    def __init__(self, knots: tuple[float, ...]):
+        if len(knots) < 2:
             raise InputError("a partition needs at least two knots")
-        if any(k[i] >= k[i + 1] for i in range(len(k) - 1)):
+        if any(knots[i] >= knots[i + 1] for i in range(len(knots) - 1)):
             raise InputError("partition knots must be strictly increasing")
+        object.__setattr__(self, "knots", knots)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class CurveStats:
+class CurveStats(NamedTuple):
     total_variation: float
     is_simple: bool
     speed_profile: tuple[float, ...]

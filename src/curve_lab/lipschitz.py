@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,34 +154,38 @@ def _max_quotient_all(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -
     return best
 
 
-@dataclass(frozen=True)
 class LipschitzSample:
     """Boundary data for a real function on a finite subset, evaluable
-    anywhere through McShane extension with the declared constant L."""
+    anywhere through McShane extension with the declared constant L.
+    ``_lip`` is the data's Lipschitz constant when the caller has just
+    computed it."""
 
-    space: MetricSpace
-    support: tuple[int, ...]
-    values: tuple[float, ...]
-    L: float
-    # The data's Lipschitz constant when the caller has just computed it.
-    _lip: InitVar[float | None] = None
+    __slots__ = ("space", "support", "values", "L")
 
-    def __post_init__(self, _lip):
-        if len(self.support) != len(self.values):
+    def __init__(self, space: MetricSpace, support: tuple[int, ...],
+                 values: tuple[float, ...], L: float, _lip: float | None = None):
+        if len(support) != len(values):
             raise InputError("support and values lengths differ")
-        if len(self.support) == 0:
+        if len(support) == 0:
             raise InputError("empty support")
-        self.space.check_ids(self.support)
-        if not (np.all(np.isfinite(self.values)) and np.isfinite(self.L)):
+        space.check_ids(support)
+        if not (np.all(np.isfinite(values)) and np.isfinite(L)):
             raise InputError("sample values and L must be finite")
-        if self.L < 0:
-            raise InputError(f"Lipschitz constant must be nonnegative, got {self.L}")
-        if len(self.support) >= 2:
-            lc = lip_constant(self.support, self.values, self.space) if _lip is None else _lip
-            if lc > self.L * (1 + _L_RTOL):
+        if L < 0:
+            raise InputError(f"Lipschitz constant must be nonnegative, got {L}")
+        if len(support) >= 2:
+            lc = lip_constant(support, values, space) if _lip is None else _lip
+            if lc > L * (1 + _L_RTOL):
                 raise InconsistentDataError(
-                    f"declared L={self.L} below the data's Lipschitz constant {lc}"
+                    f"declared L={L} below the data's Lipschitz constant {lc}"
                 )
+        for name, value in (("space", space), ("support", support), ("values", values), ("L", L)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
     def to_json(self) -> dict:
         return {"support": list(self.support), "values": list(self.values), "L": self.L}
@@ -279,8 +283,7 @@ def _envelope_rows(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: flo
             yield None if keep.all() else np.flatnonzero(np.repeat(keep, CHUNK)[:len(sup)])
 
 
-@dataclass(frozen=True)
-class ProbeFamily:
+class ProbeFamily(NamedTuple):
     """Distance probes h_k = dist(center_k, .); each is 1-Lipschitz."""
 
     space: MetricSpace

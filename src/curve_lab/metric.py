@@ -7,7 +7,7 @@ embedded point clouds cheap to hold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,15 +79,13 @@ def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     return np.sqrt(acc) * (1.0 - _GAP_RTOL)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     witness: tuple
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     violations: tuple[Violation, ...]
 
@@ -424,8 +422,7 @@ class MetricSpace:
         return (self._coords is None) == (other._coords is None) and np.array_equal(mine, theirs)
 
 
-@dataclass(frozen=True)
-class SeparatedNet:
+class SeparatedNet(NamedTuple):
     """A maximal epsilon-separated subset of the host's points."""
 
     host: MetricSpace

@@ -5,18 +5,23 @@ continuous-representative recovery, AC_p consistency, and a Luzin-N probe."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .curves import SampledCurve, hausdorff1_content, total_variation
 from .errors import InputError, ScheduleError
-from .lipschitz import LipschitzSample, mcshane_extend_all
+
+# Each check imports the curves and lipschitz names it calls, so the checks on
+# a bare values trace (disc, recover) load neither.
+if TYPE_CHECKING:
+    from collections.abc import Mapping
+
+    from .curves import SampledCurve
+    from .lipschitz import LipschitzSample
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """One verified (in)equality: ``lhs <= rhs + tolerance`` for one-sided
     checks, ``|lhs - rhs| <= tolerance`` for identities."""
 
@@ -26,7 +31,7 @@ class CheckReport:
     residual: float
     tolerance: float
     verdict: bool
-    context: dict = field(default_factory=dict)
+    context: Mapping = MappingProxyType({})
 
     def to_json(self) -> dict:
         return {
@@ -56,6 +61,8 @@ def _report(name, lhs, rhs, tolerance, one_sided, context=None) -> CheckReport:
 def check_contraction(curve: SampledCurve, sample: LipschitzSample) -> CheckReport:
     """Variation of an L-Lipschitz function along the curve is at most
     L times the curve's variation."""
+    from .curves import total_variation
+    from .lipschitz import mcshane_extend_all
     if not sample.space.same_as(curve.space):
         raise InputError("Lipschitz sample and curve live on different spaces")
     values = mcshane_extend_all(sample, curve.samples)
@@ -114,6 +121,7 @@ def variation_integral_check(curve: SampledCurve) -> CheckReport:
     """Variation equals chord length weighted by traversal multiplicity,
     summed over the distinct unordered geometric edges of the sample path.
     An identity by construction; reported to confirm the bookkeeping."""
+    from .curves import total_variation
     lhs = total_variation(curve)
     edges: dict[tuple[int, int], int] = {}
     for a, b in zip(curve.samples[:-1], curve.samples[1:]):
@@ -125,8 +133,7 @@ def variation_integral_check(curve: SampledCurve) -> CheckReport:
                    context={"distinct_edges": len(edges), "simple": curve.is_simple()})
 
 
-@dataclass(frozen=True)
-class DiscontinuityProfile:
+class DiscontinuityProfile(NamedTuple):
     epsilon: float
     delta: float
     pair_count: int
@@ -233,8 +240,7 @@ def _deviants(v: np.ndarray, eps: float, window: int) -> np.ndarray:
     return 2 * close < size
 
 
-@dataclass(frozen=True)
-class ACPReport:
+class ACPReport(NamedTuple):
     p: float
     norm_estimate: float
     refinement_trend: tuple[float, ...]
@@ -278,6 +284,7 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
     curve parametrized over a small time set is controlled by the worst step
     quotient seen outside that set, times the set's total length.  A curve that tears a time-null
     set into positive length fails."""
+    from .curves import hausdorff1_content
     if not 0 < delta < math.inf:
         raise InputError(f"delta must be positive and finite, got {delta}")
     intervals = [(float(a), float(b)) for a, b in null_set]

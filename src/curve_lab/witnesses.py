@@ -3,31 +3,38 @@ alternating separated-ball witnesses, and an inductive selector that forges a
 unit-ball element on which a sequence of functionals diverges."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import SampledCurve, total_variation
 from .errors import HorizonError, InputError
-from .lipschitz import LipschitzSample, lip_constant
-from .metric import MetricSpace
+
+# Each witness imports the curves and lipschitz names it calls, so forge
+# loads neither.
+if TYPE_CHECKING:
+    from .curves import SampledCurve
+    from .lipschitz import LipschitzSample
+    from .metric import MetricSpace
 
 
-@dataclass(frozen=True)
 class SawtoothSpec:
-    tooth: float
-    length: float
+    __slots__ = ("tooth", "length")
 
-    def __post_init__(self):
-        if not self.tooth > 0:
-            raise InputError(f"tooth must be positive, got {self.tooth}")
-        if self.tooth > self.length:
-            raise InputError(f"tooth {self.tooth} exceeds curve length {self.length}")
+    def __init__(self, tooth: float, length: float):
+        if not tooth > 0:
+            raise InputError(f"tooth must be positive, got {tooth}")
+        if tooth > length:
+            raise InputError(f"tooth {tooth} exceeds curve length {length}")
+        object.__setattr__(self, "tooth", tooth)
+        object.__setattr__(self, "length", length)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class WitnessFunction:
+class WitnessFunction(NamedTuple):
     """A realized Lipschitz sample plus the numeric properties certified for it."""
 
     realization: LipschitzSample
@@ -50,6 +57,7 @@ def triangle_wave(t, tooth: float):
 def _chord_arc_defect(space: MetricSpace, samples: np.ndarray, s: np.ndarray) -> float:
     """Max over pairs of distinct samples of (arc separation / distance) - 1,
     floored at 0: the arc coordinate's Lipschitz constant on the samples, less 1."""
+    from .lipschitz import lip_constant
     return max(1.0, lip_constant(samples, s, space)) - 1.0
 
 
@@ -61,6 +69,8 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     (<= 1 + chord-arc defect), the variation of the post-composition over the
     finest grid, and the tooth-accounting floor (total variation minus twice
     the tooth)."""
+    from .curves import total_variation
+    from .lipschitz import LipschitzSample, lip_constant
     if not curve.is_simple():
         raise InputError("sawtooth witness requires a simple curve")
     tv = total_variation(curve)
@@ -115,6 +125,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
     of any post-composition along a curve visiting the points in order: the
     alternating signs make every adjacent jump equal the radius sum exactly.
     """
+    from .lipschitz import LipschitzSample
     pts = space.check_ids(ordered_points).tolist()
     radii = np.asarray(radii, dtype=float)
     if len(pts) != len(radii):
@@ -153,22 +164,27 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
 # -- divergence forge ----------------------------------------------------------
 
 
-@dataclass
 class ForgeProblem:
     """A sequence of nonnegative, positively homogeneous, countably
     subadditive functionals p_m over combinations of unit-norm basis elements.
 
     ``functional(m, combo)`` evaluates p_m at sum_i alpha_i * z_{e_i}, where
-    combo is a sequence of (element index, coefficient) pairs.  ``horizon``
-    bounds the total number of functional evaluations per forge run.
+    combo is a sequence of (element index, coefficient) pairs.  ``horizon``,
+    a nonnegative integer, bounds the total number of functional evaluations
+    per forge run.
     """
 
-    functional: Callable[[int, Sequence[tuple[int, float]]], float]
-    horizon: int = 10**6
+    __slots__ = ("functional", "horizon")
+
+    def __init__(self, functional: Callable[[int, Sequence[tuple[int, float]]], float],
+                 horizon: int = 10**6):
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
+            raise InputError(f"horizon must be a nonnegative integer, got {horizon!r}")
+        self.functional = functional
+        self.horizon = horizon
 
 
-@dataclass(frozen=True)
-class ForgeResult:
+class ForgeResult(NamedTuple):
     alphas: tuple[float, ...]
     indices: tuple[int, ...]
     level_bounds: tuple[float, ...]

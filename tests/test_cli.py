@@ -86,10 +86,22 @@ def test_check_contraction_passes(seg, tmp_path):
     assert doc["verdict"] == "pass"
 
 
-def test_unknown_command_exits_2(capsys):
+def test_unknown_command_exits_2(lpoly, capsys, monkeypatch):
     assert main(["frobnicate"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "frobnicate" in err[0]
+    # main builds only the branch argv names; the full parser gives the same
+    # exit codes and bytes, for usage errors too.
+    argvs = (["frobnicate"], ["check"], ["check", "frobnicate"],
+             ["variation", "--curve", lpoly, "--tooth", "0.1"], ["speed", "--curve", lpoly],
+             ["check", "luzin", "--curve", lpoly, "--null-set", "-0.5:0.5", "--delta", "0.1"])
+    build = cli._build_parser
+    results = []
+    for parser in (build, lambda argv=None: build()):
+        monkeypatch.setattr(cli, "_build_parser", parser)
+        results.append([(main(argv), capsys.readouterr()) for argv in argvs])
+    assert results[0] == results[1]
+    assert [code for code, _ in results[0]] == [2, 2, 2, 2, 2, 0]
 
 
 def test_missing_file_exits_2(lpoly, capsys):
@@ -224,6 +236,9 @@ def test_forge(capsys):
     assert main(["forge", "--depth", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["level_bounds"][-1] >= 3.0
+    assert_input_error(["forge", "--depth", "3", "--horizon", "-5"], capsys)
+    assert main(["forge", "--depth", "3", "--horizon", "-5"]) == 2
+    assert capsys.readouterr().err == "error: horizon must be a nonnegative integer, got -5\n"
 
 
 def test_forge_horizon_exhaustion_exits_1(capsys):
@@ -492,16 +507,22 @@ class TestReportBundle:
     def test_input_error_in_sub_run_exits_2_with_partial_results(self, tmp_path, capsys):
         seg, h = self.write_inputs(tmp_path)
         configs = [{"argv": ["check", "varint", "--curve", seg]},
-                   {"argv": ["check", "varint", "--curve", "/missing.csv"]}]
+                   {"argv": ["check", "varint", "--curve", "/missing.csv"]},
+                   # A help request is an error row, and its text goes nowhere.
+                   {"argv": ["variation", "--help"]}]
         bundle = tmp_path / "bundle.json"
         bundle.write_text(json.dumps(configs))
         prefix = str(tmp_path / "summary")
+        capsys.readouterr()
         assert main(["report", "--bundle", str(bundle),
                      "--out-prefix", prefix]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[1:] == ["error: bundle entry 'variation --help' asks for help"]
         lines = (tmp_path / "summary.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 2
-        verdicts = {json.loads(line)["verdict"] for line in lines}
-        assert verdicts == {"pass", "error"}
+        assert len(lines) == 3
+        verdicts = [json.loads(line)["verdict"] for line in lines]
+        assert sorted(verdicts) == ["error", "error", "pass"]
 
 
 def test_readme_cli_lines_parse():
@@ -518,7 +539,10 @@ def test_readme_cli_lines_parse():
         if line:
             tokens = shlex.split(line)
             assert tokens[0] == "curve-lab"
-            reached.add(parser.parse_args(tokens[1:]).func)
+            args = parser.parse_args(tokens[1:])
+            # The parser main builds for this argv alone reads it the same.
+            assert cli._build_parser(tokens[1:]).parse_args(tokens[1:]) == args
+            reached.add(args.func)
     handlers = {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
     assert reached == handlers
 
@@ -591,3 +615,14 @@ def test_commands_load_only_the_modules_they_use(tmp_path, lpoly):
     variation = loaded_modules(["variation", "--curve", lpoly])
     assert {"metric", "curves"} <= variation
     assert not variation & {"lipschitz", "witnesses", "verify"}
+    # verify and witnesses import curves and lipschitz where they call them.
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([0.0] * 6 + [1.0] * 6))
+    for argv in (["recover", "--values", str(trace), "--epsilons", "0.5"],
+                 ["check", "disc", "--values", str(trace), "--epsilon", "0.5", "--delta", "0.1"]):
+        loaded = loaded_modules(argv)
+        assert "verify" in loaded and not loaded & {"metric", "curves", "lipschitz"}, argv
+    forge = loaded_modules(["forge", "--depth", "3"])
+    assert "witnesses" in forge and not forge & {"metric", "curves", "lipschitz", "verify"}
+    varint = loaded_modules(["check", "varint", "--curve", lpoly])
+    assert {"curves", "verify"} <= varint and "lipschitz" not in varint

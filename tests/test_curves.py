@@ -29,6 +29,16 @@ class TestVariation:
     def test_off_grid_knot_rejected(self):
         with pytest.raises(InputError):
             variation_over_partition(l_polyline(), Partition((0.0, 0.3, 1.0)))
+        with pytest.raises(InputError, match="^a partition needs at least two knots$"):
+            Partition(knots=(0.0,))
+        with pytest.raises(InputError, match="^partition knots must be strictly increasing$"):
+            Partition((0.0, 0.5, 0.5))
+        part = Partition(knots=(0.0, 1.0))
+        assert part.knots == (0.0, 1.0)
+        with pytest.raises(AttributeError):
+            part.knots = (0.0, 0.5)
+        with pytest.raises(AttributeError):
+            del part.knots
 
     def test_total_variation_l_polyline(self):
         assert total_variation(l_polyline()) == 2.0

@@ -8,6 +8,7 @@ from curve_lab import (InconsistentDataError, InputError, LipschitzSample,
                        local_lip_estimate, mcshane_extend, mcshane_extend_all,
                        metric_speed, probe_family, speed_via_probes,
                        total_variation, variation_over_partition)
+from curve_lab import lipschitz
 from conftest import circle_curve, euclidean_curve, line_space
 
 
@@ -49,10 +50,24 @@ class TestMcShane:
         assert mcshane_extend(sample, 2, envelope="lower") == pytest.approx(-0.5)
         assert mcshane_extend(sample, 2, envelope="average") == pytest.approx(0.0)
 
-    def test_declared_l_below_lip_constant_rejected(self):
+    def test_declared_l_below_lip_constant_rejected(self, monkeypatch):
         space = line_space([0.0, 1.0])
         with pytest.raises(InconsistentDataError):
             LipschitzSample(space=space, support=(0, 1), values=(0.0, 2.0), L=1.0)
+        with pytest.raises(InconsistentDataError):
+            LipschitzSample(space, (0, 1), (0.0, 2.0), 1.0)
+        # Positional and keyword arguments build the same read-only sample.
+        for sample in (LipschitzSample(space, (0, 1), (0.0, 1.0), 1.0),
+                       LipschitzSample(space=space, support=(0, 1), values=(0.0, 1.0), L=1.0)):
+            assert (sample.space, sample.support, sample.values, sample.L) == (
+                space, (0, 1), (0.0, 1.0), 1.0)
+            with pytest.raises(AttributeError):
+                sample.L = 2.0
+        # A given _lip is trusted: the data's constant is not recomputed.
+        monkeypatch.setattr(lipschitz, "lip_constant", None)
+        LipschitzSample(space, (0, 1), (0.0, 1.0), 1.0, _lip=1.0)
+        with pytest.raises(InconsistentDataError):
+            LipschitzSample(space, (0, 1), (0.0, 1.0), 1.0, 2.0)
 
     def test_extension_is_l_lipschitz_exhaustive(self):
         rng = np.random.default_rng(9)

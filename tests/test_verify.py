@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curve_lab import (InputError, LipschitzSample, MetricSpace, SampledCurve, ScheduleError,
+from curve_lab import (CheckReport, InputError, LipschitzSample, MetricSpace, SampledCurve, ScheduleError,
                        ac_p_test, area_formula_check, check_contraction,
                        continuous_representative, discontinuity_measure,
                        luzin_n_probe, total_variation, triangle_wave,
@@ -113,6 +113,16 @@ class TestVariationIntegral:
         report = variation_integral_check(l_polyline())
         assert report.verdict
         assert report.lhs == pytest.approx(2.0)
+        # _replace gives a changed copy, as the CLI's tolerance override uses.
+        loose = report._replace(tolerance=1e6, verdict=False)
+        assert (loose.tolerance, loose.verdict, loose.lhs, loose.context) == (
+            1e6, False, report.lhs, report.context)
+        assert (report.to_json()["verdict"], loose.to_json()["verdict"]) == ("pass", "fail")
+        # The default context is an empty mapping that no report can change.
+        bare = CheckReport("x", 0.0, 0.0, 0.0, 0.0, True)
+        assert bare.to_json()["context"] == {}
+        with pytest.raises(TypeError):
+            bare.context["k"] = 1
 
     def test_doubled_back_segment(self):
         xs = np.linspace(0.0, 1.0, 5)

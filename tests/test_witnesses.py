@@ -38,8 +38,14 @@ class TestTriangleWave:
             triangle_wave(0.5, 0.0)
         with pytest.raises(InputError):
             triangle_wave(0.5, float("nan"))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^tooth must be positive, got nan$"):
             SawtoothSpec(tooth=float("nan"), length=1.0)
+        with pytest.raises(InputError, match="^tooth 2.0 exceeds curve length 1.0$"):
+            SawtoothSpec(2.0, 1.0)
+        spec = SawtoothSpec(0.5, length=1.0)
+        assert (spec.tooth, spec.length) == (0.5, 1.0)
+        with pytest.raises(AttributeError):
+            spec.tooth = 0.25
 
 
 class TestSawtoothWitness:
@@ -209,6 +215,14 @@ class TestForge:
             banach_steinhaus_forge(problem, 8)
         assert exc_info.value.level is not None
         assert exc_info.value.level >= 1
+        # The problem stays mutable; its horizon is a nonnegative integer.
+        problem.horizon = 10**6
+        assert banach_steinhaus_forge(problem, 8).indices[0] == 1
+        assert ForgeProblem(problem.functional).horizon == 10**6
+        assert ForgeProblem(problem.functional, np.int64(0)).horizon == 0
+        for bad in (-5, 2.5, True, "10"):
+            with pytest.raises(InputError, match="horizon must be a nonnegative integer"):
+                ForgeProblem(problem.functional, bad)
 
     def test_alpha_cap_decays_geometrically(self):
         result = banach_steinhaus_forge(diagonal_forge_problem(), 7)
