@@ -352,12 +352,11 @@ def _cmd_report(args):
             if sub.func is _cmd_report:
                 raise InputError("a bundle entry cannot run report")
             payload, code = _run(sub)
-        except InputError as exc:
+        except (InputError, HorizonError) as exc:
             sys.stderr.write(f"error: {exc}\n")
-            row["verdict"], code = "error", 2
-        except HorizonError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            row["verdict"], code = "fail", 1
+            # The .jsonl row carries the error too; the .csv columns stay fixed.
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["verdict"], code = ("fail", 1) if isinstance(exc, HorizonError) else ("error", 2)
         else:
             row["verdict"] = "pass" if code == 0 else "fail"
             if isinstance(payload, dict):
@@ -372,7 +371,8 @@ def _cmd_report(args):
 
     rows.sort(key=order)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["name", "digest", "verdict", "residual", "tolerance"])
+    writer = csv.DictWriter(buf, fieldnames=["name", "digest", "verdict", "residual", "tolerance"],
+                            extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
     return {".jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),

@@ -55,6 +55,10 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
 # Queries per block of the McShane extension (internal).
 QUERY_BLOCK = 128
 _BOUND_RTOL = 1e-9
+# Points per sub-chunk of the quotient's refinement, and chunk pairs refined or
+# sub-pairs computed at a time: 2**14 distances keep a batch in cache (internal).
+SUB = 8
+_BATCH = 2 ** 14 // SUB ** 2
 
 
 def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -64,9 +68,9 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
     A chunk pair's quotients are at most its bound, the largest value spread
     between the chunks over their box gap.  A seed of computed quotients
     gives each column a threshold, and the chunk pairs whose bounds fall
-    below the thresholds in every column are skipped.  When more than half
-    of the pairs survive, or on matrix spaces, every pair is computed
-    (:func:`_max_quotient_all`)."""
+    below the thresholds in every column are skipped; the survivors' pairs
+    of SUB-point sub-chunks are bounded alike and computed in batches.  On
+    matrix spaces every pair is computed (:func:`_max_quotient_all`)."""
     if space.coords is None or len(ids) <= CHUNK or not np.all(np.isfinite(values)):
         return _max_quotient_all(space, ids, values)
     pos, lo, hi = _chunks(space, ids)
@@ -74,10 +78,10 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
         return _max_quotient_all(space, ids, values)
     pids, pvals = ids[pos], values[pos]
     c = len(pos)
-    gap = _box_gaps(lo, hi, lo, hi)
+    gap = _box_gaps(lo[:, None], hi[:, None], lo, hi)
     # The largest distance between two boxes is the gap between the boxes
     # with their corners swapped.
-    far = _box_gaps(hi, lo, hi, lo)
+    far = _box_gaps(hi[:, None], lo[:, None], hi, lo)
     vmin, vmax = pvals.min(axis=1), pvals.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         spread = np.maximum(vmax[:, None, :] - vmin[None, :, :], vmax[None, :, :] - vmin[:, None, :])
@@ -98,23 +102,31 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
         seed = np.max(np.abs(pvals[a, :, None, col] - pvals[b, None, :, col]) / d, axis=(1, 2))
     if not np.all(np.isfinite(seed)):  # a zero distance, as below
         return _max_quotient_all(space, ids, values)
-    upper = np.triu(~np.all(bound < seed, axis=2))
-    if 2 * np.count_nonzero(upper) > c * (c + 1) // 2:
-        return _max_quotient_all(space, ids, values)
+    rows, cols = np.nonzero(np.triu(~np.all(bound < seed, axis=2)))
+    spos, slo, shi = _chunks(space, ids, SUB)
+    smin, smax = values[spos].min(axis=1), values[spos].max(axis=1)
+    subs = np.arange(len(spos)).reshape(c, -1)  # chunk r holds the sub-chunks subs[r]
     best = np.zeros(values.shape[1])
-    m = len(ids)
-    for r in range(c):
-        rows = np.arange(r * CHUNK, min((r + 1) * CHUNK, m))
-        # The columns start with the rows: upper[r, r] holds.
-        cols = np.flatnonzero(np.repeat(upper[r], CHUNK)[:m])
-        d = space.dist_block(ids[rows], ids[cols])
-        d[np.arange(len(rows)), np.arange(len(rows))] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(values.shape[1]):
-                q = np.subtract.outer(values[rows, k], values[cols, k])
-                np.abs(q, out=q)
-                q /= d
-                best[k] = np.maximum(best[k], np.max(q))
+    for r in range(0, len(rows), _BATCH):
+        # The 16 sub-pairs of each chunk pair (on the diagonal, the upper
+        # triangle), bounded alike; a zero gap's inf or nan is never skipped.
+        sa, sb = subs[rows[r:r + _BATCH], :, None], subs[cols[r:r + _BATCH], None, :]
+        sgap = _box_gaps(slo[sa], shi[sa], slo[sb], shi[sb])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sbound = np.maximum(smax[sa] - smin[sb], smax[sb] - smin[sa]) / sgap[..., None]
+        keep = ~np.all(sbound * (1.0 + _BOUND_RTOL) < seed, axis=3) & (sa <= sb)
+        pa, pb = spos[np.broadcast_to(sa, keep.shape)[keep]], spos[np.broadcast_to(sb, keep.shape)[keep]]
+        for k0 in range(0, len(pa), _BATCH):
+            a, b = pa[k0:k0 + _BATCH], pb[k0:k0 + _BATCH]
+            d = space.dist_block(ids[a], ids[b])
+            i = a[:, -1] >= b[:, 0]  # the diagonal sub-pairs and the last chunk's padding
+            d[i] = np.where(a[i, :, None] == b[i, None, :], np.inf, d[i])  # a position meets itself
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for k, v in enumerate(values.T):
+                    q = v[a][:, :, None] - v[b][:, None, :]
+                    np.abs(q, out=q)
+                    q /= d
+                    best[k] = np.maximum(best[k], np.max(q))
     if not np.all(np.isfinite(best)):
         # A zero distance: the full scan names its pair as it always has.
         return _max_quotient_all(space, ids, values)
@@ -274,7 +286,7 @@ def _envelope_rows(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: flo
     for start in range(0, len(queries), 8 * QUERY_BLOCK):
         q = queries[start:start + 8 * QUERY_BLOCK]
         x = space.coords[q]
-        bound = wmin + L * _box_gaps(x, x, lo, hi)
+        bound = wmin + L * _box_gaps(x[:, None], x[:, None], lo, hi)
         first = np.argmin(bound, axis=1)
         d = space.dist_block(q[:, None], sup[pos[first]])[:, 0, :]
         best = np.min(w[first] + L * d, axis=1)
@@ -303,7 +315,7 @@ def probe_family(curve: SampledCurve, n: int) -> ProbeFamily:
     if n < 1:
         raise InputError(f"probe count must be >= 1, got {n}")
     space = curve.space
-    distinct = list(dict.fromkeys(int(s) for s in curve.samples))  # first-visit order
+    distinct = list(dict.fromkeys(curve.samples.tolist()))  # first-visit order
     if n > len(distinct):
         warnings.warn(
             f"requested {n} probes but the curve has {len(distinct)} distinct samples; clamping",

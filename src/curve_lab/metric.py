@@ -54,25 +54,22 @@ def _box_extent(lo: np.ndarray, hi: np.ndarray) -> float:
         return float(np.sqrt(np.sum(np.square(hi.max(axis=0) - lo.min(axis=0)))))
 
 
-def _chunks(space: "MetricSpace", ids: np.ndarray):
-    """Positions of consecutive chunks of ids, (c, CHUNK), the last padded
-    with copies of its last position, and the chunks' bounding boxes, lower
-    and upper corners (c, dim)."""
-    pos = np.minimum(np.arange(-(-len(ids) // CHUNK) * CHUNK), len(ids) - 1).reshape(-1, CHUNK)
-    pts, starts = space.coords[ids], np.arange(0, len(ids), CHUNK)
-    return pos, np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+def _chunks(space: "MetricSpace", ids: np.ndarray, size: int = CHUNK):
+    """Positions of consecutive chunks of ids, (c, size), padded to a multiple of CHUNK
+    with copies of the last, and the chunks' bounding boxes' corners, lower and upper (c, dim)."""
+    pos = np.minimum(np.arange(-(-len(ids) // CHUNK) * CHUNK), len(ids) - 1)
+    pts, starts = space.coords[ids[pos]], np.arange(0, len(pos), size)
+    return pos.reshape(-1, size), np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
 
 
 def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Gaps between every box of a (rows) and every box of b (columns),
-    deflated so that they stay below every computed distance between a point
-    of one box and a point of the other."""
+    """Gaps between boxes of a and b, corners (..., dim) that broadcast
+    (``lo[:, None]`` pairs all of a with all of b), deflated to stay below
+    every computed distance between a point of one and a point of the other."""
     acc = 0.0
-    for k in range(lo_a.shape[1]):
-        # The larger of lo_a - hi_b and lo_b - hi_a, at least 0; the second
-        # is written -hi_a - (-lo_b), an outer difference with the same bits.
-        g = np.subtract.outer(lo_a[:, k], hi_b[:, k])
-        np.maximum(g, np.subtract.outer(-hi_a[:, k], -lo_b[:, k]), out=g)
+    for k in range(lo_a.shape[-1]):
+        g = lo_a[..., k] - hi_b[..., k]
+        np.maximum(g, lo_b[..., k] - hi_a[..., k], out=g)
         np.maximum(g, 0.0, out=g)
         g *= g
         acc = acc + g
@@ -488,7 +485,8 @@ def _pruned_net(space: MetricSpace, candidates: np.ndarray, epsilon: float, lo: 
         if r % BLOCK == 0:
             # Which earlier chunks lie within epsilon, for BLOCK chunks at a
             # time.
-            within = _box_gaps(lo[r:r + BLOCK], hi[r:r + BLOCK], lo[:r + BLOCK], hi[:r + BLOCK]) < epsilon
+            within = _box_gaps(lo[r:r + BLOCK, None], hi[r:r + BLOCK, None],
+                               lo[:r + BLOCK], hi[:r + BLOCK]) < epsilon
         block = candidates[r * CHUNK:(r + 1) * CHUNK]
         k = len(block)
         # One block of distances: the chunk to itself, then to the members

@@ -114,7 +114,7 @@ def area_formula_check(curve: SampledCurve, values: Sequence[float],
     rhs = float(np.cumsum(np.concatenate([[0.0], np.diff(levels) * crossing]))[-1])
     tol = 1e-6 * max(1.0, abs(rhs))
     return _report("area_formula", lhs, rhs, tol, one_sided=False,
-                   context={"levels": len(levels)})
+                   context={"levels": len(levels), "bookkeeping": True})
 
 
 def variation_integral_check(curve: SampledCurve) -> CheckReport:
@@ -130,7 +130,8 @@ def variation_integral_check(curve: SampledCurve) -> CheckReport:
     rhs = sum(mult * curve.space.dist(a, b) for (a, b), mult in edges.items())
     tol = 1e-6 * max(1.0, abs(rhs))
     return _report("variation_integral", lhs, rhs, tol, one_sided=False,
-                   context={"distinct_edges": len(edges), "simple": curve.is_simple()})
+                   context={"distinct_edges": len(edges), "simple": curve.is_simple(),
+                            "bookkeeping": True})
 
 
 class DiscontinuityProfile(NamedTuple):

@@ -86,8 +86,8 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     lc, eta = float(lc), max(1.0, float(lip_s)) - 1.0
     realization = LipschitzSample(
         space=curve.space,
-        support=tuple(int(i) for i in curve.samples),
-        values=tuple(float(v) for v in values),
+        support=tuple(curve.samples.tolist()),
+        values=tuple(values.tolist()),
         L=max(1.0, lc),
         _lip=lc,
     )
@@ -149,7 +149,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
     ks = np.arange(1, len(pts) + 1)
     values = ((-1.0) ** ks) * radii
     realization = LipschitzSample(
-        space=space, support=tuple(pts), values=tuple(float(v) for v in values), L=1.0
+        space=space, support=tuple(pts), values=tuple(values.tolist()), L=1.0
     )
     lower = float(np.sum(radii[:-1] + radii[1:])) if len(pts) > 1 else 0.0
     margin = float(np.min((dmat - need)[np.triu_indices(len(pts), k=1)])) if len(pts) > 1 else float("inf")

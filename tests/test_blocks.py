@@ -13,6 +13,7 @@ from curve_lab import (InconsistentDataError, InputError, LipschitzSample, Metri
                        hausdorff1_content, lip_constant, maximal_separated_net,
                        mcshane_extend_all, sawtooth_witness, triangle_wave)
 from curve_lab import lipschitz, metric, witnesses
+from curve_lab.lipschitz import SUB
 from curve_lab.metric import BLOCK, CHUNK
 from conftest import euclidean_curve, line_space
 
@@ -345,9 +346,10 @@ def test_pruned_quotient_matches_reference(n, dim, fallbacks):
         # chunk pair can be skipped; a finer wave takes its place.
         ordered[:, 1] = triangle_wave(ordered[:, 1], 0.02)
     # Distances to two points are 1-Lipschitz with quotients near 1 in
-    # every direction: most chunk pairs survive and the scan falls back.
+    # every direction: most chunk pairs survive, and their sub-chunk pairs
+    # are computed without the full scan.
     far = np.column_stack([np.linalg.norm(space.coords - space.coords[k], axis=1) for k in (0, n // 2)])
-    for values, pruned in ((ordered, True), (far, False), (rng.standard_normal((n, 2)), None)):
+    for values, pruned in ((ordered, True), (far, True), (rng.standard_normal((n, 2)), None)):
         fallbacks.clear()
         got = lip_constant(ids, values[ids], space)
         assert np.array_equal(got, _ref_quotients(space, np.arange(n), values))
@@ -397,6 +399,88 @@ def test_pruned_quotient_finds_zero_distance_in_a_far_chunk(fallbacks):
     for v in (values, values[:, 0], values[:, 1] + np.arange(n + 1)):
         with pytest.raises(InputError, match=f"distinct points 0 and {n} are at distance 0"):
             lip_constant(np.arange(n + 1), v, space)
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Records the shapes of the dist_block calls."""
+    shapes = []
+    original = MetricSpace.dist_block
+
+    def recording(self, ids_a, ids_b):
+        out = original(self, ids_a, ids_b)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(MetricSpace, "dist_block", recording)
+    return shapes
+
+
+# One below, at and one above a sub-chunk edge, inside the second chunk and
+# in the last chunk, whose padding then fills part of a sub-chunk.
+@pytest.mark.parametrize("n", [CHUNK + SUB - 1, CHUNK + SUB, CHUNK + SUB + 1,
+                               3 * CHUNK + 2 * SUB - 1, 3 * CHUNK + 2 * SUB, 3 * CHUNK + 2 * SUB + 1])
+def test_refined_quotient_matches_reference_at_sub_chunk_edges(n, fallbacks):
+    space = MetricSpace.from_points(_helix(n, 2, seed=n))
+    far = np.column_stack([np.linalg.norm(space.coords - space.coords[k], axis=1) for k in (0, n // 2)])
+    noise = np.random.default_rng(n).standard_normal((n, 2))
+    for values in (_sawtooth_columns(space), far, noise):
+        ids = np.concatenate([np.arange(n), np.arange(0, n, 3)])
+        assert np.array_equal(lip_constant(ids, values[ids], space), _ref_quotients(space, np.arange(n), values))
+    assert fallbacks == []
+
+
+def test_refined_quotient_over_several_batches(fallbacks, blocks):
+    # On a line the coordinate has quotient 1 at every pair, so no chunk
+    # pair or sub-pair is skipped.  The 47 x 48 / 2 chunk pairs take more
+    # than one refinement step, and each step's sub-pairs fill several
+    # batches, the last of them short.
+    n = 1500
+    space = MetricSpace.from_points(_helix(n, 1))
+    x = space.coords[:, 0]
+    values = np.column_stack([x, triangle_wave(x, 0.02)])
+    assert np.array_equal(lip_constant(np.arange(n), values, space), _ref_quotients(space, np.arange(n), values))
+    assert fallbacks == []
+    c = -(-n // CHUNK)
+    pairs = c * (c + 1) // 2
+    steps = -(-pairs // lipschitz._BATCH)
+    batches = [shape[0] for shape in blocks[1:]]
+    # Every sub-pair of every chunk pair, on the diagonal the upper triangle.
+    assert sum(batches) == 16 * pairs - 6 * c
+    assert steps > 1 and len([b for b in batches if b < lipschitz._BATCH]) == steps < len(batches), batches
+
+
+def test_refined_quotient_finds_a_zero_over_zero_pair(fallbacks, blocks):
+    # Distinct points at distance 0 with equal values, in two chunks far
+    # apart along the curve: their quotient is 0 / 0 in every column.  The
+    # seed misses them and a refined sub-pair computes them.
+    n = 2 * BLOCK + 3
+    pts = _helix(n, 2)
+    pts[[70, 300]] = [[0.0, 0.0], [1e-200, 0.0]]
+    space = MetricSpace.from_points(pts)
+    values = _sawtooth_columns(MetricSpace.from_points(_helix(n, 2)))
+    values[300] = values[70]
+    for v in (values, values[:, 1]):
+        blocks.clear()
+        fallbacks.clear()
+        with pytest.raises(InputError, match="distinct points 70 and 300 are at distance 0"):
+            lip_constant(np.arange(n), v, space)
+        # The seed's call, at least one batch, then the full scan.
+        assert fallbacks == [n] and len(blocks) > 2 and blocks[1][1:] == (SUB, SUB), blocks
+
+
+def test_distance_sample_takes_the_pruned_path(fallbacks):
+    # A half-support sample of x -> |x - c| on a three-turn spiral of 1000
+    # points: 1-Lipschitz in every direction, so few chunk pairs are skipped.
+    t = np.linspace(0.0, 1.0, 1000)
+    xy = (0.2 + t)[:, None] * np.column_stack([np.cos(6 * np.pi * t), np.sin(6 * np.pi * t)])
+    space = MetricSpace.from_points(xy)
+    support = np.arange(0, 1000, 2)
+    values = np.linalg.norm(xy[support] - [0.3, -0.1], axis=1)
+    lc = lip_constant(support, values, space)
+    assert lc == _ref_quotients(space, support, values[:, None])[0] and lc <= 1.0
+    LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), 1.0)
+    assert fallbacks == []
 
 
 def test_pruning_skips_most_of_a_sawtooth(monkeypatch):

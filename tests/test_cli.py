@@ -412,6 +412,18 @@ def test_crlf_curve_file_loads_like_lf(tmp_path):
     assert np.array_equal(lf.space.coords, crlf.space.coords)
 
 
+def test_identity_checks_say_they_are_bookkeeping(seg, tmp_path):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(
+        {"support": list(range(9)), "values": [i / 8 for i in range(9)], "L": 1.0}))
+    out = tmp_path / "r.json"
+    for kind, flag in (("area", True), ("varint", True), ("contraction", None), ("luzin", None)):
+        extra = {"area": ["--h", str(h)], "contraction": ["--h", str(h)],
+                 "luzin": ["--null-set", "0.25:0.375", "--delta", "0.05"]}.get(kind, [])
+        assert main(["check", kind, "--curve", seg, *extra, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["context"].get("bookkeeping") is flag, kind
+
+
 def test_tolerance_env_override(seg, tmp_path, monkeypatch):
     h = tmp_path / "h.json"
     h.write_text(json.dumps(
@@ -523,6 +535,31 @@ class TestReportBundle:
         assert len(lines) == 3
         verdicts = [json.loads(line)["verdict"] for line in lines]
         assert sorted(verdicts) == ["error", "error", "pass"]
+
+    def test_error_rows_carry_the_error(self, tmp_path, capsys):
+        seg, h = self.write_inputs(tmp_path)
+        missing = str(tmp_path / "missing.csv")
+        configs = [{"argv": ["check", "varint", "--curve", seg]},
+                   {"argv": ["check", "varint", "--curve", missing]},
+                   {"argv": ["forge", "--depth", "8", "--horizon", "10"]}]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(configs))
+        prefix = str(tmp_path / "summary")
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(bundle), "--out-prefix", prefix]) == 2
+        messages = [line.removeprefix("error: ") for line in capsys.readouterr().err.splitlines()]
+        lines = (tmp_path / "summary.jsonl").read_text().splitlines()
+        rows = {row["name"]: row for row in map(json.loads, lines)}
+        assert rows[f"check varint --curve {missing}"]["verdict"] == "error"
+        assert rows[f"check varint --curve {missing}"]["error"] == f"InputError: {messages[0]}"
+        assert "missing.csv" in messages[0]
+        assert rows["forge --depth 8 --horizon 10"]["verdict"] == "fail"
+        assert rows["forge --depth 8 --horizon 10"]["error"] == f"HorizonError: {messages[1]}"
+        assert "error" not in rows["variation_integral"]
+        # The .csv keeps its columns and names no error.
+        csv_lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert csv_lines[0] == "name,digest,verdict,residual,tolerance"
+        assert not any("Error" in line for line in csv_lines)
 
 
 def test_readme_cli_lines_parse():

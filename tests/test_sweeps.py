@@ -115,7 +115,7 @@ def test_area_formula_matches_the_level_sweep():
              if kind == 2 else np.full(n, rng.standard_normal()))
         report = area_formula_check(curve, h)
         assert report.rhs == _area_rhs_oracle(h, np.ones(n)), case
-        assert report.context == {"levels": len(np.unique(h))}
+        assert report.context == {"levels": len(np.unique(h)), "bookkeeping": True}
         theta = rng.uniform(0.0, 3.0, n)
         weighted = area_formula_check(curve, h, theta)
         want = _area_rhs_oracle(h, theta)
