@@ -59,7 +59,8 @@ class SampledCurve:
 
     def is_simple(self) -> bool:
         """Exact sample injectivity."""
-        return len(np.unique(self.samples)) == len(self.samples)
+        s = np.sort(self.samples)
+        return not np.any(s[1:] == s[:-1])
 
     def arc_coordinates(self) -> np.ndarray:
         """Cumulative chord lengths, starting at 0."""

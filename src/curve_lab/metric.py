@@ -248,9 +248,11 @@ class MetricSpace:
                 raise InputError("coordinates contain non-finite entries")
             # Euclidean distances satisfy the axioms automatically except
             # positivity, which fails for duplicated points.
-            _, first_idx = np.unique(coords, axis=0, return_index=True)
-            if len(first_idx) != len(coords):
-                dup = len(coords) - len(first_idx)
+            # Sorted rows put equal points (0.0 == -0.0) next to each other;
+            # points with no coordinates are all equal.
+            rows = coords[np.lexsort(coords.T)] if coords.shape[1] else coords
+            dup = int(np.count_nonzero(np.all(rows[1:] == rows[:-1], axis=1)))
+            if dup:
                 raise InputError(f"{dup} duplicated point(s) in Euclidean embedding (zero distance at i != j)")
             coords.setflags(write=False)
             self._dmat = None

@@ -187,7 +187,8 @@ def continuous_representative(values: Sequence[float],
     included) lies at least epsilon away; a replacement is seen by the
     samples after it.  A sample whose window holds no earlier replacement
     is judged by one whole-array pass per epsilon, so only the ``window``
-    samples after each replacement are looked at one by one.
+    samples after each replacement are looked at one by one, in Python
+    floats: the same IEEE operations as numpy's, without its per-call cost.
     """
     v = np.array(values, dtype=float)
     if not np.all(np.isfinite(v)):
@@ -197,29 +198,39 @@ def continuous_representative(values: Sequence[float],
         raise ScheduleError(f"epsilon schedule must be nonempty, positive and finite: {sched}")
     if any(b >= a for a, b in zip(sched[:-1], sched[1:])):
         raise ScheduleError(f"epsilon schedule must be strictly decreasing: {sched}")
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
+        raise ScheduleError(f"window must be an integer, got {window!r}")
+    window = int(window)
     if window < 3:
         raise ScheduleError(f"window must span at least 3 samples, got {window}")
     if len(v) < window:
         raise ScheduleError(f"trace of {len(v)} samples is shorter than window {window}")
     n = len(v)
     modified = np.zeros(n, dtype=bool)
+    vals = v.tolist()  # v as Python floats, kept equal to v
     for eps in sched:
-        hits = np.flatnonzero(_deviants(v, eps, window))
+        hits = np.flatnonzero(_deviants(v, eps, window)).tolist()
         stale = -1  # windows up to here hold a replacement made in this sweep
-        i = 0
+        i = k = 0
         while i < n:
             if i > stale:
-                k = int(np.searchsorted(hits, i))
+                while k < len(hits) and hits[k] < i:
+                    k += 1
                 if k == len(hits):
                     break
-                i = int(hits[k])
+                i = hits[k]
             lo, hi = max(0, i - window), min(n, i + window + 1)
-            nbhd = v[lo:hi]
-            close = np.abs(nbhd - v[i]) < eps
+            vi = vals[i]
+            far = [x for x in vals[lo:hi] if not abs(x - vi) < eps]
             # Majority cluster of the window disagrees with v[i]: replace.
-            far = ~close
-            if np.sum(far) > len(nbhd) / 2.0:
-                v[i] = float(np.median(nbhd[far]))
+            if len(far) > (hi - lo) / 2.0:
+                # np.median's value: the middle element or the mean of the
+                # two, each summed onto 0.0 (so a -0.0 median is 0.0).
+                far.sort()
+                m = len(far) // 2
+                v[i] = vals[i] = 0.0 + far[m] if len(far) % 2 else (0.0 + far[m - 1] + far[m]) / 2.0
+                if math.isinf(vals[i]):
+                    raise InputError(f"trace values too large: the median replacing sample {i} overflows")
                 modified[i] = True
                 stale = i + window
             i += 1

@@ -205,6 +205,18 @@ class TestChordArcProfile:
         with pytest.raises(InputError):
             chord_arc_profile(curve)
 
+    def test_is_simple_matches_unique(self):
+        space = line_space(np.arange(30.0))
+        rng = np.random.default_rng(5)
+        for case in range(300):
+            ids = rng.integers(0, 30, int(rng.integers(2, 25)))
+            if case % 3 == 0:
+                ids[-1] = ids[0]  # repeat in the first and last positions
+            elif case % 3 == 1:
+                ids = rng.permutation(30)[:len(ids)]
+            curve = SampledCurve(space, np.arange(len(ids)), ids)
+            assert curve.is_simple() == (len(np.unique(ids)) == len(ids)), case
+
     def test_zero_span_rejected(self):
         # Samples 0 and 2 are distinct points 1e-200 apart, at distance 0.
         space = MetricSpace.from_points([[0.0, 0.0], [1.0, 1.0], [1e-200, 0.0]])

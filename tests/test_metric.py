@@ -178,6 +178,33 @@ class TestMetricSpaceConstruction:
         with pytest.raises(InputError):
             MetricSpace.from_points([[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("coords, dup", [
+        ([[1.0], [2.0], [1.0]], 1),
+        ([[0, 1], [-0.0, 1], [2, 3]], 1),
+        ([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]], 2),
+        ([[5, 5, 5], [1, 2, 3], [5, 5, 5], [5, 5, 5]], 2),
+        ([[1, 2, 3], [1, 2, 4], [1, 3, 3], [2, 2, 3], [1, 2, 3]], 1),
+        ([[], []], 1),
+    ])
+    def test_duplicate_count(self, coords, dup):
+        """Duplicates in the first and last rows, a triple, and signed zeros:
+        the count is n minus the number of distinct points."""
+        with pytest.raises(InputError, match=rf"^{dup} duplicated point\(s\) in Euclidean embedding"):
+            MetricSpace.from_points(coords)
+
+    def test_duplicate_count_matches_unique_rows(self):
+        rng = np.random.default_rng(12)
+        for case in range(300):
+            dim = int(rng.integers(1, 4))
+            coords = rng.integers(-2, 3, size=(int(rng.integers(1, 40)), dim)).astype(float)
+            coords[rng.random(coords.shape) < 0.2] *= -1.0  # some -0.0
+            dup = len(coords) - len(np.unique(coords, axis=0))
+            if dup:
+                with pytest.raises(InputError, match=rf"^{dup} duplicated"):
+                    MetricSpace.from_points(coords)
+            else:
+                assert MetricSpace.from_points(coords).n == len(coords), case
+
     def test_graph_shortest_path(self):
         # Path graph 0-1-2 with weights 1 and 2: d(0,2) = 3.
         space = MetricSpace.from_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])

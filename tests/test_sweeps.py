@@ -81,6 +81,73 @@ def test_recovery_matches_the_sequential_loop():
     assert min(counts.values()) >= 5, counts
 
 
+def _sweep_events(values, schedule, window):
+    """Replays the sequential loop and says whether some replacement took the
+    mean of two different middle values (a far cluster of even size), and
+    whether a replacement changed the verdict at the last sample of its sweep
+    (a cascade that runs off the end of the trace)."""
+    v = np.array(values, dtype=float)
+    n = len(v)
+    even = tail = False
+    for eps in schedule:
+        before = v.copy()
+        for i in range(n):
+            lo, hi = max(0, i - window), min(n, i + window + 1)
+            far = np.sort(v[lo:hi][~(np.abs(v[lo:hi] - v[i]) < eps)])
+            replace = len(far) > (hi - lo) / 2.0
+            if i == n - 1:
+                old = before[lo:hi]
+                tail |= bool(replace != (np.sum(~(np.abs(old - old[-1]) < eps)) > len(old) / 2.0))
+            if replace:
+                m = len(far) // 2
+                even |= len(far) % 2 == 0 and bool(far[m - 1] != far[m])
+                v[i] = float(np.median(far))
+    return even, tail
+
+
+def test_recovery_with_windows_up_to_11_matches_the_sequential_loop():
+    rng = np.random.default_rng(11)
+    counts = {"found": 0, "cascaded": 0, "even": 0, "tail": 0}
+    for case in range(200):
+        window = int(rng.integers(3, 12))
+        n = int(rng.integers(window, 301)) if case % 4 else window + case % 3
+        values = _trace(rng, n)
+        schedule = sorted(rng.choice([3.0, 1.0, 0.5, 0.2, 0.05], size=rng.integers(1, 4),
+                                     replace=False), reverse=True)
+        want, cascaded = _recover_oracle(values, schedule, window)
+        got = continuous_representative(values, schedule, window=window)
+        if want is None:
+            assert got is None, case
+            continue
+        assert got is not None, case
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1], case
+        even, tail = _sweep_events(values, schedule, window)
+        counts["found"] += 1
+        counts["cascaded"] += cascaded
+        counts["even"] += even
+        counts["tail"] += tail
+    assert min(counts.values()) >= 5, counts
+
+
+def test_recovery_gives_np_median_zero_signs():
+    """np.median returns 0.0 for a far cluster whose middle is -0.0; the
+    trace must match its oracle in every bit, signs of zeros included."""
+    rng = np.random.default_rng(8)
+    zero_medians = 0
+    for case in range(150):
+        window = int(rng.integers(3, 8))
+        values = rng.choice([-0.0, 0.0, -1.0, 1.0, 5.0], size=int(rng.integers(window, 60)))
+        want, _ = _recover_oracle(values, [0.5], window)
+        got = continuous_representative(values, [0.5], window=window)
+        if want is None:
+            assert got is None, case
+            continue
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], case
+        replaced = want[0].view(np.int64) != values.view(np.int64)
+        zero_medians += bool(np.any(replaced & (want[0] == 0)))
+    assert zero_medians >= 5, zero_medians
+
+
 def test_recovery_of_dense_deviants_matches_the_sequential_loop():
     values = np.sin(np.linspace(0.0, 3.0, 600))
     values[::3] = 5.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,26 @@ class TestContinuousRepresentative:
         for sched in ([np.nan], [np.inf, 0.5]):
             with pytest.raises(ScheduleError):
                 continuous_representative(values, sched)
+
+    @pytest.mark.parametrize("window", [3.5, 5.0, True, False, "5", None, np.float64(5)])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(ScheduleError, match=r"window must be an integer, got " + re.escape(repr(window))):
+            continuous_representative(np.linspace(0, 1, 50), [0.5], window=window)
+
+    def test_numpy_integer_window(self):
+        values = np.linspace(0, 1, 50)
+        values[20] = 5.0
+        want = continuous_representative(values, [0.5], window=4)
+        for window in (np.int64(4), np.int32(4), np.uint8(4)):
+            got = continuous_representative(values, [0.5], window=window)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_overflowing_median_is_an_input_error(self):
+        # Sample 4's far cluster has 1e308 and 1.7e308 in its middle, whose
+        # mean overflows: the call must not return an inf or NaN trace.
+        values = [1e308, 1.7e308, 1e308, 1.7e308, 0.0, 1e308, 1.7e308, 1e308, 1.7e308]
+        with pytest.raises(InputError, match="trace values too large: the median replacing sample 4 overflows"):
+            continuous_representative(values, [1.0], window=3)
 
 
 class TestACP:
