@@ -1,7 +1,6 @@
 """Lipschitz constants, McShane extension, and distance-probe families."""
 from __future__ import annotations
 
-import itertools
 import warnings
 from typing import NamedTuple
 
@@ -48,15 +47,14 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
 
 # -- exact pruning on coordinate spaces -----------------------------------------
 #
-# The quotient and the envelopes bound their chunk pairs from the box gaps of
-# metric._box_gaps; the bounds are inflated by a relative slack on top of the
-# gaps' deflation, for the rounding of the division and the products.
+# The quotient and the envelopes bound their chunk and sub-chunk pairs from the
+# box gaps of metric._box_gaps; a relative slack on top of the gaps' deflation
+# covers the rounding of the division, the sums and the products.
 
-# Queries per block of the McShane extension (internal).
-QUERY_BLOCK = 128
 _BOUND_RTOL = 1e-9
-# Points per sub-chunk of the quotient's refinement, and chunk pairs refined or
-# sub-pairs computed at a time: 2**14 distances keep a batch in cache (internal).
+# Points per sub-chunk of the quotient's refinement and of the envelopes, and
+# chunk pairs refined or sub-pairs computed at a time: 2**14 distances keep a
+# batch in cache (internal).
 SUB = 8
 _BATCH = 2 ** 14 // SUB ** 2
 
@@ -230,9 +228,9 @@ def mcshane_extend(sample: LipschitzSample, query: int, envelope: str = "upper")
 def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "upper") -> np.ndarray:
     """Vectorized McShane extension at many query ids (default: all points).
 
-    On coordinate spaces each block of queries skips the support chunks that
-    cannot hold any of its queries' minima (maxima for ``lower``); the
-    results keep their bits (:func:`_envelope_rows`)."""
+    On coordinate spaces the pairs of query and support sub-chunks that
+    cannot hold a query's minimum (maximum for ``lower``) are skipped; the
+    results keep their bits (:func:`_envelopes`)."""
     space = sample.space
     if queries is None:
         queries = np.arange(space.n)
@@ -243,56 +241,65 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
     vals = np.asarray(sample.values, dtype=float)
     L = sample.L
     signs = {"upper": (1.0,), "lower": (-1.0,), "average": (1.0, -1.0)}[envelope]
-    step, rows = BLOCK, {sign: itertools.repeat(None) for sign in signs}
     if (space.coords is not None and len(sup) > CHUNK
             and np.isfinite(np.max(np.abs(vals)) + L * _box_extent(space.coords, space.coords))):
-        step, chunks = QUERY_BLOCK, _chunks(space, sup)
-        rows = {sign: _envelope_rows(space, sup, vals, L, chunks, queries, sign) for sign in signs}
-    out = {sign: np.empty(len(queries)) for sign in signs}
-    for lo in range(0, len(queries), step):
-        q = queries[lo:lo + step]
-        every = None  # distances to the whole support, shared by the envelopes
-        for sign in signs:
-            r = next(rows[sign])
-            if r is None:
-                if every is None:
-                    # dists: (n_support, block of queries)
-                    every = L * space.dist_block(sup, q)
-                v, dists = vals[:, None], every
-            else:
-                v, dists = vals[r, None], L * space.dist_block(sup[r], q)
-            out[sign][lo:lo + step] = np.min(v + dists, axis=0) if sign > 0 else np.max(v - dists, axis=0)
+        out = dict(zip(signs, _envelopes(space, sup, vals, L, queries, signs)))
+    else:
+        out = {sign: np.empty(len(queries)) for sign in signs}
+        for lo in range(0, len(queries), BLOCK):
+            # dists: (n_support, block of queries), shared by the envelopes
+            dists = L * space.dist_block(sup, queries[lo:lo + BLOCK])
+            for sign in signs:
+                out[sign][lo:lo + BLOCK] = (np.min(vals[:, None] + dists, axis=0) if sign > 0
+                                            else np.max(vals[:, None] - dists, axis=0))
     if envelope == "average":
         return 0.5 * (out[1.0] + out[-1.0])
     return out[signs[0]]
 
 
-def _envelope_rows(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: float, chunks,
-                   queries: np.ndarray, sign: float):
-    """Yields, for each block of QUERY_BLOCK queries, the support rows that
-    may hold the upper envelope's minimum (sign +1) or the lower envelope's
-    maximum (sign -1) at one of its queries; None when no chunk of the
-    support can be skipped.
+def _envelopes(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: float,
+               queries: np.ndarray, signs) -> list[np.ndarray]:
+    """The upper envelope's minima (sign +1) or the lower envelope's maxima
+    (sign -1) at the queries, one array per sign, 4 * BLOCK queries at a time.
 
     In sign form every term is sign * v + L * d and both envelopes take a
-    minimum.  A chunk's terms are at least its smallest sign * v plus L times
-    the gap from the query to its box.  Each query first computes the terms
-    of its chunk of smallest bound; their minimum is a term, so a chunk whose
-    bound exceeds it for every query of the block cannot hold a minimum.
-    The bounds are computed for 8 blocks at a time."""
-    pos, lo, hi = chunks
-    w = sign * vals[pos]
-    wmin = w.min(axis=1)
-    for start in range(0, len(queries), 8 * QUERY_BLOCK):
-        q = queries[start:start + 8 * QUERY_BLOCK]
-        x = space.coords[q]
-        bound = wmin + L * _box_gaps(x[:, None], x[:, None], lo, hi)
-        first = np.argmin(bound, axis=1)
-        d = space.dist_block(q[:, None], sup[pos[first]])[:, 0, :]
-        best = np.min(w[first] + L * d, axis=1)
-        beat = bound <= (best + _BOUND_RTOL * np.abs(best))[:, None]
-        for keep in np.logical_or.reduceat(beat, np.arange(0, len(q), QUERY_BLOCK), axis=0):
-            yield None if keep.all() else np.flatnonzero(np.repeat(keep, CHUNK)[:len(sup)])
+    minimum.  The terms of a pair of SUB-point query and support sub-chunks
+    are at least the support sub-chunk's smallest sign * v plus L times the
+    gap between their boxes.  Each query sub-chunk first computes its pair
+    of smallest bound; the largest of its queries' minima there is at least
+    each of their answers, so a pair whose bound exceeds it cannot hold one.
+    The other pairs are computed in stacked batches of _BATCH pairs."""
+    spos, slo, shi = (x[:-(-len(sup) // SUB)] for x in _chunks(space, sup, SUB))
+    # Each sub-chunk's points down axis 0, so that the folds run over rows.
+    sids, v = sup[spos].T.copy(), vals[spos].T.copy()
+    out = [np.empty(len(queries)) for _ in signs]
+    for start in range(0, len(queries), 4 * BLOCK):
+        q = queries[start:start + 4 * BLOCK]
+        qpos, qlo, qhi = (x[:-(-len(q) // SUB)] for x in _chunks(space, q, SUB))
+        gaps = L * _box_gaps(qlo[:, None], qhi[:, None], slo, shi)
+        for sign, env in zip(signs, out):
+            op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
+
+            def terms(a, b):
+                # Each query's fold over support sub-chunk b, from distances
+                # (support sub-chunk, pairs, query sub-chunk).
+                d = space.dist_block(np.take(sids, b, axis=1)[:, :, None], q[qpos[a]])[:, :, 0]
+                d = op(np.take(v, b, axis=1)[:, :, None], np.multiply(L, d, out=d), out=d)
+                return fold.reduce(d, axis=0)
+
+            bound = (sign * v).min(axis=0) + gaps
+            first = np.argmin(bound, axis=1)
+            seed = np.max(sign * terms(np.arange(len(first)), first), axis=1)
+            # The seed's pair survives, as its bound is at most its terms.  The
+            # pairs come in support order, so that of tied terms (0.0 and
+            # -0.0) the fold keeps the last, as the full scan does.
+            rows, cols = np.nonzero(bound <= (seed + _BOUND_RTOL * np.abs(seed))[:, None])
+            found = np.empty((len(rows), SUB))
+            for k in range(0, len(rows), _BATCH):
+                found[k:k + _BATCH] = terms(rows[k:k + _BATCH], cols[k:k + _BATCH])
+            best = fold.reduceat(found, np.flatnonzero(np.diff(rows, prepend=-1)))
+            env[start:start + len(q)] = best.reshape(-1)[:len(q)]
+    return out
 
 
 class ProbeFamily(NamedTuple):
@@ -341,6 +348,8 @@ def speed_via_probes(curve: SampledCurve, probes: ProbeFamily, t: float, window:
                      side: str = "both") -> float:
     """Supremum over probes of the absolute difference quotient of the
     post-composition at t, with the same window convention as metric_speed."""
+    if not probes.space.same_as(curve.space):
+        raise InputError("probe family and curve live on different spaces")
     i1, i2 = _window_indices(curve, t, window, side)
     v1 = probes.values_at(int(curve.samples[i1]))
     v2 = probes.values_at(int(curve.samples[i2]))

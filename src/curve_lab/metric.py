@@ -31,14 +31,14 @@ TRIANGLE_BLOCK = 32
 # -- exact pruning on coordinate spaces -----------------------------------------
 #
 # The pruned kernels (the greedy net below, the Lipschitz quotient and the
-# McShane envelopes) split their ids, in order, into chunks of CHUNK points and
-# bound every distance between two chunks from below by the gap between their
-# bounding boxes.  A chunk pair whose bound cannot change a maximum, a minimum
-# or an admission is never passed to dist_block; the answer comes from the same
-# computed values, so it keeps its bits.  The gaps are deflated by a relative
-# slack, so that rounding in the bounds (the gap sums its squares
-# sequentially, the 8-D and wider distances pairwise) never prunes a pair the
-# full scan would have counted.
+# McShane envelopes) split their ids, in order, into chunks of CHUNK points (the
+# envelopes into sub-chunks of 8) and bound every distance between two chunks
+# from below by the gap between their bounding boxes.  A chunk pair whose bound
+# cannot change a maximum, a minimum or an admission is never passed to
+# dist_block; the answer comes from the same computed values, so it keeps its
+# bits.  The gaps are deflated by a relative slack, so that rounding in the
+# bounds (the gap sums its squares sequentially, the 8-D and wider distances
+# pairwise) never prunes a pair the full scan would have counted.
 
 # Points per chunk (internal).
 CHUNK = 32

@@ -244,10 +244,16 @@ def continuous_representative(values: Sequence[float],
 def _deviants(v: np.ndarray, eps: float, window: int) -> np.ndarray:
     """Mask of the samples whose window, in the trace as it stands, holds
     more than half its samples at least eps away: the samples a sweep
-    replaces unless a replacement before them changes their window."""
-    padded = np.concatenate([np.full(window, np.inf), v, np.full(window, np.inf)])
-    spans = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1)
-    close = np.count_nonzero(np.abs(spans - v[:, None]) < eps, axis=1)
+    replaces unless a replacement before them changes their window.
+
+    One pass per offset o compares the samples o apart and counts each
+    close pair at both ends; a sample meets itself under the same test, so
+    a non-finite one is not close to itself."""
+    close = (np.abs(v - v) < eps).astype(int)
+    for o in range(1, window + 1):
+        near = np.abs(v[o:] - v[:-o]) < eps
+        close[o:] += near
+        close[:-o] += near
     size = np.minimum(np.arange(len(v)), window) + np.minimum(np.arange(len(v))[::-1], window) + 1
     return 2 * close < size
 

@@ -503,18 +503,23 @@ def test_pruning_skips_most_of_a_sawtooth(monkeypatch):
     assert pruned < 0.4 * sum(entries), (pruned, sum(entries))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8])
-@pytest.mark.parametrize("n", PRUNE_SIZES)
-def test_pruned_mcshane_envelopes_match_reference(n, dim, monkeypatch):
-    skipped = []
-    original = lipschitz._envelope_rows
+@pytest.fixture
+def envelopes(monkeypatch):
+    """Records the query counts of the pruned envelope pass."""
+    calls = []
+    original = lipschitz._envelopes
 
     def recording(*args):
-        rows = original(*args)
-        skipped.append(rows is not None)
-        return rows
+        calls.append(len(args[4]))
+        return original(*args)
 
-    monkeypatch.setattr(lipschitz, "_envelope_rows", recording)
+    monkeypatch.setattr(lipschitz, "_envelopes", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", PRUNE_SIZES)
+def test_pruned_mcshane_envelopes_match_reference(n, dim, envelopes):
     space = MetricSpace.from_points(_helix(n, dim, seed=n))
     rng = np.random.default_rng(n * dim)
     wave = _sawtooth_columns(space)[:, 0]
@@ -535,8 +540,8 @@ def test_pruned_mcshane_envelopes_match_reference(n, dim, monkeypatch):
         assert np.array_equal(mcshane_extend_all(sample, queries, envelope="lower"), lower)
         assert np.array_equal(mcshane_extend_all(sample, queries, envelope="average"),
                               0.5 * (upper + lower))
-    if n == 2 * BLOCK + 3:
-        assert any(skipped)
+    # The pruned pass serves every call whose support exceeds one chunk.
+    assert len(envelopes) == (3 * 3 if len(support) > CHUNK else 0)
 
 
 @pytest.mark.parametrize("dim", [1, 8])
@@ -559,6 +564,106 @@ def test_pruned_mcshane_is_exact_where_bounds_are_tight(dim):
             for envelope, ref in (("upper", np.min(values[:, None] + d, axis=0)),
                                   ("lower", np.max(values[:, None] - d, axis=0))):
                 assert np.array_equal(mcshane_extend_all(sample, queries, envelope=envelope), ref)
+
+
+def _ref_envelopes(space, support, values, L, queries):
+    d = _rows(space, support, queries)
+    upper = np.min(values[:, None] + L * d, axis=0)
+    lower = np.max(values[:, None] - L * d, axis=0)
+    return {"upper": upper, "lower": lower, "average": 0.5 * (upper + lower)}
+
+
+def _assert_envelopes(space, support, values, L, queries):
+    sample = LipschitzSample(space, tuple(int(s) for s in support), tuple(float(v) for v in values), L)
+    for envelope, ref in _ref_envelopes(space, np.asarray(support), np.asarray(values), L, queries).items():
+        got = mcshane_extend_all(sample, queries, envelope=envelope)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), envelope
+
+
+SUB_EDGES = [SUB - 1, SUB + 1, CHUNK - 1, CHUNK + 1, 2 * BLOCK + 3]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("m", SUB_EDGES)
+def test_sub_chunk_envelopes_match_reference_at_edges(m, dim, envelopes):
+    # Support and query counts one off a sub-chunk, one off a chunk, and
+    # past two blocks, so that the last sub-chunk of each side is partly
+    # padding.
+    n = 2 * BLOCK + 3
+    space = MetricSpace.from_points(_helix(n, dim, seed=m))
+    rng = np.random.default_rng(m * dim)
+    support = np.sort(rng.choice(n, size=m, replace=False))
+    wave = _sawtooth_columns(space)[:, 0]
+    for values in (wave, np.linalg.norm(space.coords - space.coords[n // 3], axis=1), rng.standard_normal(n)):
+        L = lip_constant(support, values[support], space)
+        for k in SUB_EDGES:
+            _assert_envelopes(space, support, values[support], L, rng.choice(n, size=k))
+    assert len(envelopes) == (3 * 3 * len(SUB_EDGES) if m > CHUNK else 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_sub_chunk_envelopes_on_query_and_support_orders(dim, envelopes):
+    n = 2 * BLOCK + 3
+    space = MetricSpace.from_points(_helix(n, dim, seed=dim))
+    rng = np.random.default_rng(dim)
+    values = np.linalg.norm(space.coords - space.coords[n // 2], axis=1) + 0.1 * _sawtooth_columns(space)[:, 0]
+    # Curve order, a permutation, and duplicate ids with their values.
+    for support in (np.arange(0, n, 3), rng.permutation(n)[:200], np.repeat(np.arange(0, n, 4), 2)):
+        L = lip_constant(support, values[support], space)
+        sample = LipschitzSample(space, tuple(support.tolist()), tuple(values[support].tolist()), L)
+        everywhere = mcshane_extend_all(sample)
+        for queries in ([], [7], [7, 7, 7], np.repeat(np.arange(0, n, 5), 3), rng.permutation(n)):
+            _assert_envelopes(space, support, values[support], L, np.asarray(queries, dtype=int))
+            assert np.array_equal(mcshane_extend_all(sample, queries), everywhere[np.asarray(queries, dtype=int)])
+    assert len(envelopes) == 3 * (1 + 5 * 4) and 0 in envelopes
+
+
+def test_lower_envelope_of_exactly_zero_keeps_its_sign():
+    # On the support of a distance sample with L = 1, and everywhere for a
+    # zero sample, the lower envelope is v - L * d = 0.0 exactly: +0.0, not
+    # the -0.0 that negating the sign form -v + L * d would give.
+    n = 2 * BLOCK + 3
+    space = MetricSpace.from_points(_helix(n, 2))
+    support = np.arange(0, n, 2)
+    for values, L in ((np.zeros(len(support)), 0.0), (_rows(space, support, [n // 2])[:, 0], 1.0)):
+        sample = LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), L)
+        got = mcshane_extend_all(sample, envelope="lower")
+        ref = _ref_envelopes(space, support, values, L, np.arange(n))["lower"]
+        assert got.tobytes() == ref.tobytes()
+        assert np.count_nonzero(got == 0.0) >= (n if L == 0.0 else 1)
+        assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_sub_chunk_envelopes_keep_the_last_of_tied_zeros():
+    # v = |x - 15| on 15..23, sloping down elsewhere, and v(15) = -0.0: at
+    # the query 15 the lower envelope's terms tie at -0.0 (support 15, the
+    # last point of its sub-chunk) and +0.0 (support 16..23, the next
+    # sub-chunk, of lowest bound).  The full scan keeps the last of the
+    # ties in support order, +0.0; so must the sub-chunk folds.
+    x = np.arange(2 * CHUNK, dtype=float)
+    space = MetricSpace.from_points(x[:, None])
+    values = np.where(x <= 23, x - 15, 31 - x)
+    values[15] = -0.0
+    for support in (np.arange(len(x)), np.arange(len(x))[::-1]):
+        _assert_envelopes(space, support, values[support], 1.0, np.arange(len(x)))
+    sample = LipschitzSample(space, tuple(range(len(x))), tuple(values.tolist()), 1.0)
+    assert np.signbit(mcshane_extend_all(sample, [15], envelope="lower")) == [False]
+
+
+def test_envelope_pruning_skips_most_of_a_spiral(blocks, envelopes):
+    # A half-support sample of x -> |x - c| on a three-turn spiral of 1000
+    # points, as in the benchmark's check_contraction.
+    t = np.linspace(0.0, 1.0, 1000)
+    xy = (0.2 + t)[:, None] * np.column_stack([np.cos(6 * np.pi * t), np.sin(6 * np.pi * t)])
+    space = MetricSpace.from_points(xy)
+    support = np.arange(0, 1000, 2)
+    values = np.linalg.norm(xy[support] - [0.3, -0.1], axis=1)
+    sample = LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), 1.0)
+    blocks.clear()
+    got = mcshane_extend_all(sample)
+    assert np.array_equal(got, _ref_envelopes(space, support, values, 1.0, np.arange(1000))["upper"])
+    computed = sum(int(np.prod(shape)) for shape in blocks)
+    assert envelopes == [1000] and computed < 0.3 * len(support) * 1000, computed
 
 
 # -- box-pruned greedy net ---------------------------------------------------------------

@@ -187,6 +187,20 @@ class TestSpeedViaProbes:
             assert ps <= ms * (1 + 1e-9)
             assert ps == pytest.approx(ms, rel=0.05)
 
+    def test_probes_from_another_space_are_rejected(self):
+        # A smaller space once gave a bare IndexError; one of the same size
+        # a wrong speed from the other space's distances.
+        rng = np.random.default_rng(5)
+        coords = rng.normal(size=(40, 2))
+        curve = euclidean_curve(coords, np.linspace(0.0, 1.0, 40))
+        for other in (coords[:10], rng.normal(size=(40, 2))):
+            family = probe_family(euclidean_curve(other, np.linspace(0.0, 1.0, len(other))), 8)
+            with pytest.raises(InputError, match="probe family and curve live on different spaces"):
+                speed_via_probes(curve, family, 0.5, 0.1)
+        # A family built on an equal copy of the space is the same family.
+        copy = probe_family(euclidean_curve(coords.copy(), np.linspace(0.0, 1.0, 40)), 8)
+        assert speed_via_probes(curve, copy, 0.5, 0.1) == speed_via_probes(curve, probe_family(curve, 8), 0.5, 0.1)
+
 
 class TestLocalLipEstimate:
     def test_distance_function_slope_one(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from curve_lab import (InputError, area_formula_check, continuous_representative,
-                       discontinuity_measure, triangle_wave)
+                       discontinuity_measure, triangle_wave, verify)
 from conftest import euclidean_curve
 
 
@@ -154,6 +154,35 @@ def test_recovery_of_dense_deviants_matches_the_sequential_loop():
     want, _ = _recover_oracle(values, (1.0, 0.5), 5)
     got = continuous_representative(values, (1.0, 0.5), window=5)
     assert np.array_equal(got[0], want[0]) and got[1] == want[1] == pytest.approx(1 / 3)
+
+
+def _deviants_oracle(v, eps, window):
+    """The sliding-view formula: each sample against its window padded with
+    inf at the trace ends."""
+    padded = np.concatenate([np.full(window, np.inf), v, np.full(window, np.inf)])
+    spans = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1)
+    close = np.count_nonzero(np.abs(spans - v[:, None]) < eps, axis=1)
+    size = np.minimum(np.arange(len(v)), window) + np.minimum(np.arange(len(v))[::-1], window) + 1
+    return 2 * close < size
+
+
+def test_deviants_match_the_sliding_view():
+    rng = np.random.default_rng(13)
+    for case in range(400):
+        window = int(rng.integers(3, 12))
+        # Traces shorter than a window, as long as one, and longer, so that
+        # both ends cut windows short.
+        n = int(rng.choice([1, 2, window - 1, window, window + 1, 2 * window + 1, 2 * window + 2, 60]))
+        v = rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0, 3.0], size=n) + rng.choice([0.0, 1e-9], size=n)
+        if case % 4 == 0:
+            v = rng.standard_normal(n)
+        if case % 5 == 0:
+            v[rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
+        for eps in (0.25, 0.5, 1.0, 2.0 ** -30):
+            with np.errstate(invalid="ignore"):
+                want = _deviants_oracle(v, eps, window)
+                got = verify._deviants(v, eps, window)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (case, n, window, eps, v)
 
 
 def _area_rhs_oracle(h, theta):
