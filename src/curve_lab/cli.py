@@ -78,10 +78,14 @@ def _load_values(path: str) -> np.ndarray:
     text = _read_text(path, "values").strip()
     try:
         if text.startswith("["):
-            values = np.asarray(json.loads(text), dtype=float)
+            values = json.loads(text)
+            # float() reads "0.5" and true as numbers; the JSON format does not.
+            if any(isinstance(v, (str, bool)) for v in values):
+                raise InputError(f"values file {path} must hold numbers, not strings or booleans")
+            values = np.asarray(values, dtype=float)
         else:
             values = np.asarray([float(line) for line in text.splitlines() if line.strip()])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"values file {path} must be a JSON array or one float per line") from exc
     if values.ndim != 1:
         raise InputError(f"values file {path} must hold one list of numbers, got shape {values.shape}")
@@ -128,19 +132,15 @@ def _by_construction(space, kind: str) -> bool:
     paths are then a metric.  Euclidean distances are too, unless rounding
     breaks them: a squared difference that under- or overflows can put
     distinct points at distance 0 or inf, or skew a triangle by more than the
-    slack.  Distances whose squares are normal floats rule that out."""
-    from .metric import BLOCK
+    slack.  Distances whose squares are normal floats rule that out: under a
+    finite box extent none overflows, and every point joins the greedy net at
+    the root of the smallest normal iff no two lie closer than that."""
+    from .metric import _box_extent, maximal_separated_net
     if kind == "graph":
         return True
-    ids = np.arange(space.n)
     smallest = np.sqrt(np.finfo(float).tiny)
-    for lo in range(0, space.n, BLOCK):
-        rows = ids[lo:lo + BLOCK]
-        d = space.dist_block(rows, ids)
-        d[np.arange(len(rows)), rows] = smallest
-        if not np.all((d >= smallest) & (d < np.inf)):
-            return False
-    return True
+    return bool(np.isfinite(_box_extent(space.coords, space.coords))
+                and len(maximal_separated_net(space, range(space.n), smallest).members) == space.n)
 
 
 def _cmd_validate_metric(args):
@@ -214,12 +214,12 @@ def _cmd_extend(args):
 
 def _cmd_probes(args):
     from .lipschitz import probe_family, speed_via_probes
+    if (args.t is None) != (args.window is None):
+        raise InputError("probes --t needs --window" if args.window is None else "probes --window needs --t")
     curve = _load_curve(args.curve, args.space)
     family = probe_family(curve, args.n)
     payload = {"centers": [int(c) for c in family.centers]}
     if args.t is not None:
-        if args.window is None:
-            raise InputError("probes --t needs --window")
         payload["speed"] = speed_via_probes(curve, family, args.t, args.window,
                                             side=args.side)
     return payload, 0

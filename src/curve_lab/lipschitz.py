@@ -8,7 +8,7 @@ import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import BLOCK, CHUNK, MetricSpace, _box_extent, _box_gaps, _chunks
+from .metric import BLOCK, CHUNK, MetricSpace, _box_extent, _box_gaps, _chunks, _number
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -206,11 +206,11 @@ class LipschitzSample:
             raise InputError("Lipschitz sample must be a JSON object")
         try:
             support = tuple(space.check_id(i) for i in doc["support"])
-            values = tuple(float(v) for v in doc["values"])
-            L = float(doc["L"])
+            values = tuple(_number(v, "Lipschitz sample value") for v in doc["values"])
+            L = _number(doc["L"], "Lipschitz sample L")
         except KeyError as exc:
             raise InputError(f"Lipschitz sample has no {exc.args[0]!r} key") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"Lipschitz sample entries must be numbers: {exc}") from None
         return cls(space=space, support=support, values=values, L=L)
 

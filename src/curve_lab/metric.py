@@ -38,7 +38,10 @@ TRIANGLE_BLOCK = 32
 # dist_block; the answer comes from the same computed values, so it keeps its
 # bits.  The gaps are deflated by a relative slack, so that rounding in the
 # bounds (the gap sums its squares sequentially, the 8-D and wider distances
-# pairwise) never prunes a pair the full scan would have counted.
+# pairwise) never prunes a pair the full scan would have counted.  The net is
+# one scan for every space: on matrix and graph spaces, and where boxes cannot
+# bound, its boxes span the line and prune nothing.  The quotient and the
+# envelopes keep a dense scan there.
 
 # Points per chunk (internal).
 CHUNK = 32
@@ -90,19 +93,36 @@ class ValidationReport(NamedTuple):
         return [v for v in self.violations if v.axiom == axiom]
 
 
+# float() and numpy read "1" and true as numbers; the JSON formats do not.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 def _point_id(i) -> int:
-    """``int(i)`` of a point id; a bool, or a float that is not an integer,
-    is an input error rather than a truncated id."""
-    if isinstance(i, (bool, np.bool_)) or (isinstance(i, (float, np.floating))
-                                           and not float(i).is_integer()):
-        raise InputError(f"point id {i} is not an integer")
+    """``int(i)`` of a point id; a string, a bool, or a float that is not an
+    integer is an input error rather than a truncated id."""
+    if isinstance(i, _NOT_NUMBERS) or (isinstance(i, (float, np.floating))
+                                       and not float(i).is_integer()):
+        raise InputError(f"point id {i!r} is not an integer" if isinstance(i, str)
+                         else f"point id {i} is not an integer")
     return int(i)
 
 
+def _number(x, what: str) -> float:
+    """``float(x)`` of a number; a string or a bool is an input error."""
+    if isinstance(x, _NOT_NUMBERS):
+        raise InputError(f"{what} {x!r} is not a number")
+    return float(x)
+
+
 def _float_array(data, what: str) -> np.ndarray:
+    """``data`` as a float array; a string or a bool in it is an input error."""
     try:
-        return np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+        leaves = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=object)
+        types = set(map(type, leaves.flat)) if leaves.dtype.kind in "bOSU" else ()
+        if any(issubclass(t, _NOT_NUMBERS) for t in types):
+            raise InputError(f"{what} must hold numbers, not strings or booleans")
+        return np.asarray(leaves, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be a numeric array: {exc}") from exc
 
 
@@ -285,7 +305,7 @@ class MetricSpace:
         for e in edges:
             try:
                 i, j, weight = e
-                i, j, weight = _point_id(i), _point_id(j), float(weight)
+                i, j, weight = _point_id(i), _point_id(j), _number(weight, "weight")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"graph edge {e!r} must be [i, j, weight]") from exc
             except InputError as exc:
@@ -435,50 +455,29 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
 
     The result is epsilon-separated and maximal over the candidate set; the
     greedy order makes it deterministic and idempotent on its own output.
-    On coordinate spaces a candidate meets only the members whose chunk box
-    lies within epsilon of its own (:func:`_pruned_net`), with the same
-    result.
+
+    The scan takes the candidates one chunk at a time, with the chunks'
+    boxes (:func:`_chunks`).  A member in a chunk whose box gap to the
+    candidates' chunk is at least epsilon lies at a computed distance of at
+    least epsilon from each of them, so it rejects none, and only the other
+    members are passed to dist_block.  A chunk whose candidates lie at least
+    epsilon apart admits every candidate that no earlier member rejects, all
+    at once; otherwise its candidates are admitted one by one, on the
+    outcomes of the same comparisons with epsilon.  Matrix and graph spaces,
+    a single chunk, and coordinates whose box extent overflows get boxes
+    that span the line: every gap is 0, so every member is passed.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     candidates = space.check_ids(candidates)
-    if not len(candidates):
-        raise InputError("candidate list is empty")
-    if space.coords is not None and len(candidates) > CHUNK:
-        _, lo, hi = _chunks(space, candidates)
-        if np.isfinite(_box_extent(lo, hi)):
-            members = _pruned_net(space, candidates, epsilon, lo, hi)
-            return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members))
-    candidates = candidates.tolist()
-    members: list[int] = []
-    for lo in range(0, len(candidates), BLOCK):
-        block = candidates[lo:lo + BLOCK]
-        # Nearest admitted point per candidate, first from earlier blocks,
-        # then updated as this block admits its own members in order.
-        nearest = np.full(len(block), np.inf)
-        if members:
-            nearest = np.min(space.dist_block(block, members), axis=1)
-        within = space.dist_block(block, block)
-        for k, c in enumerate(block):
-            if nearest[k] >= epsilon:
-                members.append(c)
-                np.minimum(nearest, within[k], out=nearest)
-    return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members))
-
-
-def _pruned_net(space: MetricSpace, candidates: np.ndarray, epsilon: float, lo: np.ndarray,
-                hi: np.ndarray) -> list[int]:
-    """The greedy net of :func:`maximal_separated_net`, one chunk of
-    candidates at a time, given the chunks' boxes (:func:`_chunks`).
-
-    A member in a chunk whose box gap to the candidates' chunk is at least
-    epsilon lies at a computed distance of at least epsilon from each of
-    them, so it rejects none, and only the other members are passed to
-    dist_block.  A chunk whose candidates lie at least epsilon apart admits
-    every candidate that no earlier member rejects, all at once; otherwise
-    its candidates are admitted one by one, as in the full scan, on the
-    outcomes of the same comparisons with epsilon."""
     m = len(candidates)
+    if not m:
+        raise InputError("candidate list is empty")
+    lo, hi = np.full((-(-m // CHUNK), 1), -np.inf), np.full((-(-m // CHUNK), 1), np.inf)
+    if space.coords is not None and m > CHUNK:
+        _, box_lo, box_hi = _chunks(space, candidates)
+        if np.isfinite(_box_extent(box_lo, box_hi)):
+            lo, hi = box_lo, box_hi
     members = np.empty(m, dtype=int)
     owner = np.empty(m, dtype=int)  # the chunk of each member
     count = 0
@@ -512,7 +511,7 @@ def _pruned_net(space: MetricSpace, candidates: np.ndarray, epsilon: float, lo: 
         members[count:count + len(admitted)] = admitted
         owner[count:count + len(admitted)] = r
         count += len(admitted)
-    return members[:count].tolist()
+    return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members[:count].tolist()))
 
 
 def metric_projection(space: MetricSpace, x: int, target) -> int:

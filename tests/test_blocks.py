@@ -12,7 +12,7 @@ import pytest
 from curve_lab import (InconsistentDataError, InputError, LipschitzSample, MetricSpace, SampledCurve,
                        hausdorff1_content, lip_constant, maximal_separated_net,
                        mcshane_extend_all, sawtooth_witness, triangle_wave)
-from curve_lab import lipschitz, metric, witnesses
+from curve_lab import lipschitz, witnesses
 from curve_lab.lipschitz import SUB
 from curve_lab.metric import BLOCK, CHUNK
 from conftest import euclidean_curve, line_space
@@ -28,6 +28,15 @@ def _points(n, dim=2, seed=0):
 def _spaces(n):
     coords = MetricSpace.from_points(_points(n))
     return [coords, MetricSpace.from_matrix(coords.submatrix(range(n)))]
+
+
+@lru_cache(maxsize=None)
+def _graph(n):
+    """A path with random weights and a few chords of weight 0.05."""
+    rng = np.random.default_rng(n)
+    edges = [(i, i + 1, w) for i, w in enumerate(rng.uniform(0.001, 0.02, n - 1))]
+    edges += [(i, j, 0.05) for i, j in rng.integers(0, n, (n // 4, 2)) if i != j]
+    return MetricSpace.from_graph(n, edges)
 
 
 def _rows(space, ids_a, ids_b):
@@ -147,33 +156,18 @@ def test_mcshane_envelopes_match_reference(n):
 @pytest.mark.parametrize("eps", [0.01, 0.08, 0.5, 10.0])
 def test_maximal_separated_net_matches_reference(n, eps):
     rng = np.random.default_rng(n)
-    for space in _spaces(n):
+    for space in _spaces(n) + [_graph(n)]:
         candidates = rng.permutation(np.concatenate([np.arange(n), np.arange(0, n, 2)]))
         net = maximal_separated_net(space, candidates, eps)
         assert net.members == _ref_net(space, candidates, eps)
 
 
-@pytest.fixture
-def pruned_nets(monkeypatch):
-    """Records the calls of the box-pruned net."""
-    calls = []
-    original = metric._pruned_net
-
-    def recording(*args):
-        calls.append(len(args[1]))
-        return original(*args)
-
-    monkeypatch.setattr(metric, "_pruned_net", recording)
-    return calls
-
-
 @pytest.mark.parametrize("eps", [1.0, 2.0, 3.0])
-def test_net_admits_at_exactly_epsilon(eps, pruned_nets):
+def test_net_admits_at_exactly_epsilon(eps):
     n = 2 * BLOCK + 3
     space = line_space(range(n))
     net = maximal_separated_net(space, range(n), eps)
     assert net.members == tuple(range(0, n, int(eps))) == _ref_net(space, range(n), eps)
-    assert pruned_nets == [n]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -673,7 +667,7 @@ NET_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * BLOCK + 3]
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 @pytest.mark.parametrize("n", NET_SIZES)
-def test_pruned_net_matches_reference(n, dim, pruned_nets):
+def test_pruned_net_matches_reference(n, dim):
     space = MetricSpace.from_points(_helix(n, dim, seed=n))
     rng = np.random.default_rng(n + dim)
     step = float(np.median(space.pair_distances(np.arange(n - 1), np.arange(1, n))))
@@ -687,11 +681,9 @@ def test_pruned_net_matches_reference(n, dim, pruned_nets):
         for candidates in (curve, repeated, shuffled):
             assert maximal_separated_net(space, candidates, eps).members == _ref_net(space, candidates, eps)
             assert hausdorff1_content(space, candidates, 2.0 * eps) == _ref_content(space, candidates, 2.0 * eps)
-    assert len(repeated) in pruned_nets
-    assert (n in pruned_nets) == (n > CHUNK)
 
 
-def test_pruned_net_is_exact_on_collinear_points_in_8d(pruned_nets):
+def test_pruned_net_is_exact_on_collinear_points_in_8d():
     # Steps within a chunk are longer than steps across chunk edges, so a
     # chunk's first candidate is rejected iff the previous chunk's last lies
     # closer than epsilon.  epsilon is the box gap of one edge, its 8 squares
@@ -712,19 +704,19 @@ def test_pruned_net_is_exact_on_collinear_points_in_8d(pruned_nets):
                 acc = acc + g * g
             eps = float(np.sqrt(acc))
             assert maximal_separated_net(space, range(n), eps).members == _ref_net(space, range(n), eps)
-    assert len(pruned_nets) == 10 * len(edges)
 
 
-def test_net_falls_back_when_the_box_extent_overflows(pruned_nets):
+def test_net_falls_back_when_the_box_extent_overflows():
+    # The boxes then prune nothing, and distances that overflow to inf
+    # count as far.
     n = 2 * BLOCK + 3
     space = MetricSpace.from_points(1e200 * _helix(n, 2))
     with np.errstate(over="ignore"):
         for eps in (1e190, 1e300):
             assert maximal_separated_net(space, range(n), eps).members == _ref_net(space, range(n), eps)
-    assert pruned_nets == []
 
 
-def test_pruned_net_at_a_large_epsilon(pruned_nets):
+def test_pruned_net_at_a_large_epsilon():
     # An epsilon beyond every box gap prunes nothing; one beyond the whole
     # set admits the first candidate alone.
     n = 2 * BLOCK + 3
@@ -732,10 +724,9 @@ def test_pruned_net_at_a_large_epsilon(pruned_nets):
     for eps in (0.8, 10.0):
         assert maximal_separated_net(space, range(n), eps).members == _ref_net(space, range(n), eps)
     assert maximal_separated_net(space, range(n), 10.0).members == (0,)
-    assert pruned_nets == [n, n, n]
 
 
-def test_net_pruning_skips_most_of_a_spiral(monkeypatch, pruned_nets):
+def test_net_pruning_skips_most_of_a_spiral(monkeypatch):
     n, eps = 1000, 0.005
     space = MetricSpace.from_points(_helix(n, 2))
     entries = []
@@ -748,11 +739,11 @@ def test_net_pruning_skips_most_of_a_spiral(monkeypatch, pruned_nets):
 
     monkeypatch.setattr(MetricSpace, "dist_block", counting)
     members = maximal_separated_net(space, range(n), eps).members
-    assert pruned_nets == [n] and members == _ref_net(space, range(n), eps)
-    # The full scan passes each block of BLOCK candidates with the members
-    # admitted before it and with itself.
-    full = sum(min(BLOCK, n - lo) * (np.searchsorted(members, lo) + min(BLOCK, n - lo))
-               for lo in range(0, n, BLOCK))
+    assert members == _ref_net(space, range(n), eps)
+    # Unpruned, the scan passes each chunk of CHUNK candidates with the
+    # members admitted before it and with itself.
+    full = sum(min(CHUNK, n - lo) * (np.searchsorted(members, lo) + min(CHUNK, n - lo))
+               for lo in range(0, n, CHUNK))
     assert sum(entries) < 0.3 * full, (sum(entries), full)
 
 

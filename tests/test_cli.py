@@ -127,10 +127,25 @@ def test_validate_metric(tmp_path, capsys):
 
     # Euclidean and graph spaces are metrics once they load; distinct points
     # whose distance rounds to 0 or overflows are still reported.
-    cases = (({"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}, 0, set()),
+    cases = [({"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}, 0, set()),
              ({"kind": "graph", "n": 3, "data": [[0, 1, 1.0], [1, 2, 2.0]]}, 0, set()),
              ({"kind": "euclidean", "data": [[0, 0], [1e-200, 0], [1, 1]]}, 1, {"positivity"}),
-             ({"kind": "euclidean", "data": [[0, 0], [1e200, 0]]}, 2, None))
+             ({"kind": "euclidean", "data": [[0, 0], [1e200, 0]]}, 2, None)]
+    # The same edges among spiral points, across chunk edges of the net.
+    t = np.linspace(0.0, 1.0, 100)
+    spiral = (0.2 + t)[:, None] * np.column_stack([np.cos(6 * np.pi * t), np.sin(6 * np.pi * t)])
+    for i, j in [(31, 32), (63, 64), (0, 99)]:
+        pts = spiral.copy()
+        pts[[i, j]] = [[0.0, 0.0], [1e-200, 0.0]]
+        cases.append(({"kind": "euclidean", "data": pts.tolist()}, 1, {"positivity"}))
+    # Points the square root of the smallest normal apart pass the net; half
+    # that passes the full table, whose distance is subnormal but positive.
+    root = float(np.sqrt(np.finfo(float).tiny))
+    a = 1.1e154  # the box extent overflows, no distance does
+    cases += [({"kind": "euclidean", "data": [[0, 0], [root, 0], [1, 1]]}, 0, set()),
+              ({"kind": "euclidean", "data": [[0, 0], [root / 2, 0], [1, 1]]}, 0, set()),
+              ({"kind": "euclidean", "data": (1e150 * spiral[:40]).tolist()}, 0, set()),
+              ({"kind": "euclidean", "data": [[a, a / 2], [0, 0], [a / 2, a]]}, 0, set())]
     for doc, code, axioms in cases:
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -183,6 +198,8 @@ def test_extend_and_probes(tmp_path, capsys):
     assert len(doc["centers"]) == 2
     assert main(["probes", "--curve", str(seg), "--n", "2", "--t", "0.5"]) == 2
     assert capsys.readouterr().err == "error: probes --t needs --window\n"
+    assert main(["probes", "--curve", str(seg), "--n", "2", "--window", "0.25"]) == 2
+    assert capsys.readouterr().err == "error: probes --window needs --t\n"
     assert_input_error(["probes", "--curve", str(seg), "--n", "2", "--t", "0.5",
                         "--window", "nan"], capsys)
 
@@ -211,6 +228,41 @@ def test_integral_float_ids_still_load(tmp_path, capsys):
     capsys.readouterr()
     assert main(["extend", "--space", str(space), "--h", str(h), "--queries", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["values"] == [1.0]
+
+
+@pytest.mark.parametrize("role, doc", [
+    ("space", {"kind": "euclidean", "data": [["0", "0"], ["3", "4"], [True, 1]]}),
+    ("space", {"kind": "euclidean", "data": [[0, 0], [3, 4], [True, 1]]}),
+    ("space", {"kind": "euclidean", "data": [[0, 0], [3, "4"], [1, 1]]}),
+    ("space", {"kind": "matrix", "data": [[0, "1"], [1, 0]]}),
+    ("space", {"kind": "matrix", "data": [[0, True], [True, 0]]}),
+    ("space", {"kind": "graph", "n": 3, "data": [["0", 1, "2.5"], [1, 2, True]]}),
+    ("space", {"kind": "graph", "n": 3, "data": [["0", 1, 1.0], [1, 2, 2.0]]}),
+    ("space", {"kind": "graph", "n": 3, "data": [[0, 1, "2.5"], [1, 2, 2.0]]}),
+    ("space", {"kind": "graph", "n": 3, "data": [[0, 1, 1.0], [1, 2, True]]}),
+    ("sample", {"support": ["0", 1], "values": ["0.5", True], "L": "2"}),
+    ("sample", {"support": ["0", 1], "values": [0.5, 1.0], "L": 2}),
+    ("sample", {"support": [0, 1], "values": ["0.5", 1.0], "L": 2}),
+    ("sample", {"support": [0, 1], "values": [0.5, True], "L": 2}),
+    ("sample", {"support": [0, 1], "values": [0.5, 1.0], "L": "2"}),
+    ("trace", [True, 1, 2, 3, 4, 5]),
+    ("trace", [0, "1", 2, 3, 4, 5]),
+    # JSON writes 10**400 as an integer literal, which no float holds.
+    ("space", {"kind": "euclidean", "data": [[10**400, 0], [0, 0]]}),
+    ("sample", {"support": [0, 1], "values": [0.5, 1.0], "L": 10**400}),
+    ("trace", [0, 10**400, 0, 0, 0, 0]),
+])
+def test_json_number_fields_hold_json_numbers(tmp_path, capsys, role, doc):
+    # float() and numpy read "2.5" and true as numbers; the JSON formats take
+    # numbers only.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"kind": "euclidean", "data": [[0.0], [1.0], [2.0]]}))
+    argv = {"space": ["validate-metric", "--space", str(path)],
+            "sample": ["extend", "--space", str(line), "--h", str(path)],
+            "trace": ["recover", "--values", str(path), "--epsilons", "0.5"]}[role]
+    assert_input_error(argv, capsys)
 
 
 def test_validate_metric_fractional_graph_edge_exits_2(tmp_path, capsys):
