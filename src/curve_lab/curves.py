@@ -20,8 +20,9 @@ class SampledCurve:
     """A time-ordered sequence of sample points in a metric space."""
 
     def __init__(self, space: MetricSpace, times, samples):
-        times = np.asarray(times, dtype=float)
-        samples = np.asarray(samples, dtype=int)
+        # Copies, frozen below: the caller's arrays stay writable.
+        times = np.array(times, dtype=float)
+        samples = np.array(samples, dtype=int)
         if times.ndim != 1 or len(times) < 2:
             raise InputError("a curve needs at least two sample times")
         if len(times) != len(samples):

@@ -236,6 +236,40 @@ def space_document(doc) -> tuple[str, list, list | None, int]:
     return kind, data, labels, n
 
 
+def graph_edges(n: int, edges) -> dict[tuple[int, int], float]:
+    """The lightest weight of each edge ``[i, j, weight]`` of a graph on n
+    nodes, keyed ``(min(i, j), max(i, j))``.  A malformed edge, a weight that
+    is not positive and finite, and a disconnected graph are input errors."""
+    if n < 1:
+        raise InputError("graph needs at least one node")
+    best: dict[tuple[int, int], float] = {}
+    for e in edges:
+        try:
+            i, j, weight = e
+            i, j, weight = _point_id(i), _point_id(j), _number(weight, "weight")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"graph edge {e!r} must be [i, j, weight]") from exc
+        except InputError as exc:
+            raise InputError(f"graph edge {e!r}: {exc}") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputError(f"edge ({i},{j}) out of range for {n} nodes")
+        if weight <= 0 or not np.isfinite(weight):
+            raise InputError(f"edge ({i},{j}) has non-positive or non-finite weight {weight!r}")
+        key = (min(i, j), max(i, j))
+        best[key] = min(weight, best.get(key, np.inf))
+    # Union-find: each edge that joins two components leaves one fewer.
+    parent, components = list(range(n)), n
+    for i, j in best:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        parent[i], components = j, components - (i != j)
+    if components > 1:
+        raise InputError("graph is disconnected; shortest-path metric is not finite")
+    return best
+
+
 class MetricSpace:
     """An immutable finite metric space with O(1)-ish distance lookups.
 
@@ -256,8 +290,9 @@ class MetricSpace:
                 if not report.passed:
                     first = report.violations[0]
                     raise InputError(f"not a metric: {first.axiom} violated, witness {first.witness}: {first.detail}")
-            dmat.setflags(write=False)
-            self._dmat = dmat
+            # Frozen copies: the caller's array stays writable and cannot change the space.
+            self._dmat = dmat.copy()
+            self._dmat.setflags(write=False)
             self._coords = None
             self._n = dmat.shape[0]
         else:
@@ -274,9 +309,9 @@ class MetricSpace:
             dup = int(np.count_nonzero(np.all(rows[1:] == rows[:-1], axis=1)))
             if dup:
                 raise InputError(f"{dup} duplicated point(s) in Euclidean embedding (zero distance at i != j)")
-            coords.setflags(write=False)
             self._dmat = None
-            self._coords = coords
+            self._coords = coords.copy()
+            self._coords.setflags(write=False)
             self._n = coords.shape[0]
         self.source = source
         self.labels = list(labels) if labels is not None else None
@@ -295,33 +330,13 @@ class MetricSpace:
     def from_graph(cls, n: int, edges, labels=None) -> "MetricSpace":
         """Build a space from a weighted undirected edge list via all-pairs
         shortest paths, cached at load time."""
+        best = graph_edges(n, edges)
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import shortest_path
-
-        edges = list(edges)
-        if n < 1:
-            raise InputError("graph needs at least one node")
-        best: dict[tuple[int, int], float] = {}
-        for e in edges:
-            try:
-                i, j, weight = e
-                i, j, weight = _point_id(i), _point_id(j), _number(weight, "weight")
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"graph edge {e!r} must be [i, j, weight]") from exc
-            except InputError as exc:
-                raise InputError(f"graph edge {e!r}: {exc}") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"edge ({i},{j}) out of range for {n} nodes")
-            if weight <= 0 or not np.isfinite(weight):
-                raise InputError(f"edge ({i},{j}) has non-positive or non-finite weight {weight!r}")
-            key = (min(i, j), max(i, j))
-            best[key] = min(weight, best.get(key, np.inf))
-        rows = [k[0] for k in best]
-        cols = [k[1] for k in best]
-        w = list(best.values())
-        graph = coo_matrix((w, (rows, cols)), shape=(n, n)).tocsr()
+        rows, cols = [k[0] for k in best], [k[1] for k in best]
+        graph = coo_matrix((list(best.values()), (rows, cols)), shape=(n, n)).tocsr()
         dmat = shortest_path(graph, directed=False)
-        if not np.all(np.isfinite(dmat)):
+        if not np.all(np.isfinite(dmat)):  # a path sum that overflows
             raise InputError("graph is disconnected; shortest-path metric is not finite")
         dmat = np.minimum(dmat, dmat.T)  # symmetrize exact float asymmetries
         return cls(dmat=dmat, source="graph-shortest-path", labels=labels, _validated=True)

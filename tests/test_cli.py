@@ -274,6 +274,52 @@ def test_validate_metric_fractional_graph_edge_exits_2(tmp_path, capsys):
         "error: graph edge [0, 1.9, 1.0]: point id 1.9 is not an integer"]
 
 
+PASSED = '{\n  "passed": true,\n  "violations": []\n}\n'
+DISCONNECTED = "error: graph is disconnected; shortest-path metric is not finite"
+
+
+@pytest.mark.parametrize("doc, code, out, err", [
+    ({"kind": "graph", "n": 4, "data": [[0, 1, 1.0], [2, 3, 2.0]]}, 2, "", DISCONNECTED),
+    ({"kind": "graph", "n": 3, "data": [[0, 1, 1.0]]}, 2, "", DISCONNECTED),
+    # Both weights are finite, their path sum is not.
+    ({"kind": "graph", "n": 3, "data": [[0, 1, 1e308], [1, 2, 1e308]]}, 2, "", DISCONNECTED),
+    # The weights sum past the largest float; the shortest paths do not.
+    ({"kind": "graph", "n": 3, "data": [[0, 1, 6e307], [1, 2, 6e307], [0, 2, 1e308]]},
+     0, PASSED, None),
+    ({"kind": "graph", "n": 1, "data": []}, 0, PASSED, None),
+    ({"kind": "graph", "n": 0, "data": []}, 2, "", "error: graph needs at least one node"),
+    ({"kind": "graph", "n": 2, "data": [[0, 0, 1.0], [0, 1, 2.0]]}, 0, PASSED, None),
+    ({"kind": "graph", "n": 2, "data": [[1, 1, 1.0]]}, 2, "", DISCONNECTED),
+    ({"kind": "graph", "points": ["a", "b", "c"], "data": [[0, 1, 1.0], [1, 2, 2.0]]},
+     0, PASSED, None),
+    ({"kind": "graph", "points": ["a", "b", "c"], "data": [[0, 1, 1.0]]}, 2, "", DISCONNECTED),
+    ({"kind": "graph", "n": 2, "data": [[0, 2, 1.0]]}, 2, "",
+     "error: edge (0,2) out of range for 2 nodes"),
+    # An edge error is reported before connectivity.
+    ({"kind": "graph", "n": 4, "data": [[0, 1, 1.0], [2, 9, 1.0]]}, 2, "",
+     "error: edge (2,9) out of range for 4 nodes"),
+    ({"kind": "graph", "n": 2, "data": [[0, 1.5, 1.0]]}, 2, "",
+     "error: graph edge [0, 1.5, 1.0]: point id 1.5 is not an integer"),
+    ({"kind": "graph", "n": 2, "data": [[0, 1, -1.0]]}, 2, "",
+     "error: edge (0,1) has non-positive or non-finite weight -1.0"),
+    ({"kind": "graph", "n": 2, "data": [[0, 1, "1.0"]]}, 2, "",
+     "error: graph edge [0, 1, '1.0']: weight '1.0' is not a number"),
+    ({"kind": "graph", "n": 2, "data": [[0, 1]]}, 2, "",
+     "error: graph edge [0, 1] must be [i, j, weight]"),
+    ({"kind": "graph", "n": 3, "data": [[0, 1, 5e-324], [1, 2, 5e-324]]}, 0, PASSED, None),
+])
+def test_validate_metric_graph_edge_cases(tmp_path, capsys, doc, code, out, err):
+    # Graphs are checked by their edges and connectivity; each case gives
+    # the exit code, output and error line that the shortest-path table gave.
+    space = tmp_path / "graph.json"
+    space.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate-metric", "--space", str(space)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err.splitlines() == ([] if err is None else [err])
+
+
 def test_altwitness(tmp_path, capsys):
     space = tmp_path / "pts.json"
     space.write_text(json.dumps(
@@ -652,12 +698,14 @@ seen = {"import": loaded()}
 seen["euclidean_exit"] = main(["validate-metric", "--space", sys.argv[1]])
 seen["euclidean"] = loaded()
 seen["graph_exit"] = main(["validate-metric", "--space", sys.argv[2]])
+seen["graph"] = loaded()
 sys.stderr.write(json.dumps(seen))
 """
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy is needed by graph spaces alone, so it is imported only there.
+    # scipy computes shortest paths, which validate-metric does not need: it
+    # checks a graph by its edges and connectivity, so neither call loads it.
     points = tmp_path / "points.json"
     points.write_text(json.dumps({"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}))
     graph = tmp_path / "graph.json"
@@ -667,7 +715,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     seen = json.loads(proc.stderr)
-    assert seen == {"import": [], "euclidean_exit": 0, "euclidean": [], "graph_exit": 0}
+    assert seen == {"import": [], "euclidean_exit": 0, "euclidean": [], "graph_exit": 0,
+                    "graph": []}
     assert proc.stdout.count('"passed": true') == 2
 
 

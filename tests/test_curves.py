@@ -225,6 +225,16 @@ class TestChordArcProfile:
             chord_arc_profile(curve)
 
 
+class TestSampledCurve:
+    def test_caller_arrays_stay_writable(self):
+        # The curve freezes its own copies of the times and samples.
+        times, samples = np.array([0.0, 0.5, 1.0]), np.array([0, 1, 2])
+        curve = SampledCurve(line_space([0.0, 1.0, 3.0]), times, samples)
+        times[1], samples[1] = 0.25, 2
+        assert times.flags.writeable and samples.flags.writeable
+        assert curve.times.tolist() == [0.0, 0.5, 1.0] and curve.samples.tolist() == [0, 1, 2]
+        assert not (curve.times.flags.writeable or curve.samples.flags.writeable)
+
 class TestCurveIO:
     def test_point_id_csv_requires_space(self):
         with pytest.raises(InputError):

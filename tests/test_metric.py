@@ -292,6 +292,18 @@ class TestMetricSpaceConstruction:
             assert space.pair_distances(a[:0], b[:0]).shape == (0,)
 
 
+    def test_caller_arrays_stay_writable(self):
+        # The space freezes its own copy; writing to the caller's array
+        # afterwards neither fails nor changes the space.
+        coords = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+        table = np.array([[0.0, 1.0], [1.0, 0.0]])
+        points, matrix = MetricSpace.from_points(coords), MetricSpace.from_matrix(table)
+        coords[0, 0] = 5.0
+        table[0, 1] = 7.0
+        assert coords.flags.writeable and table.flags.writeable
+        assert points.dist(0, 1) == 5.0 and matrix.dist(0, 1) == 1.0
+        assert not points.coords.flags.writeable
+
 class TestSeparatedNet:
     def test_greedy_scan_on_line(self):
         space = line_space([0.0, 0.05, 1.0])
