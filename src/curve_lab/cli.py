@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -135,9 +136,9 @@ def _by_construction(space) -> bool:
     squares are normal floats rule that out: under a finite box extent none
     overflows, and every point joins the greedy net at the root of the
     smallest normal iff no two lie closer than that."""
-    from .metric import _box_extent, maximal_separated_net
+    from .metric import maximal_separated_net
     smallest = np.sqrt(np.finfo(float).tiny)
-    return bool(np.isfinite(_box_extent(space.coords, space.coords))
+    return bool(np.isfinite(space._extent)
                 and len(maximal_separated_net(space, range(space.n), smallest).members) == space.n)
 
 
@@ -515,9 +516,11 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
 
 def _run(args) -> tuple:
     """Call the parsed command's handler.  Finite input whose arithmetic
-    overflows is an input error, not an inf in the output."""
+    overflows is an input error, not an inf in the output.  A warning is one
+    ``warning:`` line on stderr."""
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
             return args.func(args)
     except FloatingPointError as exc:
         raise InputError(f"input out of floating-point range: {exc}") from exc

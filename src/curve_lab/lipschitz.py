@@ -8,7 +8,7 @@ import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import BLOCK, CHUNK, MetricSpace, _box_extent, _box_gaps, _chunks, _number
+from .metric import BLOCK, MetricSpace, _box_gaps, _chunks, _number
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -20,10 +20,11 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
 
     ``values`` holds one value per point, or one row per point with a column
     per function; a 2-D ``values`` gets an array of per-column constants from
-    one pass over the distances.  Exact on finite data.  Duplicate point ids
-    with differing values have an infinite quotient and raise
-    :class:`InconsistentDataError`; distinct ids at distance 0 (coordinates
-    whose difference underflows) raise :class:`InputError`.
+    one pass over the distances.  Exact; non-finite values raise
+    :class:`InputError`.  Duplicate point ids with differing values have an
+    infinite quotient and raise :class:`InconsistentDataError`; distinct ids
+    at distance 0 (coordinates whose difference underflows) raise
+    :class:`InputError`.
     """
     ids = space.check_ids(points)
     vals = np.asarray(values, dtype=float)
@@ -31,6 +32,8 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
         raise InputError(f"{len(ids)} points but {len(vals)} values")
     if len(ids) < 2:
         raise InputError("need at least two points")
+    if not np.all(np.isfinite(vals)):
+        raise InputError("values must be finite")
     uid, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     uv = vals[first]
     conflict = (vals != uv[inverse]).reshape(len(ids), -1).any(axis=1)
@@ -45,7 +48,7 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
     return float(q[0]) if vals.ndim == 1 else q
 
 
-# -- exact pruning on coordinate spaces -----------------------------------------
+# -- exact pruning by bounding boxes --------------------------------------------
 #
 # The quotient and the envelopes bound their chunk and sub-chunk pairs from the
 # box gaps of metric._box_gaps; a relative slack on top of the gaps' deflation
@@ -61,19 +64,18 @@ _BATCH = 2 ** 14 // SUB ** 2
 
 def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per column c, max |values[i, c] - values[j, c]| / dist(ids[i], ids[j])
-    over pairs of distinct ids, pruned by chunk boxes on coordinate spaces.
+    over pairs of distinct ids, pruned by chunk boxes.
 
     A chunk pair's quotients are at most its bound, the largest value spread
     between the chunks over their box gap.  A seed of computed quotients
     gives each column a threshold, and the chunk pairs whose bounds fall
     below the thresholds in every column are skipped; the survivors' pairs
-    of SUB-point sub-chunks are bounded alike and computed in batches.  On
-    matrix spaces every pair is computed (:func:`_max_quotient_all`)."""
-    if space.coords is None or len(ids) <= CHUNK or not np.all(np.isfinite(values)):
-        return _max_quotient_all(space, ids, values)
+    of SUB-point sub-chunks are bounded alike and computed in batches.  A
+    nan seed (a single chunk meets itself, or 0 / 0) and boxes that span the
+    line (:func:`_chunks`) skip nothing.  Distinct ids at distance 0 have a
+    zero gap, so their pairs are always computed; the error names the
+    smallest position in any zero pair, with its smallest partner."""
     pos, lo, hi = _chunks(space, ids)
-    if not np.isfinite(_box_extent(lo, hi)):
-        return _max_quotient_all(space, ids, values)
     pids, pvals = ids[pos], values[pos]
     c = len(pos)
     gap = _box_gaps(lo[:, None], hi[:, None], lo, hi)
@@ -98,13 +100,12 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
     col = np.arange(values.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         seed = np.max(np.abs(pvals[a, :, None, col] - pvals[b, None, :, col]) / d, axis=(1, 2))
-    if not np.all(np.isfinite(seed)):  # a zero distance, as below
-        return _max_quotient_all(space, ids, values)
     rows, cols = np.nonzero(np.triu(~np.all(bound < seed, axis=2)))
     spos, slo, shi = _chunks(space, ids, SUB)
     smin, smax = values[spos].min(axis=1), values[spos].max(axis=1)
     subs = np.arange(len(spos)).reshape(c, -1)  # chunk r holds the sub-chunks subs[r]
     best = np.zeros(values.shape[1])
+    zeros = [np.empty((2, 0), dtype=int)]  # position pairs at distance 0, smaller first
     for r in range(0, len(rows), _BATCH):
         # The 16 sub-pairs of each chunk pair (on the diagonal, the upper
         # triangle), bounded alike; a zero gap's inf or nan is never skipped.
@@ -125,42 +126,14 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
                     np.abs(q, out=q)
                     q /= d
                     best[k] = np.maximum(best[k], np.max(q))
-    if not np.all(np.isfinite(best)):
-        # A zero distance: the full scan names its pair as it always has.
-        return _max_quotient_all(space, ids, values)
-    return best
-
-
-def _max_quotient_all(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """:func:`_max_quotient` over every pair, one row block at a time against
-    the ids from the block's first row on.
-
-    A pair's quotient has the same bits in either order, so the pairs that a
-    block meets twice leave the maxima unchanged; the block's own diagonal is
-    divided by inf.  A zero distance anywhere else makes the maximum
-    non-finite, and the block is then searched for it: its first zero row is
-    the smallest id position in any zero pair, whatever the block size.
-
-    A block holds about 2**16 entries, from 8 to BLOCK rows: a fresh block of
-    BLOCK x m floats (1-2 MB at m = 500-1000) is served by mmap and
-    page-faulted in on every call."""
-    m = len(ids)
-    best = np.zeros(values.shape[1])
-    lo = 0
-    while lo < m - 1:
-        hi = min(lo + min(max(2 ** 16 // (m - lo), 8), BLOCK), m - 1)
-        d = space.dist_block(ids[lo:hi], ids[lo:])
-        d[np.arange(hi - lo), np.arange(hi - lo)] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for c in range(values.shape[1]):
-                q = np.subtract.outer(values[lo:hi, c], values[lo:, c])
-                np.abs(q, out=q)
-                q /= d
-                best[c] = np.maximum(best[c], np.max(q))
-        if not np.all(np.isfinite(best)) and (d == 0).any():
-            i, j = np.argwhere(d == 0)[0]
-            raise InputError(f"distinct points {ids[lo + i]} and {ids[lo + j]} are at distance 0")
-        lo = hi
+            if not np.all(np.isfinite(best)):
+                # From a zero distance's batch on the maximum is not finite.
+                z = np.nonzero(d == 0)
+                zeros.append(np.sort([a[z[:2]], b[z[0], z[2]]], axis=0))
+    zeros = np.concatenate(zeros, axis=1)
+    if zeros.size:
+        i, j = ids[zeros[:, np.lexsort(zeros[::-1])[0]]]
+        raise InputError(f"distinct points {i} and {j} are at distance 0")
     return best
 
 
@@ -228,33 +201,19 @@ def mcshane_extend(sample: LipschitzSample, query: int, envelope: str = "upper")
 def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "upper") -> np.ndarray:
     """Vectorized McShane extension at many query ids (default: all points).
 
-    On coordinate spaces the pairs of query and support sub-chunks that
-    cannot hold a query's minimum (maximum for ``lower``) are skipped; the
-    results keep their bits (:func:`_envelopes`)."""
+    The pairs of query and support sub-chunks that cannot hold a query's
+    minimum (maximum for ``lower``) are skipped; the results keep their bits
+    (:func:`_envelopes`)."""
     space = sample.space
     if queries is None:
         queries = np.arange(space.n)
     if envelope not in ("upper", "lower", "average"):
         raise InputError(f"unknown envelope {envelope!r}")
     queries = space.check_ids(queries)
-    sup = np.asarray(sample.support, dtype=int)
-    vals = np.asarray(sample.values, dtype=float)
-    L = sample.L
     signs = {"upper": (1.0,), "lower": (-1.0,), "average": (1.0, -1.0)}[envelope]
-    if (space.coords is not None and len(sup) > CHUNK
-            and np.isfinite(np.max(np.abs(vals)) + L * _box_extent(space.coords, space.coords))):
-        out = dict(zip(signs, _envelopes(space, sup, vals, L, queries, signs)))
-    else:
-        out = {sign: np.empty(len(queries)) for sign in signs}
-        for lo in range(0, len(queries), BLOCK):
-            # dists: (n_support, block of queries), shared by the envelopes
-            dists = L * space.dist_block(sup, queries[lo:lo + BLOCK])
-            for sign in signs:
-                out[sign][lo:lo + BLOCK] = (np.min(vals[:, None] + dists, axis=0) if sign > 0
-                                            else np.max(vals[:, None] - dists, axis=0))
-    if envelope == "average":
-        return 0.5 * (out[1.0] + out[-1.0])
-    return out[signs[0]]
+    sup, vals = np.asarray(sample.support, dtype=int), np.asarray(sample.values, dtype=float)
+    found = _envelopes(space, sup, vals, sample.L, queries, signs)
+    return 0.5 * (found[0] + found[1]) if envelope == "average" else found[0]
 
 
 def _envelopes(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: float,
@@ -268,15 +227,21 @@ def _envelopes(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: float,
     gap between their boxes.  Each query sub-chunk first computes its pair
     of smallest bound; the largest of its queries' minima there is at least
     each of their answers, so a pair whose bound exceeds it cannot hold one.
-    The other pairs are computed in stacked batches of _BATCH pairs."""
+    The other pairs are computed in stacked batches of _BATCH pairs.  Where
+    a term may overflow, or be 0 * inf = nan (L = 0 where distances
+    overflow), the bounds are nan and every term is computed."""
     spos, slo, shi = (x[:-(-len(sup) // SUB)] for x in _chunks(space, sup, SUB))
     # Each sub-chunk's points down axis 0, so that the folds run over rows.
     sids, v = sup[spos].T.copy(), vals[spos].T.copy()
     out = [np.empty(len(queries)) for _ in signs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        unbounded = not np.isfinite(np.max(np.abs(vals)) + L * space._extent)
     for start in range(0, len(queries), 4 * BLOCK):
         q = queries[start:start + 4 * BLOCK]
         qpos, qlo, qhi = (x[:-(-len(q) // SUB)] for x in _chunks(space, q, SUB))
         gaps = L * _box_gaps(qlo[:, None], qhi[:, None], slo, shi)
+        if unbounded:
+            gaps[:] = np.nan
         for sign, env in zip(signs, out):
             op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
 
@@ -293,7 +258,7 @@ def _envelopes(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: float,
             # The seed's pair survives, as its bound is at most its terms.  The
             # pairs come in support order, so that of tied terms (0.0 and
             # -0.0) the fold keeps the last, as the full scan does.
-            rows, cols = np.nonzero(bound <= (seed + _BOUND_RTOL * np.abs(seed))[:, None])
+            rows, cols = np.nonzero(~(bound > (seed + _BOUND_RTOL * np.abs(seed))[:, None]))
             found = np.empty((len(rows), SUB))
             for k in range(0, len(rows), _BATCH):
                 found[k:k + _BATCH] = terms(rows[k:k + _BATCH], cols[k:k + _BATCH])

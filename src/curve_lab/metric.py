@@ -28,7 +28,7 @@ BLOCK = 256
 # for 128 (2-vCPU Xeon, numpy 2.4); at 1000 points 32 and 64 tie near 1.1 s.
 TRIANGLE_BLOCK = 32
 
-# -- exact pruning on coordinate spaces -----------------------------------------
+# -- exact pruning by bounding boxes --------------------------------------------
 #
 # The pruned kernels (the greedy net below, the Lipschitz quotient and the
 # McShane envelopes) split their ids, in order, into chunks of CHUNK points (the
@@ -38,29 +38,27 @@ TRIANGLE_BLOCK = 32
 # dist_block; the answer comes from the same computed values, so it keeps its
 # bits.  The gaps are deflated by a relative slack, so that rounding in the
 # bounds (the gap sums its squares sequentially, the 8-D and wider distances
-# pairwise) never prunes a pair the full scan would have counted.  The net is
-# one scan for every space: on matrix and graph spaces, and where boxes cannot
-# bound, its boxes span the line and prune nothing.  The quotient and the
-# envelopes keep a dense scan there.
+# pairwise) never prunes a pair the full scan would have counted.  Each kernel
+# is one pass for every space: on matrix and graph spaces, and where the box
+# extent overflows, _chunks gives boxes that span the line, so that every gap
+# is 0 and no pair is skipped for its distance.
 
 # Points per chunk (internal).
 CHUNK = 32
 _GAP_RTOL = 1e-12
 
 
-def _box_extent(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Diagonal of the bounding box of boxes (rows of lo and hi), an upper
-    bound on every distance between their points; inf if its square
-    overflows, and then no pruning is safe because a skipped pair could be
-    one whose distance overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(np.square(hi.max(axis=0) - lo.min(axis=0)))))
-
-
 def _chunks(space: "MetricSpace", ids: np.ndarray, size: int = CHUNK):
     """Positions of consecutive chunks of ids, (c, size), padded to a multiple of CHUNK
-    with copies of the last, and the chunks' bounding boxes' corners, lower and upper (c, dim)."""
+    with copies of the last, and the chunks' bounding boxes' corners, lower and upper (c, dim).
+
+    Where boxes cannot bound (matrix and graph spaces, an extent that
+    overflows, a space of one point) the boxes span the line, (c, 1): every
+    gap between them is 0 and every largest distance inf."""
     pos = np.minimum(np.arange(-(-len(ids) // CHUNK) * CHUNK), len(ids) - 1)
+    if space.coords is None or not 0 < space._extent < np.inf:
+        lo = np.full((len(pos) // size, 1), -np.inf)
+        return pos.reshape(-1, size), lo, -lo
     pts, starts = space.coords[ids[pos]], np.arange(0, len(pos), size)
     return pos.reshape(-1, size), np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
 
@@ -295,6 +293,7 @@ class MetricSpace:
             self._dmat.setflags(write=False)
             self._coords = None
             self._n = dmat.shape[0]
+            self._extent = float(self._dmat.max())  # an upper bound on every distance
         else:
             coords = _float_array(coords, "coordinates")
             if coords.ndim != 2:
@@ -313,6 +312,11 @@ class MetricSpace:
             self._coords = coords.copy()
             self._coords.setflags(write=False)
             self._n = coords.shape[0]
+            # The same bound from the diagonal of the points' bounding box; inf
+            # if its square overflows, and then boxes cannot bound (_chunks).
+            with np.errstate(over="ignore"):
+                box = np.ptp(coords, axis=0) if self._n else np.zeros(0)
+                self._extent = float(np.sqrt(np.sum(np.square(box))))
         self.source = source
         self.labels = list(labels) if labels is not None else None
 
@@ -478,9 +482,8 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
     members are passed to dist_block.  A chunk whose candidates lie at least
     epsilon apart admits every candidate that no earlier member rejects, all
     at once; otherwise its candidates are admitted one by one, on the
-    outcomes of the same comparisons with epsilon.  Matrix and graph spaces,
-    a single chunk, and coordinates whose box extent overflows get boxes
-    that span the line: every gap is 0, so every member is passed.
+    outcomes of the same comparisons with epsilon.  Where boxes cannot bound,
+    they span the line: every gap is 0, so every member is passed.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
@@ -488,11 +491,7 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
     m = len(candidates)
     if not m:
         raise InputError("candidate list is empty")
-    lo, hi = np.full((-(-m // CHUNK), 1), -np.inf), np.full((-(-m // CHUNK), 1), np.inf)
-    if space.coords is not None and m > CHUNK:
-        _, box_lo, box_hi = _chunks(space, candidates)
-        if np.isfinite(_box_extent(box_lo, box_hi)):
-            lo, hi = box_lo, box_hi
+    _, lo, hi = _chunks(space, candidates)
     members = np.empty(m, dtype=int)
     owner = np.empty(m, dtype=int)  # the chunk of each member
     count = 0

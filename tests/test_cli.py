@@ -204,6 +204,35 @@ def test_extend_and_probes(tmp_path, capsys):
                         "--window", "nan"], capsys)
 
 
+def test_extend_term_that_overflows_exits_2(tmp_path, capsys):
+    # Query 0 lies inside the box of a ring of support points 1e153 away
+    # with values 1.7e308: their terms overflow, although the line's terms
+    # hold the minimum.  A bound could skip the ring; where a term can
+    # overflow every term is computed, so the call fails as the full scan
+    # does.
+    ring = 1e153 * np.column_stack([np.cos(np.arange(8) * np.pi / 4), np.sin(np.arange(8) * np.pi / 4)])
+    pts = np.vstack([[[0.0, 0.0]], np.column_stack([np.arange(1.0, 9.0), np.zeros(8)]), ring])
+    space, h = tmp_path / "space.json", tmp_path / "h.json"
+    space.write_text(json.dumps({"kind": "euclidean", "data": pts.tolist()}))
+    h.write_text(json.dumps({"support": list(range(1, 17)), "values": [0.0] * 8 + [1.7e308] * 8,
+                             "L": 1.7e155}))
+    assert main(["extend", "--space", str(space), "--h", str(h), "--queries", "0"]) == 2
+    assert capsys.readouterr().err == "error: input out of floating-point range: overflow encountered in add\n"
+
+
+def test_probes_clamped_count_warns_in_one_line(lpoly, tmp_path, capsys):
+    # The L-shaped curve has 3 distinct samples: --n 5 clamps to 3, with one
+    # warning line and the artifact of --n 3.
+    exact, clamped = tmp_path / "exact.json", tmp_path / "clamped.json"
+    assert main(["probes", "--curve", lpoly, "--n", "3", "--out", str(exact)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["probes", "--curve", lpoly, "--n", "5", "--out", str(clamped)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: requested 5 probes but the curve has 3 distinct samples; clamping\n")
+    assert clamped.read_bytes() == exact.read_bytes()
+    assert json.loads(exact.read_text())["centers"] == [0, 2, 1]
+
+
 @pytest.mark.parametrize("support, bad", [([0, 2.9], "2.9"), ([0, True], "True")])
 def test_extend_non_integer_support_id_exits_2(tmp_path, capsys, support, bad):
     # A fractional or boolean id names no point: reading 2.9 as 2 would

@@ -30,6 +30,15 @@ class TestLipConstant:
         with pytest.raises(InconsistentDataError):
             lip_constant([0, 0], [0.0, 1.0], space)
 
+    @pytest.mark.parametrize("values", [[0.0, np.inf, 1.0], [0.0, 1.0, np.inf], [np.nan, 0.0, 1.0],
+                                        [[0.0, 0.0], [1.0, -np.inf], [2.0, 0.0]]])
+    def test_non_finite_values_rejected(self, values):
+        # An error wherever the value sits, not a nan or an inf that depends
+        # on which pairs meet it.
+        space = line_space([0.0, 0.5, 1.0])
+        with pytest.raises(InputError, match="values must be finite"):
+            lip_constant([0, 1, 2], values, space)
+
 
 class TestMcShane:
     def test_linear_interpolation_forced_at_l_equals_1(self):
