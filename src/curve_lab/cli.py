@@ -31,10 +31,18 @@ from .errors import HorizonError, InputError
 # -- I/O helpers ----------------------------------------------------------------
 
 
+def _strict(x):
+    """x with each non-finite float as the string "inf", "-inf" or "nan": strict JSON has no such number."""
+    if isinstance(x, (dict, list, tuple)):
+        return {k: _strict(v) for k, v in x.items()} if isinstance(x, dict) else [_strict(v) for v in x]
+    return repr(float(x)) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(payload, path: Optional[str]) -> None:
-    """Write a payload (dict as sorted JSON, str verbatim) to stdout, or to
-    ``path`` through a temporary file in the same directory and a rename."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write a payload (dict as sorted strict JSON, str verbatim) to stdout, or
+    to ``path`` through a temporary file in the same directory and a rename."""
+    text = payload if isinstance(payload, str) else json.dumps(_strict(payload), indent=2, sort_keys=True,
+                                                               allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -385,7 +393,7 @@ def _cmd_report(args):
                             extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
-    return {".jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
+    return {".jsonl": "".join(json.dumps(_strict(r), sort_keys=True, allow_nan=False) + "\n" for r in rows),
             ".csv": buf.getvalue()}, worst
 
 

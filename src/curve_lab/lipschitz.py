@@ -1,6 +1,7 @@
 """Lipschitz constants, McShane extension, and distance-probe families."""
 from __future__ import annotations
 
+import itertools
 import warnings
 from typing import NamedTuple
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import BLOCK, MetricSpace, _box_gaps, _chunks, _number
+from .metric import CHUNK, SUB, _BATCH, MetricSpace, _number, _padded, block_folds, block_pairs
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -48,88 +49,50 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
     return float(q[0]) if vals.ndim == 1 else q
 
 
-# -- exact pruning by bounding boxes --------------------------------------------
-#
-# The quotient and the envelopes bound their chunk and sub-chunk pairs from the
-# box gaps of metric._box_gaps; a relative slack on top of the gaps' deflation
-# covers the rounding of the division, the sums and the products.
-
-_BOUND_RTOL = 1e-9
-# Points per sub-chunk of the quotient's refinement and of the envelopes, and
-# chunk pairs refined or sub-pairs computed at a time: 2**14 distances keep a
-# batch in cache (internal).
-SUB = 8
-_BATCH = 2 ** 14 // SUB ** 2
+_BOUND_RTOL = 1e-9  # slack on bounds from box gaps, for the rounding of divisions, sums, products
 
 
 def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per column c, max |values[i, c] - values[j, c]| / dist(ids[i], ids[j])
-    over pairs of distinct ids, pruned by chunk boxes.
+    over pairs of distinct ids, pruned by :func:`block_pairs`.
 
-    A chunk pair's quotients are at most its bound, the largest value spread
-    between the chunks over their box gap.  A seed of computed quotients
-    gives each column a threshold, and the chunk pairs whose bounds fall
-    below the thresholds in every column are skipped; the survivors' pairs
-    of SUB-point sub-chunks are bounded alike and computed in batches.  A
-    nan seed (a single chunk meets itself, or 0 / 0) and boxes that span the
-    line (:func:`_chunks`) skip nothing.  Distinct ids at distance 0 have a
-    zero gap, so their pairs are always computed; the error names the
-    smallest position in any zero pair, with its smallest partner."""
-    pos, lo, hi = _chunks(space, ids)
-    pids, pvals = ids[pos], values[pos]
-    c = len(pos)
-    gap = _box_gaps(lo[:, None], hi[:, None], lo, hi)
-    # The largest distance between two boxes is the gap between the boxes
-    # with their corners swapped.
-    far = _box_gaps(hi[:, None], lo[:, None], hi, lo)
-    vmin, vmax = pvals.min(axis=1), pvals.max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        spread = np.maximum(vmax[:, None, :] - vmin[None, :, :], vmax[None, :, :] - vmin[:, None, :])
-        bound = spread / gap[:, :, None] * (1.0 + _BOUND_RTOL)
-        # The pair of largest spread lies at most `far` apart, so each chunk
-        # pair holds a quotient of about spread / far or more.
-        floor = spread / far[:, :, None]
-    bound[gap == 0] = np.inf  # a zero-distance pair is never skipped
-    floor[np.arange(c), np.arange(c)] = -np.inf
-    # The seed: in each column, the computed quotients of the chunk pair of
-    # highest floor, in one stacked dist_block call.  (The pair of highest
-    # bound would be two neighbouring chunks of a curve, whose boxes nearly
-    # touch.)
-    a, b = np.divmod(np.argmax(floor.reshape(c * c, -1), axis=0), c)
-    d = space.dist_block(pids[a], pids[b])
-    col = np.arange(values.shape[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        seed = np.max(np.abs(pvals[a, :, None, col] - pvals[b, None, :, col]) / d, axis=(1, 2))
-    rows, cols = np.nonzero(np.triu(~np.all(bound < seed, axis=2)))
-    spos, slo, shi = _chunks(space, ids, SUB)
-    smin, smax = values[spos].min(axis=1), values[spos].max(axis=1)
-    subs = np.arange(len(spos)).reshape(c, -1)  # chunk r holds the sub-chunks subs[r]
-    best = np.zeros(values.shape[1])
-    zeros = [np.empty((2, 0), dtype=int)]  # position pairs at distance 0, smaller first
-    for r in range(0, len(rows), _BATCH):
-        # The 16 sub-pairs of each chunk pair (on the diagonal, the upper
-        # triangle), bounded alike; a zero gap's inf or nan is never skipped.
-        sa, sb = subs[rows[r:r + _BATCH], :, None], subs[cols[r:r + _BATCH], None, :]
-        sgap = _box_gaps(slo[sa], shi[sa], slo[sb], shi[sb])
+    A block pair's quotients are at most its bound, their value spread over
+    their gap, and about spread / far or more.  A first scan computes the
+    chunk pair of highest spread / far in each column; then the upper
+    triangle's pairs whose bounds fall below the largest quotients so far in
+    every column are skipped.  A zero gap, and 0 / 0, skip nothing; the
+    zero-distance error names the smallest position in a zero pair, with
+    its smallest partner."""
+    best, zeros = np.zeros(values.shape[1]), [np.empty((2, 0), dtype=int)]  # zero pairs, smaller first
+    vmin, vmax = block_folds(np.minimum, values).T, block_folds(np.maximum, values).T
+
+    def spread(i, j):
+        return np.maximum(vmax.take(i, axis=1) - vmin.take(j, axis=1), vmax.take(j, axis=1) - vmin.take(i, axis=1))
+
+    def bounded(near, i, j):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sbound = np.maximum(smax[sa] - smin[sb], smax[sb] - smin[sa]) / sgap[..., None]
-        keep = ~np.all(sbound * (1.0 + _BOUND_RTOL) < seed, axis=3) & (sa <= sb)
-        pa, pb = spos[np.broadcast_to(sa, keep.shape)[keep]], spos[np.broadcast_to(sb, keep.shape)[keep]]
-        for k0 in range(0, len(pa), _BATCH):
-            a, b = pa[k0:k0 + _BATCH], pb[k0:k0 + _BATCH]
-            d = space.dist_block(ids[a], ids[b])
-            i = a[:, -1] >= b[:, 0]  # the diagonal sub-pairs and the last chunk's padding
-            d[i] = np.where(a[i, :, None] == b[i, None, :], np.inf, d[i])  # a position meets itself
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for k, v in enumerate(values.T):
-                    q = v[a][:, :, None] - v[b][:, None, :]
-                    np.abs(q, out=q)
-                    q /= d
-                    best[k] = np.maximum(best[k], np.max(q))
-            if not np.all(np.isfinite(best)):
-                # From a zero distance's batch on the maximum is not finite.
-                z = np.nonzero(d == 0)
-                zeros.append(np.sort([a[z[:2]], b[z[0], z[2]]], axis=0))
+            bound = spread(i, j) / near * (1.0 + _BOUND_RTOL)
+        return ~np.logical_and.reduce(bound < best.reshape((-1,) + (1,) * near.ndim), axis=0) & (i <= j)
+
+    far, scan = block_pairs(space, ids, ids)
+    c, seed = np.arange(len(far)), np.zeros(far.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor = spread(c[:, None], c[None]) / far
+    floor[:, c, c] = -np.inf  # a chunk with itself; the neighbours of a curve have the highest bounds
+    seed.flat[floor.reshape(len(floor), -1).argmax(axis=1)] = True
+    for a, b, d in itertools.chain(scan(lambda near, i, j: seed[i, j] if near.ndim == 2 else near >= 0),
+                                   scan(bounded)):
+        d[a[:, :, None] == b[:, None, :]] = np.inf  # a position meets itself
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, v in enumerate(values.T):
+                q = v[a][:, :, None] - v[b][:, None, :]
+                np.abs(q, out=q)
+                q /= d
+                best[k] = np.maximum(best[k], np.maximum.reduce(q, axis=None))
+        if not np.isfinite(best).all():
+            # From a zero distance's batch on the maximum is not finite.
+            z = (d == 0).nonzero()
+            zeros.append(np.sort([a[z[:2]], b[z[0], z[2]]], axis=0))
     zeros = np.concatenate(zeros, axis=1)
     if zeros.size:
         i, j = ids[zeros[:, np.lexsort(zeros[::-1])[0]]]
@@ -201,70 +164,55 @@ def mcshane_extend(sample: LipschitzSample, query: int, envelope: str = "upper")
 def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "upper") -> np.ndarray:
     """Vectorized McShane extension at many query ids (default: all points).
 
-    The pairs of query and support sub-chunks that cannot hold a query's
-    minimum (maximum for ``lower``) are skipped; the results keep their bits
-    (:func:`_envelopes`)."""
-    space = sample.space
-    if queries is None:
-        queries = np.arange(space.n)
+    In sign form (+1 ``upper``, -1 ``lower``) every term is sign * v + L * d,
+    and an envelope is the least term.  Each query's seed is its least term
+    at four support points: those of least sign * v in the sub-chunks of the
+    support chunk of least sign * v + L * far for its query chunk.  One scan
+    of :func:`block_pairs` keeps the pairs whose bound (least sign * v plus
+    L times the gap; nan where a term may overflow) does not exceed the
+    largest seed of their query block for some sign.  Each sign folds their
+    terms in support order, so that of tied terms (0.0 and -0.0) it keeps
+    the last: the results keep their bits."""
+    space, L = sample.space, sample.L
     if envelope not in ("upper", "lower", "average"):
         raise InputError(f"unknown envelope {envelope!r}")
-    queries = space.check_ids(queries)
+    queries = space.check_ids(np.arange(space.n) if queries is None else queries)
     signs = {"upper": (1.0,), "lower": (-1.0,), "average": (1.0, -1.0)}[envelope]
     sup, vals = np.asarray(sample.support, dtype=int), np.asarray(sample.values, dtype=float)
-    found = _envelopes(space, sup, vals, sample.L, queries, signs)
-    return 0.5 * (found[0] + found[1]) if envelope == "average" else found[0]
+    far, scan = block_pairs(space, queries, sup)
+    far[far == np.inf] = 0.0  # boxes that span the line: seed from the least values alone
+    lows, tops, slope = [], [], None  # a support of one chunk has no seed: every pair is kept
+    for sign in signs if len(far.T) > 1 else ():
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = L if np.isfinite(np.max(np.abs(vals)) + L * space._extent) else np.nan
+            lows.append(block_folds(np.minimum, sign * vals))
+            pos = _padded(len(sup)).reshape(-1, CHUNK // SUB, SUB)[np.argmin(lows[-1][:len(far.T)] + slope * far, 1)]
+            points = np.take_along_axis(pos, np.argmin(sign * vals[pos], axis=2)[:, :, None], axis=2)[:, :, 0]
+            points = points[np.arange(len(queries)) // CHUNK].T
+            seed = sign * vals[points] + L * space.pair_distances(np.broadcast_to(queries, points.shape), sup[points])
+            top = block_folds(np.maximum, np.minimum.reduce(seed, axis=0))
+            tops.append(top + _BOUND_RTOL * np.abs(top))
 
+    def keep(near, i, j):
+        mask = np.full(near.shape, not tops)
+        for low, top in zip(lows, tops):
+            mask |= ~(low[j] + slope * near > top[i])
+        return mask
 
-def _envelopes(space: MetricSpace, sup: np.ndarray, vals: np.ndarray, L: float,
-               queries: np.ndarray, signs) -> list[np.ndarray]:
-    """The upper envelope's minima (sign +1) or the lower envelope's maxima
-    (sign -1) at the queries, one array per sign, 4 * BLOCK queries at a time.
-
-    In sign form every term is sign * v + L * d and both envelopes take a
-    minimum.  The terms of a pair of SUB-point query and support sub-chunks
-    are at least the support sub-chunk's smallest sign * v plus L times the
-    gap between their boxes.  Each query sub-chunk first computes its pair
-    of smallest bound; the largest of its queries' minima there is at least
-    each of their answers, so a pair whose bound exceeds it cannot hold one.
-    The other pairs are computed in stacked batches of _BATCH pairs.  Where
-    a term may overflow, or be 0 * inf = nan (L = 0 where distances
-    overflow), the bounds are nan and every term is computed."""
-    spos, slo, shi = (x[:-(-len(sup) // SUB)] for x in _chunks(space, sup, SUB))
-    # Each sub-chunk's points down axis 0, so that the folds run over rows.
-    sids, v = sup[spos].T.copy(), vals[spos].T.copy()
-    out = [np.empty(len(queries)) for _ in signs]
-    with np.errstate(over="ignore", invalid="ignore"):
-        unbounded = not np.isfinite(np.max(np.abs(vals)) + L * space._extent)
-    for start in range(0, len(queries), 4 * BLOCK):
-        q = queries[start:start + 4 * BLOCK]
-        qpos, qlo, qhi = (x[:-(-len(q) // SUB)] for x in _chunks(space, q, SUB))
-        gaps = L * _box_gaps(qlo[:, None], qhi[:, None], slo, shi)
-        if unbounded:
-            gaps[:] = np.nan
-        for sign, env in zip(signs, out):
-            op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
-
-            def terms(a, b):
-                # Each query's fold over support sub-chunk b, from distances
-                # (support sub-chunk, pairs, query sub-chunk).
-                d = space.dist_block(np.take(sids, b, axis=1)[:, :, None], q[qpos[a]])[:, :, 0]
-                d = op(np.take(v, b, axis=1)[:, :, None], np.multiply(L, d, out=d), out=d)
-                return fold.reduce(d, axis=0)
-
-            bound = (sign * v).min(axis=0) + gaps
-            first = np.argmin(bound, axis=1)
-            seed = np.max(sign * terms(np.arange(len(first)), first), axis=1)
-            # The seed's pair survives, as its bound is at most its terms.  The
-            # pairs come in support order, so that of tied terms (0.0 and
-            # -0.0) the fold keeps the last, as the full scan does.
-            rows, cols = np.nonzero(~(bound > (seed + _BOUND_RTOL * np.abs(seed))[:, None]))
-            found = np.empty((len(rows), SUB))
-            for k in range(0, len(rows), _BATCH):
-                found[k:k + _BATCH] = terms(rows[k:k + _BATCH], cols[k:k + _BATCH])
-            best = fold.reduceat(found, np.flatnonzero(np.diff(rows, prepend=-1)))
-            env[start:start + len(q)] = best.reshape(-1)[:len(q)]
-    return out
+    ops = [(np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum) for sign in signs]
+    found, blocks, buffer = [[np.empty((0, SUB))] for _ in signs], [np.empty((0, SUB), dtype=int)], \
+        np.empty((2, SUB, _BATCH, SUB))
+    for a, b, d in scan(keep):
+        blocks.append(a)
+        lengths = np.multiply(L, d.transpose(2, 0, 1), out=buffer[0, :, :len(a)])
+        for (op, fold), parts in zip(ops, found):
+            parts.append(fold.reduce(op(vals[b.T][:, :, None], lengths, out=buffer[1, :, :len(a)]), axis=0))
+    a = np.concatenate(blocks)
+    runs = np.flatnonzero(a[:, 0] != np.append(-1, a[:-1, 0]))
+    out = [np.full(len(queries), sign * np.inf) for sign in signs]
+    for (_, fold), parts, env in zip(ops, found, out):
+        fold.at(env, a[runs], fold.reduceat(np.concatenate(parts), runs))
+    return 0.5 * (out[0] + out[1]) if envelope == "average" else out[0]
 
 
 class ProbeFamily(NamedTuple):

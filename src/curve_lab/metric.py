@@ -30,51 +30,93 @@ TRIANGLE_BLOCK = 32
 
 # -- exact pruning by bounding boxes --------------------------------------------
 #
-# The pruned kernels (the greedy net below, the Lipschitz quotient and the
-# McShane envelopes) split their ids, in order, into chunks of CHUNK points (the
-# envelopes into sub-chunks of 8) and bound every distance between two chunks
-# from below by the gap between their bounding boxes.  A chunk pair whose bound
-# cannot change a maximum, a minimum or an admission is never passed to
-# dist_block; the answer comes from the same computed values, so it keeps its
-# bits.  The gaps are deflated by a relative slack, so that rounding in the
-# bounds (the gap sums its squares sequentially, the 8-D and wider distances
-# pairwise) never prunes a pair the full scan would have counted.  Each kernel
-# is one pass for every space: on matrix and graph spaces, and where the box
-# extent overflows, _chunks gives boxes that span the line, so that every gap
-# is 0 and no pair is skipped for its distance.
+# The pruned kernels (the greedy net below, and the Lipschitz quotient and the
+# McShane envelopes through block_pairs) split their ids, in order, into chunks
+# of CHUNK points and bound every distance between two chunks from below by the
+# gap between their bounding boxes, deflated to cover rounding.  A pair whose
+# bound cannot change a maximum, a minimum or an admission is never passed to
+# dist_block, so the answer keeps its bits.  Matrix and graph spaces, and box
+# extents that overflow, get boxes that span the line (_chunks).
 
-# Points per chunk (internal).
-CHUNK = 32
+# Points per chunk and per sub-chunk, and chunk pairs bounded or sub-chunk pairs
+# computed at a time: 2**14 distances keep a batch in cache (internal).
+CHUNK, SUB = 32, 8
+_BATCH = 2 ** 14 // SUB ** 2
 _GAP_RTOL = 1e-12
 
 
-def _chunks(space: "MetricSpace", ids: np.ndarray, size: int = CHUNK):
-    """Positions of consecutive chunks of ids, (c, size), padded to a multiple of CHUNK
-    with copies of the last, and the chunks' bounding boxes' corners, lower and upper (c, dim).
+def _padded(n: int) -> np.ndarray:
+    """Positions 0..n-1, padded to a multiple of CHUNK with copies of the last."""
+    return np.minimum(np.arange(-(-n // CHUNK) * CHUNK), n - 1)
 
-    Where boxes cannot bound (matrix and graph spaces, an extent that
-    overflows, a space of one point) the boxes span the line, (c, 1): every
-    gap between them is 0 and every largest distance inf."""
-    pos = np.minimum(np.arange(-(-len(ids) // CHUNK) * CHUNK), len(ids) - 1)
+
+def _chunks(space: "MetricSpace", ids: np.ndarray, size: int = CHUNK):
+    """Positions of consecutive chunks of ids, (c, size), padded by :func:`_padded`,
+    and the chunks' bounding boxes' corners, lower and upper (dim, c).  Where
+    boxes cannot bound (matrix and graph spaces, an extent that overflows, a
+    space of one point) they span the line, (1, c): every gap is 0."""
+    pos = _padded(len(ids))
     if space.coords is None or not 0 < space._extent < np.inf:
-        lo = np.full((len(pos) // size, 1), -np.inf)
+        lo = np.full((1, len(pos) // size), -np.inf)
         return pos.reshape(-1, size), lo, -lo
-    pts, starts = space.coords[ids[pos]], np.arange(0, len(pos), size)
-    return pos.reshape(-1, size), np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+    pts, starts = space.coords[ids[pos]].T, np.arange(0, len(pos), size)
+    return pos.reshape(-1, size), np.minimum.reduceat(pts, starts, axis=1), np.maximum.reduceat(pts, starts, axis=1)
 
 
 def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
-    """Gaps between boxes of a and b, corners (..., dim) that broadcast
-    (``lo[:, None]`` pairs all of a with all of b), deflated to stay below
-    every computed distance between a point of one and a point of the other."""
-    acc = 0.0
-    for k in range(lo_a.shape[-1]):
-        g = lo_a[..., k] - hi_b[..., k]
-        np.maximum(g, lo_b[..., k] - hi_a[..., k], out=g)
-        np.maximum(g, 0.0, out=g)
-        g *= g
-        acc = acc + g
-    return np.sqrt(acc) * (1.0 - _GAP_RTOL)
+    """Gaps between boxes of a and b, corners (dim, ...) that broadcast, deflated
+    to stay below every computed distance between a point of one and a point
+    of the other; with each box's corners swapped, the largest distances."""
+    g = np.maximum(lo_a - hi_b, lo_b - hi_a)
+    np.maximum(g, 0.0, out=g)
+    g *= g
+    return np.sqrt(np.add.reduce(g, axis=0)) * (1.0 - _GAP_RTOL)
+
+
+def block_folds(fold, values: np.ndarray) -> np.ndarray:
+    """``fold`` (a ufunc such as np.minimum) over the values, one per id in
+    order, of each chunk and then each sub-chunk: indexed by block id."""
+    subs = fold.reduceat(values[_padded(len(values))], np.arange(0, -(-len(values) // CHUNK) * CHUNK, SUB))
+    return np.concatenate([fold.reduceat(subs, np.arange(0, len(subs), CHUNK // SUB)), subs])
+
+
+def block_pairs(space: "MetricSpace", rows: np.ndarray, cols: np.ndarray):
+    """The pruned pass over the pairs of ids rows x cols: far (r, c), the
+    largest distances between their chunks, and ``scan(keep)``.
+
+    ``keep(near, i, j)`` returns which block pairs to keep, of the shape of
+    near, their gaps.  A block's id is its chunk's, 0..c-1, or c plus its
+    SUB-point sub-chunk's.  First come the chunk pairs, i (r, 1), j (1, c);
+    then, _BATCH kept ones at a time, their sub-chunk pairs, i (4, 1, k),
+    j (1, 4, k), less sub-chunks of padding alone.  ``scan`` yields, _BATCH
+    at a time, kept sub-chunk pairs' positions a, b (k, SUB) and distances
+    ``dist_block(rows[a], cols[b])``, each batch's row by row, in order."""
+    per = CHUNK // SUB
+
+    def blocks(ids):  # sub-chunk positions and boxes, chunk boxes, end of real sub-chunk ids
+        pos, lo, hi = _chunks(space, ids, SUB)
+        lo, hi = (x.reshape(len(x), -1, per).transpose(0, 2, 1).copy() for x in (lo, hi))
+        return pos.reshape(-1, per, SUB), lo, hi, lo.min(axis=1), hi.max(axis=1), len(pos) // per - (-len(ids) // SUB)
+
+    rpos, rlo, rhi, rlo1, rhi1, rend = blocks(rows)
+    cpos, clo, chi, clo1, chi1, cend = blocks(cols) if cols is not rows else (rpos, rlo, rhi, rlo1, rhi1, rend)
+    near = _box_gaps(rlo1[:, :, None], rhi1[:, :, None], clo1[:, None], chi1[:, None])
+    u = np.arange(per)
+
+    def scan(keep):
+        chunk_rows, chunk_cols = keep(near, np.arange(len(rpos))[:, None], np.arange(len(cpos))[None]).nonzero()
+        for r in range(0, len(chunk_rows), _BATCH):
+            R, C = chunk_rows[r:r + _BATCH], chunk_cols[r:r + _BATCH]
+            i, j = len(rpos) + per * R + u[:, None, None], len(cpos) + per * C + u[None, :, None]
+            gaps = _box_gaps(rlo.take(R, axis=2)[:, :, None], rhi.take(R, axis=2)[:, :, None],  # by take, the
+                             clo.take(C, axis=2)[:, None], chi.take(C, axis=2)[:, None])  # pairs stay innermost
+            x, k, y = (keep(gaps, i, j) & (i < rend) & (j < cend)).transpose(0, 2, 1).nonzero()
+            pa, pb = rpos[R[k], x], cpos[C[k], y]
+            for s in range(0, len(pa), _BATCH):
+                a, b = pa[s:s + _BATCH], pb[s:s + _BATCH]
+                yield a, b, space.dist_block(rows[a], cols[b])
+
+    return _box_gaps(rhi1[:, :, None], rlo1[:, :, None], chi1[:, None], clo1[:, None]), scan
 
 
 class Violation(NamedTuple):
@@ -496,12 +538,12 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
     owner = np.empty(m, dtype=int)  # the chunk of each member
     count = 0
     bits = 1 << np.arange(CHUNK)
-    for r in range(len(lo)):
+    for r in range(lo.shape[1]):
         if r % BLOCK == 0:
             # Which earlier chunks lie within epsilon, for BLOCK chunks at a
             # time.
-            within = _box_gaps(lo[r:r + BLOCK, None], hi[r:r + BLOCK, None],
-                               lo[:r + BLOCK], hi[:r + BLOCK]) < epsilon
+            within = _box_gaps(lo[:, r:r + BLOCK, None], hi[:, r:r + BLOCK, None],
+                               lo[:, None, :r + BLOCK], hi[:, None, :r + BLOCK]) < epsilon
         block = candidates[r * CHUNK:(r + 1) * CHUNK]
         k = len(block)
         # One block of distances: the chunk to itself, then to the members

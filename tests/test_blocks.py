@@ -657,6 +657,73 @@ def test_envelope_pruning_skips_most_of_a_spiral(blocks):
     assert computed < 0.3 * len(support) * 1000, computed
 
 
+CHUNK_EDGES = [CHUNK - 1, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK + 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("m", CHUNK_EDGES)
+def test_chunk_level_envelopes_match_reference_at_edges(m, dim):
+    # Support and query counts one off one and two chunks, so that the last
+    # chunk of each side is one point or all but one; the matrix twin's
+    # boxes span the line.
+    n = 2 * BLOCK + 3
+    points = MetricSpace.from_points(_helix(n, dim, seed=m + dim))
+    rng = np.random.default_rng(m + 10 * dim)
+    support = np.sort(rng.choice(n, size=m, replace=False))
+    wave = _sawtooth_columns(points)[:, 0]
+    for space in (points, _matrix_twin(points)):
+        for values in (wave, np.linalg.norm(points.coords - points.coords[n // 3], axis=1), rng.standard_normal(n)):
+            L = lip_constant(support, values[support], space)
+            for k in CHUNK_EDGES:
+                _assert_envelopes(space, support, values[support], L, rng.choice(n, size=k))
+                _assert_envelopes(space, support, values[support], 2.0 * L, np.sort(rng.choice(n, size=k)))
+
+
+def test_envelopes_keep_the_last_of_tied_zeros_across_a_chunk_edge():
+    # v = x - 31 on 0..39, sloping down after, and v(31) = -0.0: at the query
+    # 31 the lower envelope's terms tie at -0.0 (support 31, the last point
+    # of the first chunk) and +0.0 (support 32..39, in the next chunk).  The
+    # full scan keeps the last of the ties in support order, +0.0; so must
+    # the folds, whichever chunks and sub-chunks hold the support.
+    x = np.arange(3 * CHUNK, dtype=float)
+    space = MetricSpace.from_points(x[:, None])
+    values = np.where(x <= 39, x - 31, 47 - x)
+    values[31] = -0.0
+    for support in (np.arange(len(x)), np.arange(len(x))[::-1], np.arange(1, len(x), 2)):
+        _assert_envelopes(space, support, values[support], 1.0, np.arange(len(x)))
+    sample = LipschitzSample(space, tuple(range(len(x))), tuple(values.tolist()), 1.0)
+    assert np.signbit(mcshane_extend_all(sample, [31], envelope="lower")) == [False]
+
+
+def test_average_envelope_computes_one_survivor_set(blocks):
+    # The spiral sample of test_envelope_pruning_skips_most_of_a_spiral: the
+    # average envelope keeps the pairs either sign may need and computes
+    # each once, fewer distances than the upper and lower envelopes apart.
+    t = np.linspace(0.0, 1.0, 1000)
+    xy = (0.2 + t)[:, None] * np.column_stack([np.cos(6 * np.pi * t), np.sin(6 * np.pi * t)])
+    space = MetricSpace.from_points(xy)
+    support = np.arange(0, 1000, 2)
+    values = np.linalg.norm(xy[support] - [0.3, -0.1], axis=1)
+    sample = LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), 1.0)
+    ref = _ref_envelopes(space, support, values, 1.0, np.arange(1000))
+    entries = {}
+    for envelope in ("upper", "lower", "average"):
+        blocks.clear()
+        assert mcshane_extend_all(sample, envelope=envelope).tobytes() == ref[envelope].tobytes()
+        entries[envelope] = sum(int(np.prod(shape)) for shape in blocks)
+    assert entries["average"] < entries["upper"] + entries["lower"], entries
+
+
+def test_sawtooth_certificate_chord_arc_defect_matches_reference():
+    for n in SIZES:
+        curve = euclidean_curve(_points(n, seed=n))
+        s = curve.arc_coordinates()
+        d = _full(curve.space)
+        np.fill_diagonal(d, np.inf)
+        ref = max(1.0, float(np.max(np.abs(s[:, None] - s[None, :]) / d))) - 1.0
+        assert sawtooth_witness(curve, 0.1).certificates["chord_arc_defect"] == ref
+
+
 # -- box-pruned greedy net ---------------------------------------------------------------
 
 NET_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * BLOCK + 3]

@@ -461,6 +461,38 @@ def test_check_acp_and_luzin(seg, capsys):
                             "--delta", delta], capsys)
 
 
+def _strict_json(text):
+    """json.loads that rejects the bare constants NaN, Infinity and
+    -Infinity, which strict JSON (RFC 8259) has no place for."""
+    def reject(constant):
+        raise ValueError(f"bare {constant} in a JSON artifact")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_numbers_are_strings_in_artifacts(seg, tmp_path, capsys):
+    # content --delta inf and check acp --p inf write the flag back; the
+    # artifact spells it as the string "inf", as the flag takes it.
+    out = tmp_path / "content.json"
+    assert main(["content", "--curve", seg, "--delta", "inf", "--out", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    assert doc["delta"] == "inf" and float(doc["delta"]) == np.inf and np.isfinite(doc["content"])
+    capsys.readouterr()
+    assert main(["check", "acp", "--curve", seg, "--p", "inf"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["p"] == "inf" and doc["verdict"] == "inconclusive"
+    assert cli._strict({"a": [-np.inf, np.nan, 1.5, (2, np.float64(np.inf))], "b": "inf"}) == \
+        {"a": ["-inf", "nan", 1.5, [2, "inf"]], "b": "inf"}
+
+
+def test_report_rows_are_strict_json(seg, tmp_path):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps([{"argv": ["check", "acp", "--curve", seg, "--p", "inf"]},
+                                  {"argv": ["content", "--curve", seg, "--delta", "inf"]}]))
+    assert main(["report", "--bundle", str(bundle), "--out-prefix", str(tmp_path / "b")]) == 0
+    rows = [_strict_json(line) for line in (tmp_path / "b.jsonl").read_text().splitlines()]
+    assert sorted(row["verdict"] for row in rows) == ["inconclusive", "pass"]
+
+
 def test_check_luzin_null_set_with_negative_times(tmp_path, capsys):
     curve = tmp_path / "centered.csv"
     curve.write_text("t,x1\n" + "".join(f"{t},{t + 1}\n" for t in (-1, -0.5, 0, 0.5, 1)))
