@@ -22,7 +22,6 @@ class SampledCurve:
     def __init__(self, space: MetricSpace, times, samples):
         # Copies, frozen below: the caller's arrays stay writable.
         times = np.array(times, dtype=float)
-        samples = np.array(samples, dtype=int)
         if times.ndim != 1 or len(times) < 2:
             raise InputError("a curve needs at least two sample times")
         if len(times) != len(samples):
@@ -31,8 +30,7 @@ class SampledCurve:
             raise InputError("sample times must be finite")
         if not np.all(np.diff(times) > 0):
             raise InputError("sample times must be strictly increasing")
-        if samples.min() < 0 or samples.max() >= space.n:
-            raise InputError("sample id out of range for the space")
+        samples = np.array(space.check_ids(samples))  # check_ids may return the caller's array
         times.setflags(write=False)
         samples.setflags(write=False)
         self.space = space
@@ -191,15 +189,12 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
     # Every target point lies within delta/2 of its nearest center (a member
     # at 0, a rejected candidate below the net's epsilon), so only the points
     # that close to the last center can be in its cluster.
-    if len(centers) == 1:
-        cluster = target
-    else:
-        near = target[space.dist_block(centers[-1:], target)[0] < delta / 2.0]
-        nearest = np.concatenate([
-            np.argmin(space.dist_block(centers, near[lo:lo + BLOCK]), axis=0)
-            for lo in range(0, len(near), BLOCK)
-        ])
-        cluster = near[nearest == len(centers) - 1]
+    near = target[space.dist_block(centers[-1:], target)[0] < delta / 2.0]
+    nearest = np.concatenate([
+        np.argmin(space.dist_block(centers, near[lo:lo + BLOCK]), axis=0)
+        for lo in range(0, len(near), BLOCK)
+    ])
+    cluster = near[nearest == len(centers) - 1]
     if len(cluster) > 1:
         total += max(float(np.max(space.dist_block(cluster[lo:lo + BLOCK], cluster)))
                      for lo in range(0, len(cluster), BLOCK))

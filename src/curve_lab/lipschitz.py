@@ -36,6 +36,8 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise InputError("values must be finite")
     uid, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct ids in the caller's order, whose chunks follow a curve
+    uid, first, inverse = uid[order], first[order], np.argsort(order)[inverse]
     uv = vals[first]
     conflict = (vals != uv[inverse]).reshape(len(ids), -1).any(axis=1)
     conflict &= np.arange(len(ids)) != first[inverse]
@@ -165,54 +167,55 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
     """Vectorized McShane extension at many query ids (default: all points).
 
     In sign form (+1 ``upper``, -1 ``lower``) every term is sign * v + L * d,
-    and an envelope is the least term.  Each query's seed is its least term
-    at four support points: those of least sign * v in the sub-chunks of the
-    support chunk of least sign * v + L * far for its query chunk.  One scan
-    of :func:`block_pairs` keeps the pairs whose bound (least sign * v plus
-    L times the gap; nan where a term may overflow) does not exceed the
-    largest seed of their query block for some sign.  Each sign folds their
-    terms in support order, so that of tied terms (0.0 and -0.0) it keeps
-    the last: the results keep their bits."""
+    and an envelope is the least term; ``average`` is the mean of the two.  A
+    query's seed is its least term at four support points, of least sign * v in
+    the sub-chunks of the support chunk of least sign * v + L * far.  Each sign
+    scans one :func:`block_pairs` pass: it keeps the pairs whose bound (least
+    sign * v plus L times the gap; nan where a term may overflow) does not
+    exceed their query block's largest seed, and folds their terms in support
+    order, keeping the last of tied 0.0 and -0.0: the results keep their bits."""
     space, L = sample.space, sample.L
     if envelope not in ("upper", "lower", "average"):
         raise InputError(f"unknown envelope {envelope!r}")
     queries = space.check_ids(np.arange(space.n) if queries is None else queries)
-    signs = {"upper": (1.0,), "lower": (-1.0,), "average": (1.0, -1.0)}[envelope]
     sup, vals = np.asarray(sample.support, dtype=int), np.asarray(sample.values, dtype=float)
     far, scan = block_pairs(space, queries, sup)
     far[far == np.inf] = 0.0  # boxes that span the line: seed from the least values alone
-    lows, tops, slope = [], [], None  # a support of one chunk has no seed: every pair is kept
-    for sign in signs if len(far.T) > 1 else ():
-        with np.errstate(over="ignore", invalid="ignore"):
-            slope = L if np.isfinite(np.max(np.abs(vals)) + L * space._extent) else np.nan
-            lows.append(block_folds(np.minimum, sign * vals))
-            pos = _padded(len(sup)).reshape(-1, CHUNK // SUB, SUB)[np.argmin(lows[-1][:len(far.T)] + slope * far, 1)]
-            points = np.take_along_axis(pos, np.argmin(sign * vals[pos], axis=2)[:, :, None], axis=2)[:, :, 0]
-            points = points[np.arange(len(queries)) // CHUNK].T
-            seed = sign * vals[points] + L * space.pair_distances(np.broadcast_to(queries, points.shape), sup[points])
-            top = block_folds(np.maximum, np.minimum.reduce(seed, axis=0))
-            tops.append(top + _BOUND_RTOL * np.abs(top))
+    buffer = np.empty((2, SUB, _BATCH, SUB))
 
-    def keep(near, i, j):
-        mask = np.full(near.shape, not tops)
-        for low, top in zip(lows, tops):
-            mask |= ~(low[j] + slope * near > top[i])
-        return mask
+    def extend(sign):
+        op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
+        if len(far.T) == 1:  # a support of one chunk has no seed: every pair is kept
+            def keep(near, i, j):
+                return np.ones(near.shape, dtype=bool)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = L if np.isfinite(np.max(np.abs(vals)) + L * space._extent) else np.nan
+                low = block_folds(np.minimum, sign * vals)
+                pos = _padded(len(sup)).reshape(-1, CHUNK // SUB, SUB)[np.argmin(low[:len(far.T)] + slope * far, 1)]
+                pts = np.take_along_axis(pos, np.argmin(sign * vals[pos], axis=2)[:, :, None], axis=2)[:, :, 0]
+                pts = pts[np.arange(len(queries)) // CHUNK].T
+                seed = sign * vals[pts] + L * space.pair_distances(np.broadcast_to(queries, pts.shape), sup[pts])
+                top = block_folds(np.maximum, np.minimum.reduce(seed, axis=0))
+                top += _BOUND_RTOL * np.abs(top)
 
-    ops = [(np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum) for sign in signs]
-    found, blocks, buffer = [[np.empty((0, SUB))] for _ in signs], [np.empty((0, SUB), dtype=int)], \
-        np.empty((2, SUB, _BATCH, SUB))
-    for a, b, d in scan(keep):
-        blocks.append(a)
-        lengths = np.multiply(L, d.transpose(2, 0, 1), out=buffer[0, :, :len(a)])
-        for (op, fold), parts in zip(ops, found):
-            parts.append(fold.reduce(op(vals[b.T][:, :, None], lengths, out=buffer[1, :, :len(a)]), axis=0))
-    a = np.concatenate(blocks)
-    runs = np.flatnonzero(a[:, 0] != np.append(-1, a[:-1, 0]))
-    out = [np.full(len(queries), sign * np.inf) for sign in signs]
-    for (_, fold), parts, env in zip(ops, found, out):
-        fold.at(env, a[runs], fold.reduceat(np.concatenate(parts), runs))
-    return 0.5 * (out[0] + out[1]) if envelope == "average" else out[0]
+            def keep(near, i, j):
+                return ~(low[j] + slope * near > top[i])
+
+        found, blocks = [np.empty((0, SUB))], [np.empty((0, SUB), dtype=int)]
+        for a, b, d in scan(keep):
+            blocks.append(a)
+            lengths = np.multiply(L, d.transpose(2, 0, 1), out=buffer[0, :, :len(a)])
+            found.append(fold.reduce(op(vals[b.T][:, :, None], lengths, out=buffer[1, :, :len(a)]), axis=0))
+        a = np.concatenate(blocks)
+        runs = np.flatnonzero(a[:, 0] != np.append(-1, a[:-1, 0]))
+        env = np.full(len(queries), sign * np.inf)
+        fold.at(env, a[runs], fold.reduceat(np.concatenate(found), runs))
+        return env
+
+    if envelope == "average":
+        return 0.5 * (extend(1.0) + extend(-1.0))
+    return extend(1.0 if envelope == "upper" else -1.0)
 
 
 class ProbeFamily(NamedTuple):

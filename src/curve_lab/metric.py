@@ -17,9 +17,9 @@ from .errors import InputError
 # metrics accumulate rounding of this order.
 TRIANGLE_RTOL = 1e-9
 
-# Rows per distance block in the pairwise kernels (internal): a kernel over m
-# points holds at most BLOCK x m distances at a time (BLOCK x m x dim
-# coordinate differences on coordinate spaces of 8 or more dimensions).
+# Rows per distance block of covering content (internal), which holds BLOCK x m
+# distances at a time (times dim from 8 dimensions on), and chunks per box test
+# of the greedy net.  block_pairs batches by _BATCH sub-chunk pairs instead.
 BLOCK = 256
 
 # Rows per block of the triangle check (internal): each middle point updates
@@ -313,11 +313,11 @@ def graph_edges(n: int, edges) -> dict[tuple[int, int], float]:
 class MetricSpace:
     """An immutable finite metric space with O(1)-ish distance lookups.
 
-    :meth:`dist_block` is the one pairwise primitive: every all-pairs kernel
-    (Lipschitz constants, McShane extension, greedy nets, covering content,
-    chord-arc defects) asks it for row blocks of at most ``BLOCK`` points, so
-    a kernel over m points holds O(BLOCK x m) distances, never m x m (times
-    the dimension on coordinate spaces of 8 or more dimensions).
+    :meth:`dist_block` is the one pairwise primitive.  Lipschitz constants and
+    McShane extension take it through :func:`block_pairs`, ``_BATCH`` SUB x SUB
+    sub-chunk pairs at a time; greedy nets one chunk's rows at a time, and
+    covering content row blocks of at most ``BLOCK`` points.  None holds m x m
+    distances over m points (times the dimension from 8 dimensions on).
     """
 
     def __init__(self, *, dmat=None, coords=None, source: str, labels=None, _validated: bool = False):

@@ -1,9 +1,9 @@
 """The blocked pairwise kernels against brute-force n x n references.
 
-Every kernel routes its distances through ``MetricSpace.dist_block`` in row
-blocks of ``BLOCK``; maxima, minima and argmins over identical distances are
-exact, so each result must equal its reference bit for bit, including at the
-block edges."""
+Every kernel routes its distances through ``MetricSpace.dist_block``, in row
+blocks of ``BLOCK`` or in batches of sub-chunk pairs; maxima, minima and
+argmins over identical distances are exact, so each result must equal its
+reference bit for bit, including at the block edges."""
 from functools import lru_cache
 
 import numpy as np
@@ -486,6 +486,24 @@ def test_pruning_skips_most_of_a_sawtooth(monkeypatch):
     assert sum(entries) < 0.4 * n * n / 2, sum(entries)
 
 
+def test_pruning_skips_most_of_a_sawtooth_over_shuffled_ids(blocks):
+    # The sawtooth of test_pruning_skips_most_of_a_sawtooth on a space that
+    # lists the helix's points in shuffled order.  The quotient chunks the
+    # ids in the order the curve visits them, not in id order, so its boxes
+    # stay small and prune as before.
+    n = 1000
+    order = np.random.default_rng(n).permutation(n)
+    space = MetricSpace.from_points(_helix(n, 2)[order])
+    curve = SampledCurve(space, np.linspace(0.0, 1.0, n), np.argsort(order))
+    s = curve.arc_coordinates()
+    blocks.clear()
+    witness = sawtooth_witness(curve, 0.05)
+    computed = sum(int(np.prod(shape)) for shape in blocks)
+    full = _ref_quotients(space, curve.samples, np.column_stack([triangle_wave(s, 0.05), s]))
+    assert full[0] == witness.certificates["lip_constant"]
+    assert computed < 0.4 * n * n / 2, computed
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 @pytest.mark.parametrize("n", PRUNE_SIZES)
 def test_pruned_mcshane_envelopes_match_reference(n, dim):
@@ -695,10 +713,10 @@ def test_envelopes_keep_the_last_of_tied_zeros_across_a_chunk_edge():
     assert np.signbit(mcshane_extend_all(sample, [31], envelope="lower")) == [False]
 
 
-def test_average_envelope_computes_one_survivor_set(blocks):
+def test_average_envelope_is_the_upper_and_lower_scans(blocks):
     # The spiral sample of test_envelope_pruning_skips_most_of_a_spiral: the
-    # average envelope keeps the pairs either sign may need and computes
-    # each once, fewer distances than the upper and lower envelopes apart.
+    # average envelope scans the pairs of each sign on its own, so it
+    # computes the distances of the upper and lower envelopes and no more.
     t = np.linspace(0.0, 1.0, 1000)
     xy = (0.2 + t)[:, None] * np.column_stack([np.cos(6 * np.pi * t), np.sin(6 * np.pi * t)])
     space = MetricSpace.from_points(xy)
@@ -711,7 +729,7 @@ def test_average_envelope_computes_one_survivor_set(blocks):
         blocks.clear()
         assert mcshane_extend_all(sample, envelope=envelope).tobytes() == ref[envelope].tobytes()
         entries[envelope] = sum(int(np.prod(shape)) for shape in blocks)
-    assert entries["average"] < entries["upper"] + entries["lower"], entries
+    assert entries["average"] == entries["upper"] + entries["lower"], entries
 
 
 def test_sawtooth_certificate_chord_arc_defect_matches_reference():

@@ -235,6 +235,23 @@ class TestSampledCurve:
         assert curve.times.tolist() == [0.0, 0.5, 1.0] and curve.samples.tolist() == [0, 1, 2]
         assert not (curve.times.flags.writeable or curve.samples.flags.writeable)
 
+    @pytest.mark.parametrize("samples, message", [
+        ([0, 1.9, 2], "point id 1.9 is not an integer"),
+        ([True, False, True], "point id True is not an integer"),
+        ([0, "1", 2], "point id '1' is not an integer"),
+        ([0, 1, 3], r"point id 3 out of range \[0, 3\)"),
+    ])
+    def test_sample_ids_are_point_ids(self, samples, message):
+        # Sample ids pass the space's id check: none is truncated, read
+        # from a bool or parsed from a string.
+        with pytest.raises(InputError, match=f"^{message}$"):
+            SampledCurve(line_space([0.0, 1.0, 3.0]), [0.0, 0.5, 1.0], samples)
+
+    def test_csv_sample_id_out_of_range(self):
+        with pytest.raises(InputError, match=r"^point id -1 out of range \[0, 2\)$"):
+            load_curve_csv("t,point_id\n0,0\n1,-1\n", line_space([0.0, 2.0]))
+
+
 class TestCurveIO:
     def test_point_id_csv_requires_space(self):
         with pytest.raises(InputError):
