@@ -13,16 +13,13 @@ _HOME = {
     **dict.fromkeys(["CurveLabError", "DegenerateInputError", "HorizonError",
                      "InconsistentDataError", "InputError", "ScheduleError"], "errors"),
     **dict.fromkeys(["MetricSpace", "SeparatedNet", "ValidationReport", "Violation",
-                     "maximal_separated_net", "metric_projection", "validate_metric"],
-                    "metric"),
-    **dict.fromkeys(["CurveStats", "Partition", "SampledCurve", "arc_length_reparam",
-                     "chord_arc_profile", "curve_stats", "hausdorff1_content",
-                     "load_curve_csv", "metric_speed", "stats_json", "total_variation",
-                     "variation_over_partition"], "curves"),
-    **dict.fromkeys(["LipschitzSample", "ProbeFamily", "lip_constant", "local_lip_estimate",
-                     "mcshane_extend", "mcshane_extend_all", "probe_family",
-                     "speed_via_probes"], "lipschitz"),
-    **dict.fromkeys(["ForgeProblem", "ForgeResult", "SawtoothSpec", "WitnessFunction",
+                     "maximal_separated_net", "validate_metric"], "metric"),
+    **dict.fromkeys(["SampledCurve", "arc_length_reparam", "chord_arc_profile",
+                     "hausdorff1_content", "load_curve_csv", "metric_speed", "stats_json",
+                     "total_variation"], "curves"),
+    **dict.fromkeys(["LipschitzSample", "ProbeFamily", "lip_constant", "mcshane_extend_all",
+                     "probe_family", "speed_via_probes"], "lipschitz"),
+    **dict.fromkeys(["ForgeProblem", "ForgeResult", "WitnessFunction",
                      "alternating_separated_witness", "banach_steinhaus_forge",
                      "diagonal_forge_problem", "sawtooth_witness", "triangle_wave",
                      "variation_preserving_witness"], "witnesses"),

@@ -153,7 +153,7 @@ def _by_construction(space) -> bool:
 def _cmd_validate_metric(args):
     from .metric import MetricSpace, graph_edges, space_document, validate_metric
     doc = _read_json(args.space, "space")
-    kind, matrix, _, n = space_document(doc)
+    kind, matrix, n = space_document(doc)
     if kind == "graph":
         # Shortest paths on a connected positive graph are a metric; each is a left fold
         # over a simple path, so none overflows below half the largest float.  Above

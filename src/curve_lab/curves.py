@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,54 +63,6 @@ class SampledCurve:
     def arc_coordinates(self) -> np.ndarray:
         """Cumulative chord lengths, starting at 0."""
         return np.concatenate([[0.0], np.cumsum(self.chords())])
-
-    def time_index(self, t: float) -> int:
-        """Index of a grid time equal to t, or raise."""
-        i = int(np.searchsorted(self.times, t))
-        if i < len(self.times) and self.times[i] == t:
-            return i
-        raise InputError(f"time {t!r} is not on the curve's grid")
-
-
-class Partition:
-    """An ordered time grid from a to b whose knots lie on a curve's grid."""
-
-    __slots__ = ("knots",)
-
-    def __init__(self, knots: tuple[float, ...]):
-        if len(knots) < 2:
-            raise InputError("a partition needs at least two knots")
-        if any(knots[i] >= knots[i + 1] for i in range(len(knots) - 1)):
-            raise InputError("partition knots must be strictly increasing")
-        object.__setattr__(self, "knots", knots)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-
-class CurveStats(NamedTuple):
-    total_variation: float
-    is_simple: bool
-    speed_profile: tuple[float, ...]
-
-
-def curve_stats(curve: SampledCurve) -> CurveStats:
-    return CurveStats(
-        total_variation=total_variation(curve),
-        is_simple=curve.is_simple(),
-        speed_profile=tuple(curve.step_quotients()),
-    )
-
-
-def variation_over_partition(curve: SampledCurve, part: Partition) -> float:
-    """Sum of consecutive sample distances along the partition's knots."""
-    if part.knots[0] != curve.a or part.knots[-1] != curve.b:
-        raise InputError("partition must start at a and end at b")
-    idx = np.array([curve.time_index(t) for t in part.knots])
-    ids = curve.samples[idx]
-    return float(np.sum(curve.space.pair_distances(ids[:-1], ids[1:])))
 
 
 def total_variation(curve: SampledCurve) -> float:
@@ -257,9 +208,8 @@ def load_curve_csv(text: str, space: MetricSpace | None = None) -> SampledCurve:
 
 
 def stats_json(curve: SampledCurve) -> dict:
-    st = curve_stats(curve)
     return {
-        "total_variation": st.total_variation,
-        "is_simple": st.is_simple,
-        "speed_profile": list(st.speed_profile),
+        "total_variation": total_variation(curve),
+        "is_simple": curve.is_simple(),
+        "speed_profile": list(curve.step_quotients()),
     }

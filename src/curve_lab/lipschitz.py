@@ -153,18 +153,11 @@ class LipschitzSample:
         return cls(space=space, support=support, values=values, L=L)
 
 
-def mcshane_extend(sample: LipschitzSample, query: int, envelope: str = "upper") -> float:
-    """Evaluate the McShane extension of the sample at a query point.
-
-    ``upper`` is min(values + L*dist), ``lower`` is max(values - L*dist),
-    ``average`` their mean.  All three agree with the data on the support and
-    are L-Lipschitz on the whole space.
-    """
-    return float(mcshane_extend_all(sample, [query], envelope=envelope)[0])
-
-
 def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "upper") -> np.ndarray:
-    """Vectorized McShane extension at many query ids (default: all points).
+    """McShane extension of the sample at query ids (default: all points):
+    ``upper`` min(values + L*dist), ``lower`` max(values - L*dist), ``average``
+    their mean.  All three agree with the data on the support and are
+    L-Lipschitz on the whole space.
 
     In sign form (+1 ``upper``, -1 ``lower``) every term is sign * v + L * d,
     and an envelope is the least term; ``average`` is the mean of the two.  A
@@ -271,18 +264,3 @@ def speed_via_probes(curve: SampledCurve, probes: ProbeFamily, t: float, window:
     v2 = probes.values_at(int(curve.samples[i2]))
     return float(np.max(np.abs(v2 - v1)) / (curve.times[i2] - curve.times[i1]))
 
-
-def local_lip_estimate(f, space: MetricSpace, x: int, radius: float) -> float:
-    """Max difference quotient of f over the punctured ball of the given
-    radius around x; 0 if the ball holds no other point."""
-    if not radius > 0:
-        raise InputError(f"radius must be positive, got {radius}")
-    x = space.check_id(x)
-    dists = space.dist_row(x)
-    mask = (dists > 0) & (dists <= radius)
-    ys = np.flatnonzero(mask)
-    if len(ys) == 0:
-        return 0.0
-    fx = float(f(x))
-    quotients = [abs(float(f(int(y))) - fx) / dists[y] for y in ys]
-    return float(max(quotients))

@@ -1,4 +1,4 @@
-"""Finite metric spaces: validation, separated nets, and metric projections.
+"""Finite metric spaces: validation, pruned pair passes, and separated nets.
 
 Points are integer identifiers ``0..n-1``.  A space is backed either by an
 explicit distance matrix (``matrix`` / ``graph`` sources) or by a Euclidean
@@ -129,9 +129,6 @@ class ValidationReport(NamedTuple):
     passed: bool
     violations: tuple[Violation, ...]
 
-    def by_axiom(self, axiom: str) -> list[Violation]:
-        return [v for v in self.violations if v.axiom == axiom]
-
 
 # float() and numpy read "1" and true as numbers; the JSON formats do not.
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
@@ -255,10 +252,11 @@ def _triangle_rows(d: np.ndarray, tol: float, symmetric: bool):
         yield from (int(i) for i in np.flatnonzero(flagged[lo:hi]) + lo)
 
 
-def space_document(doc) -> tuple[str, list, list | None, int]:
-    """The kind, data, ``points`` labels and point count of a parsed space
-    document, ``{"kind": "matrix" | "euclidean" | "graph", "data": [...]}``;
-    a graph gives ``n`` or the labels.  Entries of ``data`` are checked later."""
+def space_document(doc) -> tuple[str, list, int]:
+    """The kind, data and point count of a parsed space document,
+    ``{"kind": "matrix" | "euclidean" | "graph", "data": [...]}``; a graph
+    gives ``n`` or a ``points`` list of labels, which are checked, not kept.
+    Entries of ``data`` are checked later."""
     if not isinstance(doc, dict) or "data" not in doc:
         raise InputError("space document must be a JSON object with a 'data' key")
     kind, data, labels = doc.get("kind"), doc["data"], doc.get("points")
@@ -273,7 +271,7 @@ def space_document(doc) -> tuple[str, list, list | None, int]:
         raise InputError(f"graph space needs an integer 'n' or a 'points' list, got {n!r}")
     if labels is not None and len(labels) != n:
         raise InputError(f"space has {n} points but {len(labels)} 'points' labels")
-    return kind, data, labels, n
+    return kind, data, n
 
 
 def graph_edges(n: int, edges) -> dict[tuple[int, int], float]:
@@ -320,7 +318,7 @@ class MetricSpace:
     distances over m points (times the dimension from 8 dimensions on).
     """
 
-    def __init__(self, *, dmat=None, coords=None, source: str, labels=None, _validated: bool = False):
+    def __init__(self, *, dmat=None, coords=None, _validated: bool = False):
         if (dmat is None) == (coords is None):
             raise InputError("exactly one of dmat/coords must be given")
         if dmat is not None:
@@ -359,21 +357,19 @@ class MetricSpace:
             with np.errstate(over="ignore"):
                 box = np.ptp(coords, axis=0) if self._n else np.zeros(0)
                 self._extent = float(np.sqrt(np.sum(np.square(box))))
-        self.source = source
-        self.labels = list(labels) if labels is not None else None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, matrix, labels=None) -> "MetricSpace":
-        return cls(dmat=matrix, source="explicit-matrix", labels=labels)
+    def from_matrix(cls, matrix) -> "MetricSpace":
+        return cls(dmat=matrix)
 
     @classmethod
-    def from_points(cls, coords, labels=None) -> "MetricSpace":
-        return cls(coords=coords, source="euclidean-embedding", labels=labels)
+    def from_points(cls, coords) -> "MetricSpace":
+        return cls(coords=coords)
 
     @classmethod
-    def from_graph(cls, n: int, edges, labels=None) -> "MetricSpace":
+    def from_graph(cls, n: int, edges) -> "MetricSpace":
         """Build a space from a weighted undirected edge list via all-pairs
         shortest paths, cached at load time."""
         best = graph_edges(n, edges)
@@ -385,17 +381,17 @@ class MetricSpace:
         if not np.all(np.isfinite(dmat)):  # a path sum that overflows
             raise InputError("graph is disconnected; shortest-path metric is not finite")
         dmat = np.minimum(dmat, dmat.T)  # symmetrize exact float asymmetries
-        return cls(dmat=dmat, source="graph-shortest-path", labels=labels, _validated=True)
+        return cls(dmat=dmat, _validated=True)
 
     @classmethod
     def from_json(cls, doc) -> "MetricSpace":
         """Build a space from a parsed space document (:func:`space_document`)."""
-        kind, data, labels, n = space_document(doc)
+        kind, data, n = space_document(doc)
         if kind == "matrix":
-            return cls.from_matrix(data, labels=labels)
+            return cls.from_matrix(data)
         if kind == "euclidean":
-            return cls.from_points(data, labels=labels)
-        return cls.from_graph(n, data, labels=labels)
+            return cls.from_points(data)
+        return cls.from_graph(n, data)
 
     # -- queries -----------------------------------------------------------
 
@@ -569,12 +565,3 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
         count += len(admitted)
     return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members[:count].tolist()))
 
-
-def metric_projection(space: MetricSpace, x: int, target) -> int:
-    """Nearest point of ``target`` to ``x``; ties broken by lowest identifier."""
-    x = space.check_id(x)
-    target = np.unique(space.check_ids(target))
-    if not len(target):
-        raise InputError("projection target is empty")
-    dists = space.dist_row(x, target)
-    return int(target[np.argmin(dists)])  # argmin returns first = lowest id

@@ -60,7 +60,9 @@ def _report(name, lhs, rhs, tolerance, one_sided, context=None) -> CheckReport:
 
 def check_contraction(curve: SampledCurve, sample: LipschitzSample) -> CheckReport:
     """Variation of an L-Lipschitz function along the curve is at most
-    L times the curve's variation."""
+    L times the curve's variation.  Bookkeeping: the sample's L is at least
+    its data's constant, and its McShane envelope is L-Lipschitz, so the
+    inequality holds by construction, up to rounding."""
     from .curves import total_variation
     from .lipschitz import mcshane_extend_all
     if not sample.space.same_as(curve.space):
@@ -72,7 +74,7 @@ def check_contraction(curve: SampledCurve, sample: LipschitzSample) -> CheckRepo
     tol = 1e-12 * max(1.0, abs(rhs))
     return _report(
         "contraction", lhs, rhs, tol, one_sided=True,
-        context={"L": sample.L, "total_variation": tv},
+        context={"L": sample.L, "total_variation": tv, "bookkeeping": True},
     )
 
 
@@ -141,21 +143,19 @@ class DiscontinuityProfile(NamedTuple):
     measure: float
 
 
-def discontinuity_measure(values: Sequence[float], epsilon: float, delta: float,
-                          times: Optional[Sequence[float]] = None) -> DiscontinuityProfile:
-    """Plane measure of the near-diagonal pairs (s, t) with |s - t| < delta
-    whose values differ by at least epsilon, estimated as (pair count) times
-    the grid cell area.  A function continuous at scale (epsilon, delta) gives
-    zero; an interior jump of size >= epsilon gives about delta**2."""
+def discontinuity_measure(values: Sequence[float], epsilon: float, delta: float) -> DiscontinuityProfile:
+    """Plane measure of the near-diagonal pairs (s, t) of an evenly sampled
+    trace on [0, 1] with |s - t| < delta whose values differ by at least
+    epsilon, estimated as (pair count) times the grid cell area.  A function
+    continuous at scale (epsilon, delta) gives zero; an interior jump of size
+    >= epsilon gives about delta**2.  Non-finite values raise
+    :class:`InputError`."""
     v = np.asarray(values, dtype=float)
     if not (0 < epsilon < math.inf and 0 < delta < math.inf):
         raise InputError(f"epsilon and delta must be positive and finite, got {epsilon}, {delta}")
-    if times is None:
-        t = np.linspace(0.0, 1.0, len(v))
-    else:
-        t = np.asarray(times, dtype=float)
-        if len(t) != len(v):
-            raise InputError(f"{len(t)} times for {len(v)} values")
+    if not np.all(np.isfinite(v)):
+        raise InputError("trace values must be finite")
+    t = np.linspace(0.0, 1.0, len(v))
     if len(v) < 2:
         raise InputError("need at least two samples")
     dt = float(np.mean(np.diff(t)))
@@ -258,6 +258,11 @@ def _deviants(v: np.ndarray, eps: float, window: int) -> np.ndarray:
     return 2 * close < size
 
 
+# Largest relative change of the speed-norm estimate between refinements that
+# an AC_p-consistent curve shows.
+ACP_STABILITY_RTOL = 0.05
+
+
 class ACPReport(NamedTuple):
     p: float
     norm_estimate: float
@@ -275,7 +280,7 @@ def _speed_norm(curve: SampledCurve, p: float) -> float:
 
 def ac_p_test(curve: SampledCurve, p: float,
               refine: Optional[Callable[[SampledCurve], SampledCurve]] = None,
-              refinements: int = 1, stability_rtol: float = 0.05) -> ACPReport:
+              refinements: int = 1) -> ACPReport:
     """Estimate the L^p norm of the metric speed and test its stability under
     grid refinement.  A curve that is absolutely continuous with p-integrable
     speed has a stable norm; an unbounded-speed curve (like a square-root cusp
@@ -291,7 +296,7 @@ def ac_p_test(curve: SampledCurve, p: float,
         c = refine(c)
         trend.append(_speed_norm(c, p))
     rels = [abs(b - a) / max(abs(a), 1e-300) for a, b in zip(trend[:-1], trend[1:])]
-    verdict = "AC_p-consistent" if max(rels) <= stability_rtol else "AC_p-inconsistent"
+    verdict = "AC_p-consistent" if max(rels) <= ACP_STABILITY_RTOL else "AC_p-inconsistent"
     return ACPReport(p=float(p), norm_estimate=trend[-1],
                      refinement_trend=tuple(trend), verdict=verdict)
 

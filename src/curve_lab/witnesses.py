@@ -17,23 +17,6 @@ if TYPE_CHECKING:
     from .metric import MetricSpace
 
 
-class SawtoothSpec:
-    __slots__ = ("tooth", "length")
-
-    def __init__(self, tooth: float, length: float):
-        if not tooth > 0:
-            raise InputError(f"tooth must be positive, got {tooth}")
-        if tooth > length:
-            raise InputError(f"tooth {tooth} exceeds curve length {length}")
-        object.__setattr__(self, "tooth", tooth)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-
 class WitnessFunction(NamedTuple):
     """A realized Lipschitz sample plus the numeric properties certified for it."""
 
@@ -67,8 +50,11 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
 
     Certifies: sup bound by the tooth size, the realized Lipschitz constant
     (<= 1 + chord-arc defect), the variation of the post-composition over the
-    finest grid, and the tooth-accounting floor (total variation minus twice
-    the tooth)."""
+    finest grid, and the grid floor under it with ``floor_met``.  The wave has
+    slope +-1, so only a step across a fold (where floor(s / tooth) changes)
+    can lose length: the floor is the total variation less those steps' arc
+    lengths.  ``floor_met`` allows the floor a relative 1e-9 of the total
+    variation for rounding."""
     from .curves import total_variation
     from .lipschitz import LipschitzSample, lip_constant
     if not curve.is_simple():
@@ -76,7 +62,10 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     tv = total_variation(curve)
     if tv <= 0:
         raise InputError("sawtooth witness requires positive total variation")
-    SawtoothSpec(tooth=tooth, length=tv)
+    if not tooth > 0:
+        raise InputError(f"tooth must be positive, got {tooth}")
+    if tooth > tv:
+        raise InputError(f"tooth {tooth} exceeds curve length {tv}")
 
     s = curve.arc_coordinates()
     values = triangle_wave(s, tooth)
@@ -92,6 +81,8 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
         _lip=lc,
     )
     variation = float(np.sum(np.abs(np.diff(values))))
+    folds = np.diff(np.floor(s / tooth)) != 0
+    floor = tv - float(np.sum(np.diff(s)[folds]))
     certificates = {
         "tooth": float(tooth),
         "total_variation": tv,
@@ -99,7 +90,8 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
         "lip_constant": lc,
         "chord_arc_defect": eta,
         "composed_variation": variation,
-        "variation_floor": tv - 2.0 * tooth,
+        "variation_floor": floor,
+        "floor_met": variation >= floor - 1e-9 * tv,
     }
     return WitnessFunction(realization=realization, certificates=certificates)
 
@@ -283,11 +275,11 @@ def banach_steinhaus_forge(problem: ForgeProblem, depth: int) -> ForgeResult:
     )
 
 
-def diagonal_forge_problem(weight: float = 1.0) -> ForgeProblem:
+def diagonal_forge_problem() -> ForgeProblem:
     """Toy problem p_m(z) = m * |z_m| on coefficient sequences with unit
     basis elements; p_m(z_m) = m > m - 1 and cross terms vanish."""
 
     def functional(m: int, combo) -> float:
-        return weight * m * sum(abs(a) for e, a in combo if e == m)
+        return m * sum(abs(a) for e, a in combo if e == m)
 
     return ForgeProblem(functional=functional)

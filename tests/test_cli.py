@@ -576,7 +576,7 @@ def test_identity_checks_say_they_are_bookkeeping(seg, tmp_path):
     h.write_text(json.dumps(
         {"support": list(range(9)), "values": [i / 8 for i in range(9)], "L": 1.0}))
     out = tmp_path / "r.json"
-    for kind, flag in (("area", True), ("varint", True), ("contraction", None), ("luzin", None)):
+    for kind, flag in (("area", True), ("varint", True), ("contraction", True), ("luzin", None)):
         extra = {"area": ["--h", str(h)], "contraction": ["--h", str(h)],
                  "luzin": ["--null-set", "0.25:0.375", "--delta", "0.05"]}.get(kind, [])
         assert main(["check", kind, "--curve", seg, *extra, "--out", str(out)]) == 0

@@ -3,42 +3,34 @@ import itertools
 import numpy as np
 import pytest
 
-from curve_lab import (DegenerateInputError, InputError, MetricSpace, Partition,
+from curve_lab import (DegenerateInputError, InputError, MetricSpace,
                        SampledCurve, arc_length_reparam, chord_arc_profile,
-                       curve_stats, hausdorff1_content, load_curve_csv,
-                       metric_speed, total_variation, variation_over_partition)
+                       hausdorff1_content, load_curve_csv, metric_speed,
+                       stats_json, total_variation)
 from conftest import circle_curve, euclidean_curve, l_polyline, line_space
+
+
+def subset_variation(curve, idx):
+    """Variation over the partition of the grid times at the given indices."""
+    ids = curve.samples[idx]
+    return float(np.sum(curve.space.pair_distances(ids[:-1], ids[1:])))
 
 
 class TestVariation:
     def test_l_polyline_full_partition(self):
         curve = l_polyline()
-        assert variation_over_partition(curve, Partition((0.0, 0.5, 1.0))) == 2.0
+        assert subset_variation(curve, [0, 1, 2]) == 2.0
 
     def test_l_polyline_coarse_partition(self):
         curve = l_polyline()
-        value = variation_over_partition(curve, Partition((0.0, 1.0)))
+        value = subset_variation(curve, [0, 2])
         assert value == pytest.approx(np.sqrt(2.0))
 
     def test_constant_curve_zero(self):
         space = line_space([0.0, 1.0])
         curve = SampledCurve(space, [0.0, 0.5, 1.0], [0, 0, 0])
-        assert variation_over_partition(curve, Partition((0.0, 0.5, 1.0))) == 0.0
+        assert subset_variation(curve, [0, 1, 2]) == 0.0
         assert total_variation(curve) == 0.0
-
-    def test_off_grid_knot_rejected(self):
-        with pytest.raises(InputError):
-            variation_over_partition(l_polyline(), Partition((0.0, 0.3, 1.0)))
-        with pytest.raises(InputError, match="^a partition needs at least two knots$"):
-            Partition(knots=(0.0,))
-        with pytest.raises(InputError, match="^partition knots must be strictly increasing$"):
-            Partition((0.0, 0.5, 0.5))
-        part = Partition(knots=(0.0, 1.0))
-        assert part.knots == (0.0, 1.0)
-        with pytest.raises(AttributeError):
-            part.knots = (0.0, 0.5)
-        with pytest.raises(AttributeError):
-            del part.knots
 
     def test_total_variation_l_polyline(self):
         assert total_variation(l_polyline()) == 2.0
@@ -57,22 +49,22 @@ class TestVariation:
         full = total_variation(curve)
         for r in range(len(interior) + 1):
             for knots in itertools.combinations(interior, r):
-                part = Partition((0.0,) + tuple(float(k) for k in knots) + (7.0,))
-                coarse = variation_over_partition(curve, part)
+                idx = [0, *knots, 7]
+                coarse = subset_variation(curve, idx)
                 assert coarse <= full + 1e-12
                 # Every one-point refinement does not decrease the value.
                 for extra in interior:
-                    if float(extra) in part.knots:
+                    if extra in idx:
                         continue
-                    finer = Partition(tuple(sorted(part.knots + (float(extra),))))
-                    assert variation_over_partition(curve, finer) >= coarse - 1e-12
+                    finer = sorted(idx + [extra])
+                    assert subset_variation(curve, finer) >= coarse - 1e-12
 
     def test_curve_stats_total_is_finest_partition(self):
         curve = l_polyline()
-        st = curve_stats(curve)
-        assert st.total_variation == total_variation(curve)
-        assert st.is_simple
-        assert len(st.speed_profile) == 2
+        st = stats_json(curve)
+        assert st["total_variation"] == total_variation(curve) == subset_variation(curve, [0, 1, 2])
+        assert st["is_simple"] is True
+        assert st["speed_profile"] == list(curve.step_quotients()) == [2.0, 2.0]
 
 
 class TestArcLengthReparam:
@@ -139,7 +131,8 @@ class TestMetricSpeed:
         speeds = [metric_speed(curve, x, 5e-3) for x in grid]
         integral = np.trapezoid(speeds, grid)
         # Compare against the variation of the same subinterval [0.01, 0.99].
-        i1, i2 = curve.time_index(0.01), curve.time_index(0.99)
+        i1, i2 = np.searchsorted(curve.times, [0.01, 0.99])
+        assert (curve.times[i1], curve.times[i2]) == (0.01, 0.99)
         partial = float(np.sum(curve.chords()[i1:i2]))
         assert integral == pytest.approx(partial, rel=0.02)
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from curve_lab import (InconsistentDataError, InputError, LipschitzSample,
-                       MetricSpace, Partition, SampledCurve, lip_constant,
-                       local_lip_estimate, mcshane_extend, mcshane_extend_all,
-                       metric_speed, probe_family, speed_via_probes,
-                       total_variation, variation_over_partition)
+                       MetricSpace, SampledCurve, lip_constant, mcshane_extend_all,
+                       metric_speed, probe_family, speed_via_probes, total_variation)
 from curve_lab import lipschitz
 from conftest import circle_curve, euclidean_curve, line_space
 
@@ -40,24 +38,28 @@ class TestLipConstant:
             lip_constant([0, 1, 2], values, space)
 
 
+def extend_at(sample, query, envelope="upper"):
+    return mcshane_extend_all(sample, [query], envelope=envelope)[0]
+
+
 class TestMcShane:
     def test_linear_interpolation_forced_at_l_equals_1(self):
         space = line_space([0.0, 1.0, 0.5])
         sample = LipschitzSample(space=space, support=(0, 1), values=(0.0, 1.0), L=1.0)
-        assert mcshane_extend(sample, 2) == pytest.approx(0.5)
+        assert extend_at(sample, 2) == pytest.approx(0.5)
 
     def test_agrees_on_support(self):
         space = line_space([0.0, 0.25, 1.0])
         sample = LipschitzSample(space=space, support=(0, 2), values=(0.125, 0.875), L=1.0)
-        assert mcshane_extend(sample, 0) == 0.125
-        assert mcshane_extend(sample, 2) == 0.875
+        assert extend_at(sample, 0) == 0.125
+        assert extend_at(sample, 2) == 0.875
 
     def test_upper_and_lower_envelopes(self):
         space = line_space([0.0, 1.0, 0.5])
         sample = LipschitzSample(space=space, support=(0, 1), values=(0.0, 0.0), L=1.0)
-        assert mcshane_extend(sample, 2, envelope="upper") == pytest.approx(0.5)
-        assert mcshane_extend(sample, 2, envelope="lower") == pytest.approx(-0.5)
-        assert mcshane_extend(sample, 2, envelope="average") == pytest.approx(0.0)
+        assert extend_at(sample, 2, envelope="upper") == pytest.approx(0.5)
+        assert extend_at(sample, 2, envelope="lower") == pytest.approx(-0.5)
+        assert extend_at(sample, 2, envelope="average") == pytest.approx(0.0)
 
     def test_declared_l_below_lip_constant_rejected(self, monkeypatch):
         space = line_space([0.0, 1.0])
@@ -150,17 +152,16 @@ class TestProbeFamily:
         coords = rng.normal(size=(7, 2))
         curve = euclidean_curve(coords, np.arange(7.0))
         family = probe_family(curve, 7)
-        interior = [1.0, 2.0, 3.0, 4.0, 5.0]
+        interior = [1, 2, 3, 4, 5]
         for k, center in enumerate(family.centers):
             values = {i: curve.space.dist(center, int(curve.samples[i]))
                       for i in range(7)}
             for r in range(len(interior) + 1):
                 for knots in itertools.combinations(interior, r):
-                    part = Partition((0.0,) + knots + (6.0,))
-                    idx = [int(np.argmin(np.abs(curve.times - t))) for t in part.knots]
-                    h_var = sum(abs(values[i2] - values[i1])
-                                for i1, i2 in zip(idx[:-1], idx[1:]))
-                    assert h_var <= variation_over_partition(curve, part) + 1e-12
+                    idx = [0, *knots, 6]
+                    h_var = sum(abs(values[i2] - values[i1]) for i1, i2 in zip(idx[:-1], idx[1:]))
+                    ids = curve.samples[idx]
+                    assert h_var <= np.sum(curve.space.pair_distances(ids[:-1], ids[1:])) + 1e-12
 
 
 class TestSpeedViaProbes:
@@ -210,26 +211,3 @@ class TestSpeedViaProbes:
         copy = probe_family(euclidean_curve(coords.copy(), np.linspace(0.0, 1.0, 40)), 8)
         assert speed_via_probes(curve, copy, 0.5, 0.1) == speed_via_probes(curve, probe_family(curve, 8), 0.5, 0.1)
 
-
-class TestLocalLipEstimate:
-    def test_distance_function_slope_one(self):
-        space = line_space(np.linspace(0, 1, 11))
-        f = lambda y: space.dist(0, y)
-        assert local_lip_estimate(f, space, 3, 0.25) == pytest.approx(1.0)
-
-    def test_constant_function(self):
-        space = line_space(np.linspace(0, 1, 11))
-        assert local_lip_estimate(lambda y: 42.0, space, 5, 0.3) == 0.0
-
-    def test_isolated_point_returns_zero(self):
-        space = line_space([0.0, 10.0])
-        assert local_lip_estimate(lambda y: float(y), space, 0, 1.0) == 0.0
-        with pytest.raises(InputError):
-            local_lip_estimate(lambda y: float(y), space, 0, float("nan"))
-
-    def test_triangle_wave_slope(self):
-        from curve_lab import triangle_wave
-        xs = np.linspace(0, 1, 101)
-        space = line_space(xs)
-        f = lambda y: triangle_wave(xs[y], 0.25)
-        assert local_lip_estimate(f, space, 10, 0.05) == pytest.approx(1.0)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curve_lab import (InputError, MetricSpace, maximal_separated_net,
-                       metric_projection, validate_metric)
+from curve_lab import InputError, MetricSpace, maximal_separated_net, validate_metric
 from curve_lab.metric import TRIANGLE_BLOCK, TRIANGLE_RTOL
 from conftest import line_space
 
@@ -91,19 +90,19 @@ class TestValidateMetric:
     def test_asymmetry_witnessed(self):
         report = validate_metric([[0, 1], [2, 0]])
         assert not report.passed
-        witnesses = [v.witness for v in report.by_axiom("symmetry")]
+        witnesses = [v.witness for v in report.violations if v.axiom == "symmetry"]
         assert (0, 1) in witnesses
 
     def test_triangle_violation_witnessed(self):
         report = validate_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         assert not report.passed
-        triples = {tuple(sorted(v.witness)) for v in report.by_axiom("triangle")}
+        triples = {tuple(sorted(v.witness)) for v in report.violations if v.axiom == "triangle"}
         assert (0, 1, 2) in triples
 
     def test_zero_diagonal_and_positivity(self):
         report = validate_metric([[1, 0], [0, 0]])
-        assert report.by_axiom("zero-diagonal")
-        assert report.by_axiom("positivity")
+        assert [v for v in report.violations if v.axiom == "zero-diagonal"]
+        assert [v for v in report.violations if v.axiom == "positivity"]
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
@@ -144,7 +143,7 @@ class TestValidateMetricMatchesRowScan:
             if name == "metric":
                 assert validate_metric(table).passed
             elif n >= 3:  # two points have no triangle to break
-                assert validate_metric(table).by_axiom("triangle"), name
+                assert [v for v in validate_metric(table).violations if v.axiom == "triangle"], name
 
     def test_sparse_violation_reported_from_both_ends(self):
         n = 2 * TRIANGLE_BLOCK + 3
@@ -154,7 +153,7 @@ class TestValidateMetricMatchesRowScan:
     def test_more_than_eight_witnesses_stop_at_eight(self):
         table = planted_tables(TRIANGLE_BLOCK + 1, seed=1)["many"]
         report = validate_metric(table)
-        assert len(report.by_axiom("triangle")) == 8
+        assert len([v for v in report.violations if v.axiom == "triangle"]) == 8
         assert report_tuples(report) == reference_report(table)
 
     def test_tiny_tables(self):
@@ -344,29 +343,3 @@ class TestSeparatedNet:
         with pytest.raises(InputError):
             maximal_separated_net(line_space([0.0, 1.0]), [0, 1], float("nan"))
 
-
-class TestMetricProjection:
-    def test_nearer_endpoint(self):
-        space = line_space([0.0, 1.0, 0.4])
-        assert metric_projection(space, 2, [0, 1]) == 0
-
-    def test_member_projects_to_itself(self):
-        space = line_space([0.0, 1.0])
-        assert metric_projection(space, 1, [0, 1]) == 1
-
-    def test_tie_breaks_to_lowest_id(self):
-        # point 1 at 0.5 is equidistant from ids 0 and 2.
-        space = line_space([0.0, 0.5, 1.0])
-        assert metric_projection(space, 1, [2, 0]) == 0
-
-    def test_projection_minimizes_exhaustively(self):
-        rng = np.random.default_rng(2)
-        space = MetricSpace.from_points(rng.normal(size=(15, 2)))
-        target = [3, 7, 11, 14]
-        for x in range(space.n):
-            best = metric_projection(space, x, target)
-            assert all(space.dist(x, best) <= space.dist(x, y) for y in target)
-
-    def test_empty_target_error(self):
-        with pytest.raises(InputError):
-            metric_projection(line_space([0.0, 1.0]), 0, [])

@@ -60,9 +60,8 @@ def test_records_without_dataclasses():
              if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
              or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
     assert found == []
-    for name in ("Violation", "ValidationReport", "SeparatedNet", "CurveStats", "ProbeFamily",
-                 "CheckReport", "DiscontinuityProfile", "ACPReport", "WitnessFunction",
-                 "ForgeResult"):
+    for name in ("Violation", "ValidationReport", "SeparatedNet", "ProbeFamily", "CheckReport",
+                 "DiscontinuityProfile", "ACPReport", "WitnessFunction", "ForgeResult"):
         cls = getattr(curve_lab, name)
         record = cls(*range(len(cls._fields)))
         assert isinstance(record, tuple) and list(record) == list(range(len(cls._fields)))
@@ -72,7 +71,7 @@ def test_records_without_dataclasses():
 
 def test_lazy_exports_resolve_to_their_home_modules():
     names = curve_lab.__all__
-    assert len(set(names)) == len(names) == 53
+    assert len(set(names)) == len(names) == 45
     for name in names:
         obj = getattr(curve_lab, name)
         assert obj.__module__.startswith("curve_lab.")

@@ -177,6 +177,12 @@ class TestDiscontinuityMeasure:
             with pytest.raises(InputError):
                 discontinuity_measure([0.0, 1.0], eps, delta)
 
+    @pytest.mark.parametrize("values", [[np.nan] * 10, [0.0] * 9 + [np.inf], [-np.inf, 0.0, 1.0]])
+    def test_non_finite_values_rejected(self, values):
+        # A NaN trace once gave measure 0.0, the profile of a continuous one.
+        with pytest.raises(InputError, match="^trace values must be finite$"):
+            discontinuity_measure(values, 0.5, 0.2)
+
 
 class TestContinuousRepresentative:
     def test_corrupted_line_recovered(self):

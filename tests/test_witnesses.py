@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curve_lab import (ForgeProblem, HorizonError, InputError, SampledCurve,
-                       SawtoothSpec, alternating_separated_witness, banach_steinhaus_forge,
+                       alternating_separated_witness, banach_steinhaus_forge,
                        diagonal_forge_problem, lip_constant, sawtooth_witness,
                        total_variation, triangle_wave,
                        variation_preserving_witness)
@@ -38,14 +38,6 @@ class TestTriangleWave:
             triangle_wave(0.5, 0.0)
         with pytest.raises(InputError):
             triangle_wave(0.5, float("nan"))
-        with pytest.raises(InputError, match="^tooth must be positive, got nan$"):
-            SawtoothSpec(tooth=float("nan"), length=1.0)
-        with pytest.raises(InputError, match="^tooth 2.0 exceeds curve length 1.0$"):
-            SawtoothSpec(2.0, 1.0)
-        spec = SawtoothSpec(0.5, length=1.0)
-        assert (spec.tooth, spec.length) == (0.5, 1.0)
-        with pytest.raises(AttributeError):
-            spec.tooth = 0.25
 
 
 class TestSawtoothWitness:
@@ -60,9 +52,31 @@ class TestSawtoothWitness:
     def test_tooth_accounting_bound(self):
         witness = sawtooth_witness(self.unit_segment(0.05), 0.3)
         v = witness.certificates["composed_variation"]
-        assert witness.certificates["variation_floor"] == pytest.approx(1 - 0.6)
+        # The grid floor gives up the three steps that cross a fold (at 0.3,
+        # 0.6 and 0.9), not twice the tooth.
+        assert witness.certificates["variation_floor"] == pytest.approx(1 - 3 * 0.05)
+        assert witness.certificates["floor_met"] is True
         assert v >= witness.certificates["variation_floor"] - 1e-12
         assert v <= 1.0 + 1e-12
+
+    def test_grid_floor_holds_on_jittered_spirals(self):
+        # Generic grids: folds fall inside steps, where total variation less
+        # twice the tooth does not hold, but the grid floor does.
+        below_old_floor = 0
+        for n in (50, 300, 1000):
+            for seed in range(2):
+                rng = np.random.default_rng([n, seed])
+                t = np.linspace(0.0, 1.0, n)
+                theta = rng.uniform(0.0, 2.0 * np.pi) + 6.0 * np.pi * t
+                xy = (0.2 + t)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+                curve = euclidean_curve(xy + rng.normal(scale=1e-3, size=xy.shape), t)
+                for tooth in (0.003, 0.05, 0.3):
+                    certs = sawtooth_witness(curve, tooth).certificates
+                    v = certs["composed_variation"]
+                    assert certs["floor_met"] is True
+                    assert v >= certs["variation_floor"] - 1e-9 * certs["total_variation"]
+                    below_old_floor += v < certs["total_variation"] - 2 * tooth
+        assert below_old_floor > 0
 
     def test_sup_bounded_by_tooth(self):
         rng = np.random.default_rng(2)
@@ -101,8 +115,10 @@ class TestSawtoothWitness:
             sawtooth_witness(curve, 0.1)
 
     def test_tooth_longer_than_curve_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^tooth 1.5 exceeds curve length 1.0$"):
             sawtooth_witness(self.unit_segment(0.125), 1.5)
+        with pytest.raises(InputError, match="^tooth must be positive, got nan$"):
+            sawtooth_witness(self.unit_segment(0.125), float("nan"))
 
 
 class TestVariationPreservingWitness:
