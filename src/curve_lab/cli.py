@@ -307,7 +307,7 @@ def _cmd_check_disc(args):
 
 def _cmd_check_acp(args):
     from .verify import ac_p_test
-    result = ac_p_test(_load_curve(args.curve, args.space), args.p, refinements=0)
+    result = ac_p_test(_load_curve(args.curve, args.space), args.p)
     return {"p": result.p, "norm_estimate": result.norm_estimate,
             "refinement_trend": list(result.refinement_trend),
             "verdict": result.verdict}, 0 if result.verdict != "AC_p-inconsistent" else 1

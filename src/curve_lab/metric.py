@@ -406,22 +406,19 @@ class MetricSpace:
     def coords(self):
         return self._coords
 
+    # Views of dist_block, the one distance formula, kept for perfbench's tracer.
     def dist(self, i: int, j: int) -> float:
-        if self._dmat is not None:
-            return float(self._dmat[i, j])
-        return float(np.linalg.norm(self._coords[i] - self._coords[j]))
+        return float(self.dist_block([i], [j])[0, 0])
 
-    def dist_row(self, i: int, ids=None) -> np.ndarray:
-        """Distances from point i to all points (or to the given ids)."""
-        if self._dmat is not None:
-            row = self._dmat[i]
-            return row if ids is None else row[ids]
-        pts = self._coords if ids is None else self._coords[ids]
-        return np.linalg.norm(pts - self._coords[i], axis=-1)
+    def dist_row(self, i: int, ids) -> np.ndarray:
+        return self.dist_block([i], ids)[0]
+
+    def submatrix(self, ids) -> np.ndarray:
+        return self.dist_block(ids, ids)
 
     def dist_block(self, ids_a, ids_b) -> np.ndarray:
         """Distances from every point of ids_a (rows) to every point of ids_b
-        (columns), bit-identical to stacking ``dist_row(i, ids_b)``.
+        (columns).
 
         Stacked id blocks of shapes (..., r) and (..., c) give stacked
         distance blocks of shape (..., r, c), with the same bits per entry."""
@@ -462,9 +459,6 @@ class MetricSpace:
         ids_a = np.asarray(ids_a, dtype=int)
         ids_b = np.asarray(ids_b, dtype=int)
         return self.dist_block(ids_a[..., None], ids_b[..., None])[..., 0, 0]
-
-    def submatrix(self, ids) -> np.ndarray:
-        return self.dist_block(ids, ids)
 
     def check_id(self, i: int) -> int:
         i = _point_id(i)

@@ -125,11 +125,12 @@ def variation_integral_check(curve: SampledCurve) -> CheckReport:
     An identity by construction; reported to confirm the bookkeeping."""
     from .curves import total_variation
     lhs = total_variation(curve)
-    edges: dict[tuple[int, int], int] = {}
-    for a, b in zip(curve.samples[:-1], curve.samples[1:]):
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        edges[key] = edges.get(key, 0) + 1
-    rhs = sum(mult * curve.space.dist(a, b) for (a, b), mult in edges.items())
+    steps = np.sort(np.column_stack([curve.samples[:-1], curve.samples[1:]]), axis=1)
+    edges, first, mult = np.unique(steps, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    d = curve.space.pair_distances(edges[order, 0], edges[order, 1])
+    # Summed in first-traversal order, as a running total would.
+    rhs = float(np.cumsum(mult[order] * d)[-1])
     tol = 1e-6 * max(1.0, abs(rhs))
     return _report("variation_integral", lhs, rhs, tol, one_sided=False,
                    context={"distinct_edges": len(edges), "simple": curve.is_simple(),

@@ -98,13 +98,15 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
 
 def variation_preserving_witness(curve: SampledCurve, slack: float) -> WitnessFunction:
     """Sawtooth witness with tooth = slack/2, targeting a post-composition
-    variation of at least total_variation - slack with sup bound slack/2."""
+    variation of at least total_variation - slack with sup bound slack/2.
+    ``target_met`` says whether the composed variation reaches the target,
+    up to the rounding allowance of ``floor_met``; a coarse grid may miss it."""
     if not slack > 0:
         raise InputError(f"slack must be positive, got {slack}")
     witness = sawtooth_witness(curve, slack / 2.0)
-    certs = dict(witness.certificates)
-    certs["slack"] = float(slack)
-    certs["variation_target"] = certs["total_variation"] - slack
+    tv, variation = witness.certificates["total_variation"], witness.certificates["composed_variation"]
+    certs = dict(witness.certificates, slack=float(slack), variation_target=tv - slack,
+                 target_met=variation >= tv - slack - 1e-9 * tv)
     return WitnessFunction(realization=witness.realization, certificates=certs)
 
 
@@ -183,26 +185,6 @@ class ForgeResult(NamedTuple):
     selection_slacks: tuple[dict, ...]
 
 
-class _BudgetedFunctional:
-    def __init__(self, problem: ForgeProblem, level_of: Callable[[], int]):
-        self._f = problem.functional
-        self._budget = problem.horizon
-        self._calls = 0
-        self._level_of = level_of
-
-    def __call__(self, m: int, combo) -> float:
-        if self._calls >= self._budget:
-            raise HorizonError(
-                f"functional-evaluation horizon exhausted at level {self._level_of()}",
-                level=self._level_of(),
-            )
-        self._calls += 1
-        v = float(self._f(m, combo))
-        if v < 0:
-            raise InputError(f"functional p_{m} returned a negative value {v!r}")
-        return v
-
-
 def banach_steinhaus_forge(problem: ForgeProblem, depth: int) -> ForgeResult:
     """Inductively pick coefficients alpha_j and indices m_j so that the
     partial sum of alpha_j * z_{m_j} makes the functionals grow without bound.
@@ -220,24 +202,31 @@ def banach_steinhaus_forge(problem: ForgeProblem, depth: int) -> ForgeResult:
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    state = {"level": 1}
-    p = _BudgetedFunctional(problem, lambda: state["level"])
+    # p counts its evaluations against the horizon and names the current level.
+    calls, level = 0, 1
 
-    def unit(m: int) -> float:
-        return p(m, ((m, 1.0),))
+    def p(m: int, combo) -> float:
+        nonlocal calls
+        if calls >= problem.horizon:
+            raise HorizonError(f"functional-evaluation horizon exhausted at level {level}", level=level)
+        calls += 1
+        v = float(problem.functional(m, combo))
+        if v < 0:
+            raise InputError(f"functional p_{m} returned a negative value {v!r}")
+        return v
 
     alphas = [0.5]
     indices = [1]
     slacks: list[dict] = []
     for j in range(1, depth):
-        state["level"] = j
+        level = j
         m_j = indices[-1]
         combo_sum = sum(a * p(m_j, ((mi, 1.0),)) for a, mi in zip(alphas, indices))
         need = 3.0 * max(float(j), combo_sum)
         cap = 2.0 ** (-j)
         m = m_j + 1
         while True:
-            growth = unit(m)
+            growth = p(m, ((m, 1.0),))
             cross = p(m_j, ((m, 1.0),))
             alpha = cap / max(1.0, cross)
             if alpha * growth >= need:

@@ -421,11 +421,12 @@ def test_refined_quotient_over_several_batches(blocks):
     space = MetricSpace.from_points(_helix(n, 1))
     x = space.coords[:, 0]
     values = np.column_stack([x, triangle_wave(x, 0.02)])
-    assert np.array_equal(lip_constant(np.arange(n), values, space), _ref_quotients(space, np.arange(n), values))
+    got = lip_constant(np.arange(n), values, space)
+    batches = [shape[0] for shape in blocks[1:]]  # before the reference, which calls dist_block too
+    assert np.array_equal(got, _ref_quotients(space, np.arange(n), values))
     c = -(-n // CHUNK)
     pairs = c * (c + 1) // 2
     steps = -(-pairs // lipschitz._BATCH)
-    batches = [shape[0] for shape in blocks[1:]]
     # Every sub-pair of every chunk pair, on the diagonal the upper triangle.
     assert sum(batches) == 16 * pairs - 6 * c
     assert steps > 1 and len([b for b in batches if b < lipschitz._BATCH]) == steps < len(batches), batches
@@ -480,10 +481,11 @@ def test_pruning_skips_most_of_a_sawtooth(monkeypatch):
 
     monkeypatch.setattr(MetricSpace, "dist_block", counting)
     witness = sawtooth_witness(curve, 0.05)
+    computed = sum(entries)  # before the reference, which calls dist_block too
     full = _ref_quotients(curve.space, np.arange(n), _sawtooth_columns(curve.space))
     assert full[0] == witness.certificates["lip_constant"]
     # The pairs of distinct points are n (n - 1) / 2.
-    assert sum(entries) < 0.4 * n * n / 2, sum(entries)
+    assert computed < 0.4 * n * n / 2, computed
 
 
 def test_pruning_skips_most_of_a_sawtooth_over_shuffled_ids(blocks):
@@ -670,8 +672,9 @@ def test_envelope_pruning_skips_most_of_a_spiral(blocks):
     sample = LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), 1.0)
     blocks.clear()
     got = mcshane_extend_all(sample)
-    assert np.array_equal(got, _ref_envelopes(space, support, values, 1.0, np.arange(1000))["upper"])
+    # Counted before the reference, which calls dist_block too.
     computed = sum(int(np.prod(shape)) for shape in blocks)
+    assert np.array_equal(got, _ref_envelopes(space, support, values, 1.0, np.arange(1000))["upper"])
     assert computed < 0.3 * len(support) * 1000, computed
 
 
@@ -832,12 +835,13 @@ def test_net_pruning_skips_most_of_a_spiral(monkeypatch):
 
     monkeypatch.setattr(MetricSpace, "dist_block", counting)
     members = maximal_separated_net(space, range(n), eps).members
+    computed = sum(entries)  # before the reference, which calls dist_block too
     assert members == _ref_net(space, range(n), eps)
     # Unpruned, the scan passes each chunk of CHUNK candidates with the
     # members admitted before it and with itself.
     full = sum(min(CHUNK, n - lo) * (np.searchsorted(members, lo) + min(CHUNK, n - lo))
                for lo in range(0, n, CHUNK))
-    assert sum(entries) < 0.3 * full, (sum(entries), full)
+    assert computed < 0.3 * full, (computed, full)
 
 
 @pytest.mark.parametrize("first, second, third", [(64, 65, 999), (200, 65, 66), (0, 999, 65), (2, 1, 3)])

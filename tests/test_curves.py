@@ -136,6 +136,16 @@ class TestMetricSpeed:
         partial = float(np.sum(curve.chords()[i1:i2]))
         assert integral == pytest.approx(partial, rel=0.02)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_step_speed_is_the_step_quotient(self, dim):
+        # A one-step window measures the chord that step_quotients divides,
+        # with the same distance formula, so the two agree bit for bit.
+        rng = np.random.default_rng(dim)
+        t = np.cumsum(rng.uniform(0.5, 1.5, 200))
+        curve = euclidean_curve(np.cumsum(rng.normal(size=(200, dim)), axis=0), t)
+        speeds = [metric_speed(curve, t[i], t[i + 1] - t[i], side="right") for i in range(199)]
+        assert np.array(speeds).tobytes() == curve.step_quotients().tobytes()
+
     def test_window_without_support_rejected(self):
         curve = l_polyline()
         # Both window ends snap to the same grid time at t = 0.

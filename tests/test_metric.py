@@ -274,10 +274,10 @@ class TestMetricSpaceConstruction:
             with pytest.raises(InputError, match=rf"^point id {bad} is not an integer$"):
                 space.check_ids(ids)
 
-    @pytest.mark.parametrize("dim", [1, 2, 8, 9])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9])
     def test_pair_distances_keep_the_norm_bits(self, dim):
-        # pair_distances goes through dist_block; its bits are those of the
-        # elementwise norm it used before, on coordinates and on tables.
+        # pair_distances, dist and dist_row go through dist_block; their bits
+        # are those of numpy's elementwise norm, on coordinates and on tables.
         rng = np.random.default_rng(dim)
         for scale in (1e-3, 1.0, 1e6):
             coords = rng.normal(size=(40, dim)) * scale
@@ -285,9 +285,15 @@ class TestMetricSpaceConstruction:
             old = np.linalg.norm(coords[a] - coords[b], axis=-1)
             space = MetricSpace.from_points(coords)
             assert space.pair_distances(a, b).tobytes() == old.tobytes()
+            assert np.array([space.dist(i, j) for i, j in zip(a, b)]).tobytes() == old.tobytes()
+            for i in a[:10]:
+                row = np.linalg.norm(coords[b] - coords[i], axis=-1)
+                assert space.dist_row(i, b).tobytes() == row.tobytes()
             matrix = space.dist_block(np.arange(40), np.arange(40))
             table = MetricSpace.from_matrix(matrix)
             assert table.pair_distances(a, b).tobytes() == matrix[a, b].tobytes()
+            assert np.array([table.dist(i, j) for i, j in zip(a, b)]).tobytes() == matrix[a, b].tobytes()
+            assert table.dist_row(a[0], b).tobytes() == matrix[a[0], b].tobytes()
             assert space.pair_distances(a[:0], b[:0]).shape == (0,)
 
 

@@ -52,6 +52,24 @@ def test_no_unused_function_imports():
     assert found == []
 
 
+def test_one_distance_formula():
+    # Chords, speeds and every kernel share one set of bits only if one
+    # function computes distances: MetricSpace.dist_block alone takes norms.
+    found = []
+    for path in sorted(Path(curve_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node)
+                   for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "MetricSpace"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "dist_block"
+                   for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "norm"
+                      and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                      or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"))
+                  and id(node) not in allowed]
+    assert found == []
+
+
 def test_records_without_dataclasses():
     # A dataclass runs generated code when its module loads; the records do not.
     found = [f"{path.name}:{node.lineno}"

@@ -134,6 +134,7 @@ class TestVariationPreservingWitness:
         curve = fold_aligned_curve(vertices, 0.1)
         witness = variation_preserving_witness(curve, 0.2)
         assert witness.certificates["composed_variation"] >= 1.8 - 1e-9
+        assert witness.certificates["target_met"] is True
 
     def test_contraction_upper_bound(self):
         rng = np.random.default_rng(4)
@@ -142,6 +143,19 @@ class TestVariationPreservingWitness:
         witness = variation_preserving_witness(curve, 0.1)
         v = witness.certificates["composed_variation"]
         assert v <= witness.realization.L * total_variation(curve) + 1e-9
+
+    def test_target_missed_on_a_coarse_grid(self):
+        # The 300-point spiral of the benchmark's cli-batch inputs at seed
+        # 101: its steps of about 0.04 are close to the tooth of 0.05, so
+        # the wave loses about half the length and misses the target.
+        rng = np.random.default_rng(101)
+        phase, scale = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.8, 1.2)
+        t = np.linspace(0.0, 1.0, 300)
+        theta = phase + 6.0 * np.pi * t
+        xy = scale * (0.2 + t)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+        certs = variation_preserving_witness(euclidean_curve(xy, t), 0.1).certificates
+        assert certs["composed_variation"] < certs["variation_target"] - 5.0
+        assert certs["target_met"] is False and certs["floor_met"] is True
 
     def test_nonpositive_slack_rejected(self):
         xs = np.linspace(0.0, 1.0, 9)
