@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import CHUNK, SUB, _BATCH, MetricSpace, _number, _padded, block_folds, block_pairs
+from .metric import CHUNK, SUB, MetricSpace, _number, _padded, block_folds, block_pairs
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -84,17 +84,17 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
     seed.flat[floor.reshape(len(floor), -1).argmax(axis=1)] = True
     for a, b, d in itertools.chain(scan(lambda near, i, j: seed[i, j] if near.ndim == 2 else near >= 0),
                                    scan(bounded)):
-        d[a[:, :, None] == b[:, None, :]] = np.inf  # a position meets itself
+        d[a[:, None] == b[None]] = np.inf  # a position meets itself
         with np.errstate(divide="ignore", invalid="ignore"):
             for k, v in enumerate(values.T):
-                q = v[a][:, :, None] - v[b][:, None, :]
+                q = v[a][:, None] - v[b][None]
                 np.abs(q, out=q)
                 q /= d
                 best[k] = np.maximum(best[k], np.maximum.reduce(q, axis=None))
         if not np.isfinite(best).all():
             # From a zero distance's batch on the maximum is not finite.
-            z = (d == 0).nonzero()
-            zeros.append(np.sort([a[z[:2]], b[z[0], z[2]]], axis=0))
+            x, y, z = (d == 0).nonzero()
+            zeros.append(np.sort([a[x, z], b[y, z]], axis=0))
     zeros = np.concatenate(zeros, axis=1)
     if zeros.size:
         i, j = ids[zeros[:, np.lexsort(zeros[::-1])[0]]]
@@ -174,41 +174,40 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
     sup, vals = np.asarray(sample.support, dtype=int), np.asarray(sample.values, dtype=float)
     far, scan = block_pairs(space, queries, sup)
     far[far == np.inf] = 0.0  # boxes that span the line: seed from the least values alone
-    buffer = np.empty((2, SUB, _BATCH, SUB))
+    signs = {"upper": (1.0,), "lower": (-1.0,), "average": (1.0, -1.0)}[envelope]
 
-    def extend(sign):
-        op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
-        if len(far.T) == 1:  # a support of one chunk has no seed: every pair is kept
+    def extend(signs):
+        if len(far.T) == 1:  # a support of one chunk has no seed: every sign keeps every pair
             def keep(near, i, j):
                 return np.ones(near.shape, dtype=bool)
         else:
+            (sign,) = signs
             with np.errstate(over="ignore", invalid="ignore"):
                 slope = L if np.isfinite(np.max(np.abs(vals)) + L * space._extent) else np.nan
                 low = block_folds(np.minimum, sign * vals)
                 pos = _padded(len(sup)).reshape(-1, CHUNK // SUB, SUB)[np.argmin(low[:len(far.T)] + slope * far, 1)]
                 pts = np.take_along_axis(pos, np.argmin(sign * vals[pos], axis=2)[:, :, None], axis=2)[:, :, 0]
                 pts = pts[np.arange(len(queries)) // CHUNK].T
-                seed = sign * vals[pts] + L * space.pair_distances(np.broadcast_to(queries, pts.shape), sup[pts])
+                seed = sign * vals[pts] + L * space.pair_distances(queries, sup[pts])
                 top = block_folds(np.maximum, np.minimum.reduce(seed, axis=0))
                 top += _BOUND_RTOL * np.abs(top)
 
             def keep(near, i, j):
                 return ~(low[j] + slope * near > top[i])
 
-        found, blocks = [np.empty((0, SUB))], [np.empty((0, SUB), dtype=int)]
+        envs = [np.full(len(queries), sign * np.inf) for sign in signs]
         for a, b, d in scan(keep):
-            blocks.append(a)
-            lengths = np.multiply(L, d.transpose(2, 0, 1), out=buffer[0, :, :len(a)])
-            found.append(fold.reduce(op(vals[b.T][:, :, None], lengths, out=buffer[1, :, :len(a)]), axis=0))
-        a = np.concatenate(blocks)
-        runs = np.flatnonzero(a[:, 0] != np.append(-1, a[:-1, 0]))
-        env = np.full(len(queries), sign * np.inf)
-        fold.at(env, a[runs], fold.reduceat(np.concatenate(found), runs))
-        return env
+            d *= L
+            runs = np.flatnonzero(a[0] != np.append(-1, a[0, :-1]))  # where a query sub-chunk's pairs start
+            for k, (sign, env) in enumerate(zip(signs, envs)):
+                op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
+                terms = fold.reduce(op(vals[b], d, out=d if k == len(signs) - 1 else None), axis=1)
+                # Runs fold along axis 0: reduceat along the innermost axis may drop a nan's sign.
+                fold.at(env, a[:, runs].T, fold.reduceat(terms.T.copy(), runs))
+        return envs
 
-    if envelope == "average":
-        return 0.5 * (extend(1.0) + extend(-1.0))
-    return extend(1.0 if envelope == "upper" else -1.0)
+    envs = extend(signs) if len(far.T) == 1 else [env for sign in signs for env in extend((sign,))]
+    return 0.5 * (envs[0] + envs[1]) if envelope == "average" else envs[0]
 
 
 class ProbeFamily(NamedTuple):

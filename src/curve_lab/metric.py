@@ -35,7 +35,7 @@ TRIANGLE_BLOCK = 32
 # of CHUNK points and bound every distance between two chunks from below by the
 # gap between their bounding boxes, deflated to cover rounding.  A pair whose
 # bound cannot change a maximum, a minimum or an admission is never passed to
-# dist_block, so the answer keeps its bits.  Matrix and graph spaces, and box
+# pair_distances, so the answer keeps its bits.  Matrix and graph spaces, and box
 # extents that overflow, get boxes that span the line (_chunks).
 
 # Points per chunk and per sub-chunk, and chunk pairs bounded or sub-chunk pairs
@@ -89,8 +89,9 @@ def block_pairs(space: "MetricSpace", rows: np.ndarray, cols: np.ndarray):
     SUB-point sub-chunk's.  First come the chunk pairs, i (r, 1), j (1, c);
     then, _BATCH kept ones at a time, their sub-chunk pairs, i (4, 1, k),
     j (1, 4, k), less sub-chunks of padding alone.  ``scan`` yields, _BATCH
-    at a time, kept sub-chunk pairs' positions a, b (k, SUB) and distances
-    ``dist_block(rows[a], cols[b])``, each batch's row by row, in order."""
+    at a time, kept sub-chunk pairs' positions a, b (SUB, k), C-contiguous so
+    that each batch's axis stays innermost, and their distances (SUB, SUB, k)
+    ``pair_distances(rows[a][:, None], cols[b][None])``, row by row, in order."""
     per = CHUNK // SUB
 
     def blocks(ids):  # sub-chunk positions and boxes, chunk boxes, end of real sub-chunk ids
@@ -113,8 +114,9 @@ def block_pairs(space: "MetricSpace", rows: np.ndarray, cols: np.ndarray):
             x, k, y = (keep(gaps, i, j) & (i < rend) & (j < cend)).transpose(0, 2, 1).nonzero()
             pa, pb = rpos[R[k], x], cpos[C[k], y]
             for s in range(0, len(pa), _BATCH):
-                a, b = pa[s:s + _BATCH], pb[s:s + _BATCH]
-                yield a, b, space.dist_block(rows[a], cols[b])
+                # Indexing keeps its index's memory order: copy the positions to C order once.
+                a, b = np.ascontiguousarray(pa[s:s + _BATCH].T), np.ascontiguousarray(pb[s:s + _BATCH].T)
+                yield a, b, space.pair_distances(rows[a][:, None], cols[b][None])
 
     return _box_gaps(rhi1[:, :, None], rlo1[:, :, None], chi1[:, None], clo1[:, None]), scan
 
@@ -311,11 +313,12 @@ def graph_edges(n: int, edges) -> dict[tuple[int, int], float]:
 class MetricSpace:
     """An immutable finite metric space with O(1)-ish distance lookups.
 
-    :meth:`dist_block` is the one pairwise primitive.  Lipschitz constants and
-    McShane extension take it through :func:`block_pairs`, ``_BATCH`` SUB x SUB
-    sub-chunk pairs at a time; greedy nets one chunk's rows at a time, and
-    covering content row blocks of at most ``BLOCK`` points.  None holds m x m
-    distances over m points (times the dimension from 8 dimensions on).
+    :meth:`pair_distances` is the one distance formula.  Lipschitz constants
+    and McShane extension take it through :func:`block_pairs`, ``_BATCH`` SUB
+    x SUB sub-chunk pairs at a time; through :meth:`dist_block`, greedy nets
+    one chunk's rows at a time, and covering content row blocks of at most
+    ``BLOCK`` points.  None holds m x m distances over m points (times the
+    dimension from 8 dimensions on).
     """
 
     def __init__(self, *, dmat=None, coords=None, _validated: bool = False):
@@ -406,7 +409,7 @@ class MetricSpace:
     def coords(self):
         return self._coords
 
-    # Views of dist_block, the one distance formula, kept for perfbench's tracer.
+    # Views of pair_distances, the one distance formula, kept for perfbench's tracer.
     def dist(self, i: int, j: int) -> float:
         return float(self.dist_block([i], [j])[0, 0])
 
@@ -418,21 +421,22 @@ class MetricSpace:
 
     def dist_block(self, ids_a, ids_b) -> np.ndarray:
         """Distances from every point of ids_a (rows) to every point of ids_b
-        (columns).
+        (columns); stacked id blocks of shapes (..., r) and (..., c) give
+        stacked distance blocks of shape (..., r, c)."""
+        a, b = np.asarray(ids_a, dtype=int), np.asarray(ids_b, dtype=int)
+        return self.pair_distances(a[..., :, None], b[..., None, :])
 
-        Stacked id blocks of shapes (..., r) and (..., c) give stacked
-        distance blocks of shape (..., r, c), with the same bits per entry."""
+    def pair_distances(self, ids_a, ids_b) -> np.ndarray:
+        """Distances between the points of id arrays that broadcast together."""
         ids_a = np.asarray(ids_a, dtype=int)
         ids_b = np.asarray(ids_b, dtype=int)
         if self._dmat is not None:
-            return self._dmat[ids_a[..., :, None], ids_b[..., None, :]]
+            return self._dmat[ids_a, ids_b]
         dim = self._coords.shape[1]
         if dim >= 8:
             # numpy sums 8 or more squares pairwise; the broadcast norm keeps
             # that order.
-            pa = self._coords[ids_a]
-            pb = self._coords[ids_b]
-            return np.linalg.norm(pb[..., None, :, :] - pa[..., :, None, :], axis=-1)
+            return np.linalg.norm(self._coords[ids_b] - self._coords[ids_a], axis=-1)
         # Below 8 terms numpy's sum is sequential, so accumulating one
         # coordinate at a time gives the same bits. It is also faster: a
         # 256 x 1000 block of 2-D points takes 1.8 ms against 13.8 ms for the
@@ -444,21 +448,15 @@ class MetricSpace:
         acc = None
         for k in range(dim):
             ck = self._coords[:, k]
-            diff = ck[ids_a][..., :, None] - ck[ids_b][..., None, :]
+            diff = ck[ids_a] - ck[ids_b]
             diff *= diff
             if acc is None:
                 acc = diff
             else:
                 acc += diff
         if acc is None:  # no coordinates: a single point
-            return np.zeros(ids_a.shape + ids_b.shape[-1:])
-        return np.sqrt(acc, out=acc)
-
-    def pair_distances(self, ids_a, ids_b) -> np.ndarray:
-        """Elementwise distances between two equal-length index arrays."""
-        ids_a = np.asarray(ids_a, dtype=int)
-        ids_b = np.asarray(ids_b, dtype=int)
-        return self.dist_block(ids_a[..., None], ids_b[..., None])[..., 0, 0]
+            return np.zeros(np.broadcast_shapes(ids_a.shape, ids_b.shape))
+        return np.sqrt(acc, out=acc if acc.ndim else None)  # scalar ids give a scalar
 
     def check_id(self, i: int) -> int:
         i = _point_id(i)

@@ -306,8 +306,8 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
                   delta: float) -> CheckReport:
     """Luzin-N style probe: the length content created by the part of the
     curve parametrized over a small time set is controlled by the worst step
-    quotient seen outside that set, times the set's total length.  A curve that tears a time-null
-    set into positive length fails."""
+    quotient seen outside that set, times the measure of the union of its
+    intervals.  A curve that tears a time-null set into positive length fails."""
     from .curves import hausdorff1_content
     if not 0 < delta < math.inf:
         raise InputError(f"delta must be positive and finite, got {delta}")
@@ -326,7 +326,9 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
     step_mask = mask[:-1] & mask[1:]
     within = float(np.sum(curve.chords()[step_mask]))
     lhs = max(content, within)
-    length = sum(b - a for a, b in intervals)
+    length, end = 0.0, -math.inf  # the measure of the union, which the mask holds
+    for a, b in sorted(intervals):
+        length, end = length + max(b - max(a, end), 0.0), max(end, b)
     # Estimate the Lipschitz behavior from the steps outside the null set; a
     # jump hidden inside the set must not inflate its own budget.
     q = curve.step_quotients()

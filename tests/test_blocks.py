@@ -1,9 +1,10 @@
 """The blocked pairwise kernels against brute-force n x n references.
 
-Every kernel routes its distances through ``MetricSpace.dist_block``, in row
-blocks of ``BLOCK`` or in batches of sub-chunk pairs; maxima, minima and
-argmins over identical distances are exact, so each result must equal its
-reference bit for bit, including at the block edges."""
+Every kernel routes its distances through ``MetricSpace.pair_distances``,
+the one distance formula: in row blocks of ``BLOCK`` through its
+``dist_block`` view, or in batches of sub-chunk pairs of shape (SUB, SUB, k);
+maxima, minima and argmins over identical distances are exact, so each result
+must equal its reference bit for bit, including at the block edges."""
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +15,7 @@ from curve_lab import (InconsistentDataError, InputError, LipschitzSample, Metri
                        mcshane_extend_all, sawtooth_witness, triangle_wave)
 from curve_lab import lipschitz, witnesses
 from curve_lab.lipschitz import SUB
-from curve_lab.metric import BLOCK, CHUNK
+from curve_lab.metric import _BATCH, BLOCK, CHUNK
 from conftest import euclidean_curve, line_space
 
 SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
@@ -386,16 +387,17 @@ def test_pruned_quotient_finds_zero_distance_in_a_far_chunk():
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Records the shapes of the dist_block calls."""
+    """Records the shapes of the pair_distances calls, which dist_block's
+    blocks reach too."""
     shapes = []
-    original = MetricSpace.dist_block
+    original = MetricSpace.pair_distances
 
     def recording(self, ids_a, ids_b):
         out = original(self, ids_a, ids_b)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(MetricSpace, "dist_block", recording)
+    monkeypatch.setattr(MetricSpace, "pair_distances", recording)
     return shapes
 
 
@@ -422,14 +424,16 @@ def test_refined_quotient_over_several_batches(blocks):
     x = space.coords[:, 0]
     values = np.column_stack([x, triangle_wave(x, 0.02)])
     got = lip_constant(np.arange(n), values, space)
-    batches = [shape[0] for shape in blocks[1:]]  # before the reference, which calls dist_block too
+    # Batches are (SUB, SUB, k); read before the reference, which computes distances too.
+    batches = [shape[2] for shape in blocks[1:]]
+    assert all(shape[:2] == (SUB, SUB) for shape in blocks)
     assert np.array_equal(got, _ref_quotients(space, np.arange(n), values))
     c = -(-n // CHUNK)
     pairs = c * (c + 1) // 2
-    steps = -(-pairs // lipschitz._BATCH)
+    steps = -(-pairs // _BATCH)
     # Every sub-pair of every chunk pair, on the diagonal the upper triangle.
     assert sum(batches) == 16 * pairs - 6 * c
-    assert steps > 1 and len([b for b in batches if b < lipschitz._BATCH]) == steps < len(batches), batches
+    assert steps > 1 and len([b for b in batches if b < _BATCH]) == steps < len(batches), batches
 
 
 def test_refined_quotient_finds_a_zero_over_zero_pair(blocks):
@@ -448,7 +452,7 @@ def test_refined_quotient_finds_a_zero_over_zero_pair(blocks):
         with pytest.raises(InputError, match="distinct points 70 and 300 are at distance 0"):
             lip_constant(np.arange(n), v, space)
         # The seed's call, then batches of sub-pairs only.
-        assert len(blocks) > 1 and all(shape[1:] == (SUB, SUB) for shape in blocks[1:]), blocks
+        assert len(blocks) > 1 and all(shape[:2] == (SUB, SUB) for shape in blocks[1:]), blocks
 
 
 def test_distance_sample_takes_the_pruned_path(blocks):
@@ -472,16 +476,16 @@ def test_pruning_skips_most_of_a_sawtooth(monkeypatch):
     n = 1000
     curve = SampledCurve(MetricSpace.from_points(_helix(n, 2)), np.linspace(0.0, 1.0, n), np.arange(n))
     entries = []
-    original = MetricSpace.dist_block
+    original = MetricSpace.pair_distances
 
     def counting(self, ids_a, ids_b):
         out = original(self, ids_a, ids_b)
         entries.append(out.size)
         return out
 
-    monkeypatch.setattr(MetricSpace, "dist_block", counting)
+    monkeypatch.setattr(MetricSpace, "pair_distances", counting)
     witness = sawtooth_witness(curve, 0.05)
-    computed = sum(entries)  # before the reference, which calls dist_block too
+    computed = sum(entries)  # before the reference, which computes distances too
     full = _ref_quotients(curve.space, np.arange(n), _sawtooth_columns(curve.space))
     assert full[0] == witness.certificates["lip_constant"]
     # The pairs of distinct points are n (n - 1) / 2.
@@ -672,7 +676,7 @@ def test_envelope_pruning_skips_most_of_a_spiral(blocks):
     sample = LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), 1.0)
     blocks.clear()
     got = mcshane_extend_all(sample)
-    # Counted before the reference, which calls dist_block too.
+    # Counted before the reference, which computes distances too.
     computed = sum(int(np.prod(shape)) for shape in blocks)
     assert np.array_equal(got, _ref_envelopes(space, support, values, 1.0, np.arange(1000))["upper"])
     assert computed < 0.3 * len(support) * 1000, computed
@@ -733,6 +737,29 @@ def test_average_envelope_is_the_upper_and_lower_scans(blocks):
         assert mcshane_extend_all(sample, envelope=envelope).tobytes() == ref[envelope].tobytes()
         entries[envelope] = sum(int(np.prod(shape)) for shape in blocks)
     assert entries["average"] == entries["upper"] + entries["lower"], entries
+
+
+@pytest.mark.parametrize("m, n", [(16, 96), (13, 50), (CHUNK, 3 * CHUNK + 1)])
+def test_average_envelope_on_one_support_chunk_scans_once(blocks, m, n):
+    # A support of one chunk has no seed: both signs keep every pair, so the
+    # average folds both from one scan and computes each distance once, as
+    # upper and lower do alone.  With m and n multiples of SUB, no padding is
+    # computed: the entries are exactly the m x n pairs.
+    space = MetricSpace.from_points(_helix(n, 2, seed=m))
+    support = np.random.default_rng(m).choice(n, size=m, replace=False)
+    values = np.linalg.norm(space.coords[support] - [0.3, -0.1], axis=1) + 0.1 * np.sin(support)
+    L = lip_constant(support, values, space)
+    sample = LipschitzSample(space, tuple(support.tolist()), tuple(values.tolist()), L)
+    queries = np.arange(n)
+    ref = _ref_envelopes(space, support, values, L, queries)
+    entries = {}
+    for envelope in ("upper", "lower", "average"):
+        blocks.clear()
+        assert mcshane_extend_all(sample, queries, envelope=envelope).tobytes() == ref[envelope].tobytes()
+        entries[envelope] = sum(int(np.prod(shape)) for shape in blocks)
+    assert entries["average"] == entries["upper"] == entries["lower"] >= m * n, entries
+    if m % SUB == n % SUB == 0:
+        assert entries["average"] == m * n
 
 
 def test_sawtooth_certificate_chord_arc_defect_matches_reference():
@@ -826,16 +853,16 @@ def test_net_pruning_skips_most_of_a_spiral(monkeypatch):
     n, eps = 1000, 0.005
     space = MetricSpace.from_points(_helix(n, 2))
     entries = []
-    original = MetricSpace.dist_block
+    original = MetricSpace.pair_distances
 
     def counting(self, ids_a, ids_b):
         out = original(self, ids_a, ids_b)
         entries.append(out.size)
         return out
 
-    monkeypatch.setattr(MetricSpace, "dist_block", counting)
+    monkeypatch.setattr(MetricSpace, "pair_distances", counting)
     members = maximal_separated_net(space, range(n), eps).members
-    computed = sum(entries)  # before the reference, which calls dist_block too
+    computed = sum(entries)  # before the reference, which computes distances too
     assert members == _ref_net(space, range(n), eps)
     # Unpruned, the scan passes each chunk of CHUNK candidates with the
     # members admitted before it and with itself.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curve_lab import InputError, MetricSpace, maximal_separated_net, validate_metric
-from curve_lab.metric import TRIANGLE_BLOCK, TRIANGLE_RTOL
+from curve_lab.metric import SUB, TRIANGLE_BLOCK, TRIANGLE_RTOL
 from conftest import line_space
 
 
@@ -274,14 +274,17 @@ class TestMetricSpaceConstruction:
             with pytest.raises(InputError, match=rf"^point id {bad} is not an integer$"):
                 space.check_ids(ids)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9])
     def test_pair_distances_keep_the_norm_bits(self, dim):
-        # pair_distances, dist and dist_row go through dist_block; their bits
-        # are those of numpy's elementwise norm, on coordinates and on tables.
+        # pair_distances is the one formula; dist, dist_row and dist_block
+        # are views of it.  Their bits are those of numpy's elementwise norm,
+        # on coordinates and on tables, and the pruned pass's batches of
+        # shape (SUB, SUB, k) hold the bits of dist_block's entries.
         rng = np.random.default_rng(dim)
+        n = 40 if dim else 1  # points without coordinates are all one point
         for scale in (1e-3, 1.0, 1e6):
-            coords = rng.normal(size=(40, dim)) * scale
-            a, b = rng.integers(0, 40, size=(2, 300))
+            coords = rng.normal(size=(n, dim)) * scale
+            a, b = rng.integers(0, n, size=(2, 300))
             old = np.linalg.norm(coords[a] - coords[b], axis=-1)
             space = MetricSpace.from_points(coords)
             assert space.pair_distances(a, b).tobytes() == old.tobytes()
@@ -289,12 +292,18 @@ class TestMetricSpaceConstruction:
             for i in a[:10]:
                 row = np.linalg.norm(coords[b] - coords[i], axis=-1)
                 assert space.dist_row(i, b).tobytes() == row.tobytes()
-            matrix = space.dist_block(np.arange(40), np.arange(40))
+            matrix = space.dist_block(np.arange(n), np.arange(n))
             table = MetricSpace.from_matrix(matrix)
             assert table.pair_distances(a, b).tobytes() == matrix[a, b].tobytes()
             assert np.array([table.dist(i, j) for i, j in zip(a, b)]).tobytes() == matrix[a, b].tobytes()
             assert table.dist_row(a[0], b).tobytes() == matrix[a[0], b].tobytes()
             assert space.pair_distances(a[:0], b[:0]).shape == (0,)
+            assert space.pair_distances(a[0], b[0]) == table.pair_distances(a[0], b[0]) == old[0]
+            rows, cols = rng.integers(0, n, size=(2, SUB, 37))
+            for metric in (space, table):
+                batch = metric.pair_distances(rows[:, None], cols[None])
+                blocks = np.stack([metric.dist_block(rows[:, k], cols[:, k]) for k in range(37)], axis=-1)
+                assert batch.shape == (SUB, SUB, 37) and batch.tobytes() == blocks.tobytes()
 
 
     def test_caller_arrays_stay_writable(self):

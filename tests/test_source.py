@@ -54,13 +54,13 @@ def test_no_unused_function_imports():
 
 def test_one_distance_formula():
     # Chords, speeds and every kernel share one set of bits only if one
-    # function computes distances: MetricSpace.dist_block alone takes norms.
+    # function computes distances: MetricSpace.pair_distances alone takes norms.
     found = []
     for path in sorted(Path(curve_lab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = {id(node)
                    for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "MetricSpace"
-                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "dist_block"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "pair_distances"
                    for node in ast.walk(fn)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if (isinstance(node, ast.Attribute) and node.attr == "norm"

@@ -334,6 +334,21 @@ class TestLuzinN:
         report = luzin_n_probe(curve, [(0.499, 0.501)], 0.01)
         assert not report.verdict
 
+    def test_budget_is_the_measure_of_the_union(self):
+        # Unit speed on a line, but 20 steps of 0.5 inside (0.45, 0.55): the
+        # curve tears 10 units of length out of a set of measure 0.1.  The
+        # intervals' overlaps and repeats count once, as they do in the mask.
+        steps = np.full(200, 0.005)
+        steps[90:110] = 0.5
+        curve = euclidean_curve(np.concatenate([[0.0], np.cumsum(steps)])[:, None])
+        union = luzin_n_probe(curve, [(0.375, 0.625)], 0.01)
+        assert not union.verdict and union.lhs > 10.0 and union.context["set_length"] == 0.25
+        for null_set in ([(0.375, 0.625)] * 60, [(0.375, 0.5), (0.4375, 0.625)],
+                         [(0.5, 0.625), (0.375, 0.5), (0.4, 0.45), (0.375, 0.625)]):
+            assert luzin_n_probe(curve, null_set, 0.01) == union, null_set
+        report = luzin_n_probe(curve, [(0.4, 0.5), (0.45, 0.6)], 0.01)
+        assert report.context["set_length"] == pytest.approx(0.2) and not report.verdict
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InputError):
             luzin_n_probe(unit_segment(5), [(0.5, 0.5)], 0.1)
