@@ -174,14 +174,13 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
     sup, vals = np.asarray(sample.support, dtype=int), np.asarray(sample.values, dtype=float)
     far, scan = block_pairs(space, queries, sup)
     far[far == np.inf] = 0.0  # boxes that span the line: seed from the least values alone
-    signs = {"upper": (1.0,), "lower": (-1.0,), "average": (1.0, -1.0)}[envelope]
 
-    def extend(signs):
-        if len(far.T) == 1:  # a support of one chunk has no seed: every sign keeps every pair
+    def extend(sign):
+        op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
+        if len(far.T) == 1:  # a support of one chunk has no seed: every pair is kept
             def keep(near, i, j):
                 return np.ones(near.shape, dtype=bool)
         else:
-            (sign,) = signs
             with np.errstate(over="ignore", invalid="ignore"):
                 slope = L if np.isfinite(np.max(np.abs(vals)) + L * space._extent) else np.nan
                 low = block_folds(np.minimum, sign * vals)
@@ -195,19 +194,18 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
             def keep(near, i, j):
                 return ~(low[j] + slope * near > top[i])
 
-        envs = [np.full(len(queries), sign * np.inf) for sign in signs]
+        env = np.full(len(queries), sign * np.inf)
         for a, b, d in scan(keep):
             d *= L
+            terms = fold.reduce(op(vals[b], d, out=d), axis=1)
             runs = np.flatnonzero(a[0] != np.append(-1, a[0, :-1]))  # where a query sub-chunk's pairs start
-            for k, (sign, env) in enumerate(zip(signs, envs)):
-                op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
-                terms = fold.reduce(op(vals[b], d, out=d if k == len(signs) - 1 else None), axis=1)
-                # Runs fold along axis 0: reduceat along the innermost axis may drop a nan's sign.
-                fold.at(env, a[:, runs].T, fold.reduceat(terms.T.copy(), runs))
-        return envs
+            # Runs fold along axis 0: reduceat along the innermost axis may drop a nan's sign.
+            fold.at(env, a[:, runs].T, fold.reduceat(terms.T.copy(), runs))
+        return env
 
-    envs = extend(signs) if len(far.T) == 1 else [env for sign in signs for env in extend((sign,))]
-    return 0.5 * (envs[0] + envs[1]) if envelope == "average" else envs[0]
+    if envelope == "average":
+        return 0.5 * (extend(1.0) + extend(-1.0))
+    return extend(1.0 if envelope == "upper" else -1.0)
 
 
 class ProbeFamily(NamedTuple):

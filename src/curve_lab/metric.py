@@ -455,7 +455,7 @@ class MetricSpace:
             else:
                 acc += diff
         if acc is None:  # no coordinates: a single point
-            return np.zeros(np.broadcast_shapes(ids_a.shape, ids_b.shape))
+            return np.zeros(np.broadcast_shapes(ids_a.shape, ids_b.shape))[()]
         return np.sqrt(acc, out=acc if acc.ndim else None)  # scalar ids give a scalar
 
     def check_id(self, i: int) -> int:

@@ -740,11 +740,11 @@ def test_average_envelope_is_the_upper_and_lower_scans(blocks):
 
 
 @pytest.mark.parametrize("m, n", [(16, 96), (13, 50), (CHUNK, 3 * CHUNK + 1)])
-def test_average_envelope_on_one_support_chunk_scans_once(blocks, m, n):
-    # A support of one chunk has no seed: both signs keep every pair, so the
-    # average folds both from one scan and computes each distance once, as
-    # upper and lower do alone.  With m and n multiples of SUB, no padding is
-    # computed: the entries are exactly the m x n pairs.
+def test_envelopes_on_one_support_chunk_match_brute_force(blocks, m, n):
+    # A support of one chunk has no seed: each sign keeps every pair, so
+    # upper and lower each compute every support x query distance once, and
+    # average is their two scans.  With m and n multiples of SUB, no padding
+    # is computed: the entries are exactly the m x n pairs.
     space = MetricSpace.from_points(_helix(n, 2, seed=m))
     support = np.random.default_rng(m).choice(n, size=m, replace=False)
     values = np.linalg.norm(space.coords[support] - [0.3, -0.1], axis=1) + 0.1 * np.sin(support)
@@ -757,9 +757,10 @@ def test_average_envelope_on_one_support_chunk_scans_once(blocks, m, n):
         blocks.clear()
         assert mcshane_extend_all(sample, queries, envelope=envelope).tobytes() == ref[envelope].tobytes()
         entries[envelope] = sum(int(np.prod(shape)) for shape in blocks)
-    assert entries["average"] == entries["upper"] == entries["lower"] >= m * n, entries
+    assert entries["average"] == entries["upper"] + entries["lower"], entries
+    assert entries["upper"] == entries["lower"] >= m * n, entries
     if m % SUB == n % SUB == 0:
-        assert entries["average"] == m * n
+        assert entries["upper"] == m * n
 
 
 def test_sawtooth_certificate_chord_arc_defect_matches_reference():

@@ -299,6 +299,9 @@ class TestMetricSpaceConstruction:
             assert table.dist_row(a[0], b).tobytes() == matrix[a[0], b].tobytes()
             assert space.pair_distances(a[:0], b[:0]).shape == (0,)
             assert space.pair_distances(a[0], b[0]) == table.pair_distances(a[0], b[0]) == old[0]
+            for metric in (space, table):  # scalar ids give a scalar, not a 0-d array
+                one = metric.pair_distances(a[0], b[0])
+                assert np.ndim(one) == 0 and not isinstance(one, np.ndarray)
             rows, cols = rng.integers(0, n, size=(2, SUB, 37))
             for metric in (space, table):
                 batch = metric.pair_distances(rows[:, None], cols[None])
