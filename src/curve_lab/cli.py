@@ -171,7 +171,7 @@ def _cmd_validate_metric(args):
         with np.errstate(over="ignore"):
             if _by_construction(space):
                 return {"passed": True, "violations": []}, 0
-            matrix = space.submatrix(range(space.n))
+            matrix = space.dist_block(range(space.n), range(space.n))
     report = validate_metric(matrix)
     payload = {
         "passed": report.passed,

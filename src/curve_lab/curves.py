@@ -112,7 +112,7 @@ def metric_speed(curve: SampledCurve, t: float, window: float, side: str = "both
     endpoints.  ``side`` selects the left/right one-sided variants.
     """
     i1, i2 = _window_indices(curve, t, window, side)
-    d = curve.space.dist(int(curve.samples[i1]), int(curve.samples[i2]))
+    d = curve.space.pair_distances(curve.samples[i1], curve.samples[i2])
     return float(d / (curve.times[i2] - curve.times[i1]))
 
 
@@ -132,10 +132,7 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
     if not len(target):
         raise InputError("target set is empty")
     centers = list(maximal_separated_net(space, target, delta / 2.0).members)
-    total = 0.0
-    if len(centers) > 1:
-        gaps = space.pair_distances(centers[:-1], centers[1:])
-        total += float(np.sum(np.minimum(gaps, delta)))
+    total = float(np.sum(np.minimum(space.pair_distances(centers[:-1], centers[1:]), delta)))
     # Cluster of the last center: target points whose nearest center is it.
     # Every target point lies within delta/2 of its nearest center (a member
     # at 0, a rejected candidate below the net's epsilon), so only the points
@@ -145,11 +142,9 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
         np.argmin(space.dist_block(centers, near[lo:lo + BLOCK]), axis=0)
         for lo in range(0, len(near), BLOCK)
     ])
-    cluster = near[nearest == len(centers) - 1]
-    if len(cluster) > 1:
-        total += max(float(np.max(space.dist_block(cluster[lo:lo + BLOCK], cluster)))
-                     for lo in range(0, len(cluster), BLOCK))
-    return total
+    cluster = near[nearest == len(centers) - 1]  # holds the last center, at distance 0
+    return total + max(float(np.max(space.dist_block(cluster[lo:lo + BLOCK], cluster)))
+                       for lo in range(0, len(cluster), BLOCK))
 
 
 def chord_arc_profile(curve: SampledCurve) -> np.ndarray:

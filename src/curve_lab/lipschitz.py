@@ -35,19 +35,14 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
         raise InputError("need at least two points")
     if not np.all(np.isfinite(vals)):
         raise InputError("values must be finite")
-    uid, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # distinct ids in the caller's order, whose chunks follow a curve
-    uid, first, inverse = uid[order], first[order], np.argsort(order)[inverse]
-    uv = vals[first]
-    conflict = (vals != uv[inverse]).reshape(len(ids), -1).any(axis=1)
-    conflict &= np.arange(len(ids)) != first[inverse]
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    conflict = (vals != vals[first[inverse]]).reshape(len(ids), -1).any(axis=1)
     if conflict.any():
         k = int(np.argmax(conflict))
-        a, b = uv[inverse[k]].tolist(), vals[k].tolist()
+        a, b = vals[first[inverse[k]]].tolist(), vals[k].tolist()
         raise InconsistentDataError(f"point {ids[k]} carries two values {a!r} and {b!r}")
-    if len(uid) < 2:
-        return 0.0 if vals.ndim == 1 else np.zeros(vals.shape[1])
-    q = _max_quotient(space, uid, uv.reshape(len(uid), -1))
+    first.sort()  # distinct ids in the caller's order, whose chunks follow a curve
+    q = _max_quotient(space, ids[first], vals[first].reshape(len(first), -1))
     return float(q[0]) if vals.ndim == 1 else q
 
 
@@ -214,9 +209,6 @@ class ProbeFamily(NamedTuple):
     space: MetricSpace
     centers: tuple[int, ...]
 
-    def values_at(self, point_id: int) -> np.ndarray:
-        return self.space.dist_row(int(point_id), np.asarray(self.centers, dtype=int))
-
 
 def probe_family(curve: SampledCurve, n: int) -> ProbeFamily:
     """First n points of a farthest-point ordering of the curve's distinct
@@ -257,7 +249,6 @@ def speed_via_probes(curve: SampledCurve, probes: ProbeFamily, t: float, window:
     if not probes.space.same_as(curve.space):
         raise InputError("probe family and curve live on different spaces")
     i1, i2 = _window_indices(curve, t, window, side)
-    v1 = probes.values_at(int(curve.samples[i1]))
-    v2 = probes.values_at(int(curve.samples[i2]))
+    v1, v2 = probes.space.dist_block(curve.samples[[i1, i2]], probes.centers)
     return float(np.max(np.abs(v2 - v1)) / (curve.times[i2] - curve.times[i1]))
 

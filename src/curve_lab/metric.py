@@ -182,33 +182,24 @@ def validate_metric(candidate) -> ValidationReport:
     if not np.all(np.isfinite(d)):
         raise InputError("distance table contains non-finite entries")
 
-    n = d.shape[0]
     scale = float(np.max(np.abs(d))) or 1.0
     tol = TRIANGLE_RTOL * scale
-    violations: list[Violation] = []
-
-    bad_diag = np.flatnonzero(np.abs(np.diag(d)) > 0)
-    for i in bad_diag[:8]:
-        violations.append(Violation("zero-diagonal", (int(i),), f"dist({i},{i}) = {d[i, i]!r}"))
-
-    asym = [(int(i), int(j)) for i, j in np.argwhere(d != d.T) if i < j]
-    for i, j in asym[:8]:
-        violations.append(
-            Violation("symmetry", (i, j), f"dist({i},{j})={d[i, j]!r} != dist({j},{i})={d[j, i]!r}")
-        )
-
-    off = d.copy()
-    np.fill_diagonal(off, 1.0)
-    nonpos = np.argwhere(off <= 0)
-    for i, j in nonpos[:8]:
-        violations.append(Violation("positivity", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} <= 0"))
+    asym = np.argwhere(np.triu(d != d.T, 1))
+    nonpos = d <= 0
+    np.fill_diagonal(nonpos, False)
+    violations = [Violation("zero-diagonal", (int(i),), f"dist({i},{i}) = {d[i, i]!r}")
+                  for i in np.flatnonzero(np.diag(d) != 0)[:8]]
+    violations += [Violation("symmetry", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} != dist({j},{i})={d[j, i]!r}")
+                   for i, j in asym[:8]]
+    violations += [Violation("positivity", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} <= 0")
+                   for i, j in np.argwhere(nonpos)[:8]]
 
     # Only rows that hold a violation are scanned for witnesses, in the order
     # the exhaustive triple scan would visit them.  A sum that overflows to
     # inf is no shortcut, so overflow is not an error here.
     reported = 0
     with np.errstate(over="ignore"):
-        for i in _triangle_rows(d, tol, symmetric=not asym):
+        for i in _triangle_rows(d, tol, symmetric=not len(asym)):
             slack = d[i] - (d[i][:, None] + d)  # slack[j, k] = d(i,k) - d(i,j) - d(j,k)
             bad = np.argwhere(slack > tol)
             for j, k in bad[:8 - reported]:
@@ -409,7 +400,8 @@ class MetricSpace:
     def coords(self):
         return self._coords
 
-    # Views of pair_distances, the one distance formula, kept for perfbench's tracer.
+    # Views of pair_distances that nothing in the package calls, kept only
+    # because perfbench's span tracer wraps them by name.
     def dist(self, i: int, j: int) -> float:
         return float(self.dist_block([i], [j])[0, 0])
 
@@ -471,9 +463,10 @@ class MetricSpace:
             arr = np.asarray(ids)
         except (TypeError, ValueError, OverflowError):
             arr = None
-        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu":
-            # Floats, bools, strings, generators and the like convert one
-            # by one through check_id.
+        if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu"
+                or not isinstance(ids, (np.ndarray, range)) and not {bool, np.bool_}.isdisjoint(map(type, ids))):
+            # Floats, bools (numpy reads [0, True] as ints), strings,
+            # generators and the like convert one by one through check_id.
             return np.asarray([self.check_id(i) for i in ids], dtype=int)
         bad = (arr < 0) | (arr >= self._n)
         if bad.any():

@@ -236,7 +236,7 @@ def continuous_representative(values: Sequence[float],
                 stale = i + window
             i += 1
     dt = 1.0 / (n - 1)
-    residual = discontinuity_measure(v, sched[-1], max(2.5 * dt, 2.0 * dt))
+    residual = discontinuity_measure(v, sched[-1], 2.5 * dt)
     if residual.measure > dt * dt:
         return None
     return v, float(np.mean(modified))
@@ -274,7 +274,7 @@ class ACPReport(NamedTuple):
 def _speed_norm(curve: SampledCurve, p: float) -> float:
     q = curve.step_quotients()
     if math.isinf(p):
-        return float(np.max(q)) if len(q) else 0.0
+        return float(np.max(q))
     dt = np.diff(curve.times)
     return float(np.sum((q ** p) * dt) ** (1.0 / p))
 
@@ -333,8 +333,7 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
     # jump hidden inside the set must not inflate its own budget.
     q = curve.step_quotients()
     outside = q[~step_mask]
-    rhs = (float(np.max(outside)) if len(outside) else
-           float(np.max(q)) if len(q) else 0.0) * length
+    rhs = float(np.max(outside) if len(outside) else np.max(q)) * length
     return _report(
         "luzin_n", lhs, rhs, max(delta, 1e-12), one_sided=True,
         context={"null_set_samples": int(len(ids)), "content": content,

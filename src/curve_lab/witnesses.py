@@ -62,9 +62,7 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     tv = total_variation(curve)
     if tv <= 0:
         raise InputError("sawtooth witness requires positive total variation")
-    if not tooth > 0:
-        raise InputError(f"tooth must be positive, got {tooth}")
-    if tooth > tv:
+    if tooth > tv:  # triangle_wave rejects a tooth that is not positive
         raise InputError(f"tooth {tooth} exceeds curve length {tv}")
 
     s = curve.arc_coordinates()
@@ -130,7 +128,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         raise InputError("radii must be positive and finite")
     if len(set(pts)) != len(pts):
         raise InputError("ordered points must be distinct")
-    dmat = space.submatrix(pts)
+    dmat = space.dist_block(pts, pts)
     need = radii[:, None] + radii[None, :]
     np.fill_diagonal(need, 0.0)
     bad = np.argwhere(dmat < need)

@@ -243,6 +243,7 @@ class TestSampledCurve:
         ([True, False, True], "point id True is not an integer"),
         ([0, "1", 2], "point id '1' is not an integer"),
         ([0, 1, 3], r"point id 3 out of range \[0, 3\)"),
+        ([0, True, 2], "point id True is not an integer"),
     ])
     def test_sample_ids_are_point_ids(self, samples, message):
         # Sample ids pass the space's id check: none is truncated, read

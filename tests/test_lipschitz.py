@@ -28,6 +28,15 @@ class TestLipConstant:
         with pytest.raises(InconsistentDataError):
             lip_constant([0, 0], [0.0, 1.0], space)
 
+    def test_a_bool_among_int_ids_is_an_error(self):
+        # numpy reads [0, True, 2] as an int array; the bool is still no id.
+        space = line_space(range(5))
+        sample = LipschitzSample(space, (0, 4), (0.0, 1.0), 1.0)
+        for call in (lambda: lip_constant([0, True, 2], [0.0, 1.0, 2.0], space),
+                     lambda: mcshane_extend_all(sample, (0, np.True_, 2))):
+            with pytest.raises(InputError, match=r"^point id True is not an integer$"):
+                call()
+
     @pytest.mark.parametrize("values", [[0.0, np.inf, 1.0], [0.0, 1.0, np.inf], [np.nan, 0.0, 1.0],
                                         [[0.0, 0.0], [1.0, -np.inf], [2.0, 0.0]]])
     def test_non_finite_values_rejected(self, values):
@@ -137,9 +146,9 @@ class TestProbeFamily:
     def test_probes_are_1_lipschitz(self):
         curve = circle_curve(64)
         family = probe_family(curve, 8)
+        values = curve.space.dist_block(range(curve.space.n), family.centers)
         for k in range(len(family.centers)):
-            values = [family.values_at(i)[k] for i in range(curve.space.n)]
-            assert lip_constant(range(curve.space.n), values, curve.space) <= 1 + 1e-12
+            assert lip_constant(range(curve.space.n), values[:, k], curve.space) <= 1 + 1e-12
 
     def test_oversized_n_clamped_with_warning(self):
         curve = euclidean_curve([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0])

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -268,9 +269,12 @@ class TestMetricSpaceConstruction:
                          (np.array([2 ** 63], dtype=np.uint64), 2 ** 63)):
             with pytest.raises(InputError, match=rf"^point id {bad} out of range \[0, 5\)$"):
                 space.check_ids(ids)
-        # A fractional or boolean id is an error, not a truncated id.
+        # A fractional or boolean id is an error, not a truncated id, also
+        # among ints, which numpy reads together as an int array.
         for ids, bad in (([0, 2.7], "2.7"), ([True], "True"), (np.array([1.0, -0.5]), "-0.5"),
-                         (np.array([False]), "False"), ([float("nan")], "nan")):
+                         (np.array([False]), "False"), ([float("nan")], "nan"), ([0, True, 2], "True"),
+                         ((3, np.True_), "True"), ([1, np.False_, 2.5], "False"), ([1, 2.5, True], "2.5"),
+                         (deque([2, True]), "True")):
             with pytest.raises(InputError, match=rf"^point id {bad} is not an integer$"):
                 space.check_ids(ids)
 

@@ -70,6 +70,16 @@ def test_one_distance_formula():
     assert found == []
 
 
+def test_no_calls_of_the_distance_views():
+    # dist, dist_row and submatrix stay only for the benchmark's span tracer;
+    # the package reads distances through pair_distances and dist_block.
+    found = [f"{path.name}:{node.lineno} {node.attr}"
+             for path in sorted(Path(curve_lab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("dist", "dist_row", "submatrix")]
+    assert found == []
+
+
 def test_records_without_dataclasses():
     # A dataclass runs generated code when its module loads; the records do not.
     found = [f"{path.name}:{node.lineno}"
