@@ -35,6 +35,7 @@ class SampledCurve:
         self.space = space
         self.times = times
         self.samples = samples
+        self._chords = None
 
     @property
     def a(self) -> float:
@@ -48,8 +49,12 @@ class SampledCurve:
         return len(self.times)
 
     def chords(self) -> np.ndarray:
-        """Distances between consecutive samples."""
-        return self.space.pair_distances(self.samples[:-1], self.samples[1:])
+        """Distances between consecutive samples, computed on first use and
+        kept read-only."""
+        if self._chords is None:
+            self._chords = self.space.pair_distances(self.samples[:-1], self.samples[1:])
+            self._chords.setflags(write=False)
+        return self._chords
 
     def step_quotients(self) -> np.ndarray:
         """Per-step difference quotients dist/dt."""
@@ -131,7 +136,7 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
     target = space.check_ids(target)
     if not len(target):
         raise InputError("target set is empty")
-    centers = list(maximal_separated_net(space, target, delta / 2.0).members)
+    centers = np.asarray(maximal_separated_net(space, target, delta / 2.0).members)
     total = float(np.sum(np.minimum(space.pair_distances(centers[:-1], centers[1:]), delta)))
     # Cluster of the last center: target points whose nearest center is it.
     # Every target point lies within delta/2 of its nearest center (a member

@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import CHUNK, SUB, MetricSpace, _number, _padded, block_folds, block_pairs
+from .metric import CHUNK, SUB, MetricSpace, _float_array, _number, _padded, block_folds, block_pairs
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -100,18 +100,22 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
 class LipschitzSample:
     """Boundary data for a real function on a finite subset, evaluable
     anywhere through McShane extension with the declared constant L.
-    ``_lip`` is the data's Lipschitz constant when the caller has just
-    computed it."""
+    ``support`` and ``values`` are read-only copies, an int and a float
+    array.  ``_lip`` is the data's Lipschitz constant when the caller has
+    just computed it."""
 
     __slots__ = ("space", "support", "values", "L")
 
-    def __init__(self, space: MetricSpace, support: tuple[int, ...],
-                 values: tuple[float, ...], L: float, _lip: float | None = None):
+    def __init__(self, space: MetricSpace, support, values, L: float, _lip: float | None = None):
         if len(support) != len(values):
             raise InputError("support and values lengths differ")
         if len(support) == 0:
             raise InputError("empty support")
-        space.check_ids(support)
+        # Copies, frozen below: check_ids and _float_array may return the caller's array.
+        support = np.array(space.check_ids(support))
+        values = np.array(_float_array(values, "sample values"))
+        if values.ndim != 1:
+            raise InputError("sample values must be one number per point")
         if not (np.all(np.isfinite(values)) and np.isfinite(L)):
             raise InputError("sample values and L must be finite")
         if L < 0:
@@ -122,6 +126,8 @@ class LipschitzSample:
                 raise InconsistentDataError(
                     f"declared L={L} below the data's Lipschitz constant {lc}"
                 )
+        support.setflags(write=False)
+        values.setflags(write=False)
         for name, value in (("space", space), ("support", support), ("values", values), ("L", L)):
             object.__setattr__(self, name, value)
 
@@ -131,7 +137,7 @@ class LipschitzSample:
     __delattr__ = __setattr__
 
     def to_json(self) -> dict:
-        return {"support": list(self.support), "values": list(self.values), "L": self.L}
+        return {"support": self.support.tolist(), "values": self.values.tolist(), "L": self.L}
 
     @classmethod
     def from_json(cls, doc, space: MetricSpace) -> "LipschitzSample":
@@ -166,7 +172,7 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
     if envelope not in ("upper", "lower", "average"):
         raise InputError(f"unknown envelope {envelope!r}")
     queries = space.check_ids(np.arange(space.n) if queries is None else queries)
-    sup, vals = np.asarray(sample.support, dtype=int), np.asarray(sample.values, dtype=float)
+    sup, vals = sample.support, sample.values
     far, scan = block_pairs(space, queries, sup)
     far[far == np.inf] = 0.0  # boxes that span the line: seed from the least values alone
 
@@ -220,25 +226,24 @@ def probe_family(curve: SampledCurve, n: int) -> ProbeFamily:
     if n < 1:
         raise InputError(f"probe count must be >= 1, got {n}")
     space = curve.space
-    distinct = list(dict.fromkeys(curve.samples.tolist()))  # first-visit order
-    if n > len(distinct):
+    ids = curve.samples[np.sort(np.unique(curve.samples, return_index=True)[1])]  # distinct, first-visit order
+    if n > len(ids):
         warnings.warn(
-            f"requested {n} probes but the curve has {len(distinct)} distinct samples; clamping",
+            f"requested {n} probes but the curve has {len(ids)} distinct samples; clamping",
             stacklevel=2,
         )
-        n = len(distinct)
-    ids = np.asarray(distinct, dtype=int)
+        n = len(ids)
     chosen = [0]
-    mindist = space.dist_block(ids[:1], ids)[0]
+    mindist = space.pair_distances(ids[0], ids)
     while len(chosen) < n:
         nxt = int(np.argmax(mindist))
         if mindist[nxt] == 0:
             # Every sample left is at distance 0 from a chosen one.
             k = next(k for k in range(len(ids)) if k not in chosen)
-            c = chosen[int(np.argmin(space.dist_block(ids[k:k + 1], ids[chosen])[0]))]
+            c = chosen[int(np.argmin(space.pair_distances(ids[k], ids[chosen])))]
             raise InputError(f"distinct points {ids[c]} and {ids[k]} are at distance 0")
         chosen.append(nxt)
-        np.minimum(mindist, space.dist_block(ids[nxt:nxt + 1], ids)[0], out=mindist)
+        np.minimum(mindist, space.pair_distances(ids[nxt], ids), out=mindist)
     return ProbeFamily(space=space, centers=tuple(int(ids[c]) for c in chosen))
 
 

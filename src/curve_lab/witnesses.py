@@ -71,13 +71,8 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     # coordinate's, whose excess over 1 is the chord-arc defect.
     lc, lip_s = lip_constant(curve.samples, np.column_stack([values, s]), curve.space)
     lc, eta = float(lc), max(1.0, float(lip_s)) - 1.0
-    realization = LipschitzSample(
-        space=curve.space,
-        support=tuple(curve.samples.tolist()),
-        values=tuple(values.tolist()),
-        L=max(1.0, lc),
-        _lip=lc,
-    )
+    realization = LipschitzSample(space=curve.space, support=curve.samples, values=values,
+                                  L=max(1.0, lc), _lip=lc)
     variation = float(np.sum(np.abs(np.diff(values))))
     folds = np.diff(np.floor(s / tooth)) != 0
     floor = tv - float(np.sum(np.diff(s)[folds]))
@@ -118,7 +113,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
     alternating signs make every adjacent jump equal the radius sum exactly.
     """
     from .lipschitz import LipschitzSample
-    pts = space.check_ids(ordered_points).tolist()
+    pts = space.check_ids(ordered_points)
     radii = np.asarray(radii, dtype=float)
     if len(pts) != len(radii):
         raise InputError(f"{len(pts)} points but {len(radii)} radii")
@@ -126,7 +121,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         raise InputError("empty point list")
     if not np.all((radii > 0) & (radii < np.inf)):
         raise InputError("radii must be positive and finite")
-    if len(set(pts)) != len(pts):
+    if len(np.unique(pts)) != len(pts):
         raise InputError("ordered points must be distinct")
     dmat = space.dist_block(pts, pts)
     need = radii[:, None] + radii[None, :]
@@ -140,9 +135,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         )
     ks = np.arange(1, len(pts) + 1)
     values = ((-1.0) ** ks) * radii
-    realization = LipschitzSample(
-        space=space, support=tuple(pts), values=tuple(values.tolist()), L=1.0
-    )
+    realization = LipschitzSample(space=space, support=pts, values=values, L=1.0)
     lower = float(np.sum(radii[:-1] + radii[1:])) if len(pts) > 1 else 0.0
     margin = float(np.min((dmat - need)[np.triu_indices(len(pts), k=1)])) if len(pts) > 1 else float("inf")
     certificates = {

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from curve_lab import (InconsistentDataError, InputError, LipschitzSample, MetricSpace, SampledCurve,
-                       hausdorff1_content, lip_constant, maximal_separated_net,
-                       mcshane_extend_all, sawtooth_witness, triangle_wave)
+                       check_contraction, chord_arc_profile, hausdorff1_content, lip_constant,
+                       luzin_n_probe, maximal_separated_net, mcshane_extend_all, sawtooth_witness,
+                       triangle_wave)
 from curve_lab import lipschitz, witnesses
 from curve_lab.lipschitz import SUB
 from curve_lab.metric import _BATCH, BLOCK, CHUNK
@@ -453,6 +454,24 @@ def test_refined_quotient_finds_a_zero_over_zero_pair(blocks):
             lip_constant(np.arange(n), v, space)
         # The seed's call, then batches of sub-pairs only.
         assert len(blocks) > 1 and all(shape[:2] == (SUB, SUB) for shape in blocks[1:]), blocks
+
+
+def test_one_chord_pass_per_curve(blocks):
+    # The sawtooth, the contraction check, the chord-arc profile and the
+    # Luzin probe all read the chords; the curve computes them once.
+    n = 300
+    curve = SampledCurve(MetricSpace.from_points(_helix(n, 2)), np.linspace(0.0, 1.0, n), np.arange(n))
+    support = np.arange(0, n, 2)
+    sample = LipschitzSample(curve.space, support, np.linalg.norm(curve.space.coords[support], axis=1), 1.0)
+    blocks.clear()
+    sawtooth_witness(curve, 0.05)
+    check_contraction(curve, sample)
+    chord_arc_profile(curve)
+    luzin_n_probe(curve, [(0.4, 0.45)], 0.01)
+    assert blocks.count((n - 1,)) == 1, blocks
+    chords = curve.chords()
+    assert chords is curve.chords() and not chords.flags.writeable
+    assert np.array_equal(chords, curve.space.pair_distances(np.arange(n - 1), np.arange(1, n)))
 
 
 def test_distance_sample_takes_the_pruned_path(blocks):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestMcShane:
         # Positional and keyword arguments build the same read-only sample.
         for sample in (LipschitzSample(space, (0, 1), (0.0, 1.0), 1.0),
                        LipschitzSample(space=space, support=(0, 1), values=(0.0, 1.0), L=1.0)):
-            assert (sample.space, sample.support, sample.values, sample.L) == (
+            assert (sample.space, tuple(sample.support), tuple(sample.values), sample.L) == (
                 space, (0, 1), (0.0, 1.0), 1.0)
             with pytest.raises(AttributeError):
                 sample.L = 2.0
@@ -107,8 +108,8 @@ class TestMcShane:
         sample = LipschitzSample(space=space, support=(0, 1), values=(0.0, 1.0), L=1.5)
         doc = sample.to_json()
         back = LipschitzSample.from_json(doc, space)
-        assert back.support == sample.support
-        assert back.values == sample.values
+        assert tuple(back.support) == tuple(sample.support)
+        assert tuple(back.values) == tuple(sample.values)
         assert back.L == sample.L
         for bad in ({"support": [0, 1], "values": [0.0, 1.0]},
                     {"support": [0, 1], "values": [0.0, float("nan")], "L": 1.5},
@@ -118,6 +119,48 @@ class TestMcShane:
                     [[0, 1], [0.0, 1.0], 1.5]):
             with pytest.raises(InputError):
                 LipschitzSample.from_json(bad, space)
+
+
+class TestLipschitzSampleInputs:
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_sample_keeps_frozen_copies(self, kind):
+        # Changing the caller's data after the L check must not change the
+        # sample, its envelopes or its document.
+        space = line_space([0.0, 1.0, 2.0, 3.0])
+        support, values = kind([0, 1, 2]), kind([0.0, 50.0, 2.0])
+        sample = LipschitzSample(space, support, values, 50.0)
+        doc = sample.to_json()
+        envelopes = [mcshane_extend_all(sample, envelope=e) for e in ("upper", "lower", "average")]
+        support[1], values[1] = 3, 99.0
+        assert tuple(sample.support) == (0, 1, 2) and tuple(sample.values) == (0.0, 50.0, 2.0)
+        assert not sample.support.flags.writeable and not sample.values.flags.writeable
+        for e, env in zip(("upper", "lower", "average"), envelopes):
+            assert np.array_equal(mcshane_extend_all(sample, envelope=e), env)
+        assert np.array_equal(envelopes[1], [0.0, 50.0, 2.0, -48.0])
+        assert sample.to_json() == doc == {"support": [0, 1, 2], "values": [0.0, 50.0, 2.0], "L": 50.0}
+
+    @pytest.mark.parametrize("values", [("a", 1.0), (None, 1.0), (True, False), (0.0, np.True_),
+                                        np.array([True, False]), [[0.0], [1.0]]])
+    def test_values_that_are_not_numbers_are_input_errors(self, values):
+        with pytest.raises(InputError, match="^sample values "):  # None reads as nan, as in MetricSpace
+            LipschitzSample(line_space([0.0, 1.0]), (0, 1), values, 1.0)
+
+    def test_float_ids_come_back_as_ints(self):
+        sample = LipschitzSample(line_space([0.0, 1.0]), (0.0, 1.0), (0, 1), 1.0)
+        assert sample.support.dtype.kind == "i" and sample.values.dtype == float
+        doc = sample.to_json()
+        assert [type(i) for i in doc["support"]] == [int, int]
+        assert [type(v) for v in doc["values"]] == [float, float]
+        with pytest.raises(InputError, match="^point id 0.5 is not an integer$"):
+            LipschitzSample(line_space([0.0, 1.0]), (0.5, 1.0), (0.0, 1.0), 1.0)
+
+    def test_document_round_trips(self):
+        space = line_space(np.linspace(0.0, 1.0, 7))
+        sample = LipschitzSample(space, np.arange(0, 7, 2), np.array([0.5, -0.0, 1e-300, 0.25]), 3.0)
+        back = LipschitzSample.from_json(json.loads(json.dumps(sample.to_json())), space)
+        assert back.to_json() == sample.to_json()
+        assert np.array_equal(back.support, sample.support) and back.L == sample.L
+        assert back.values.tobytes() == sample.values.tobytes()
 
 
 class TestProbeFamily:

@@ -170,13 +170,13 @@ class TestAlternatingWitness:
     def test_hand_example_on_line(self):
         space = line_space([0.0, 0.5, 1.2])
         witness = alternating_separated_witness(space, [0, 1, 2], [0.1, 0.2, 0.3])
-        assert witness.realization.values == (-0.1, 0.2, -0.3)
+        assert tuple(witness.realization.values) == (-0.1, 0.2, -0.3)
         assert witness.certificates["variation_lower_bound"] == pytest.approx(0.8)
 
     def test_singleton(self):
         space = line_space([0.0, 9.0])
         witness = alternating_separated_witness(space, [1], [0.4])
-        assert witness.realization.values == (-0.4,)
+        assert tuple(witness.realization.values) == (-0.4,)
         assert witness.certificates["variation_lower_bound"] == 0.0
 
     def test_equally_spaced_closed_form(self):
