@@ -12,15 +12,14 @@ import io
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .metric import BLOCK, MetricSpace, maximal_separated_net
+from .metric import BLOCK, MetricSpace, _Frozen, maximal_separated_net
 
 
-class SampledCurve:
+class SampledCurve(_Frozen):
     """A time-ordered sequence of sample points in a metric space."""
 
     def __init__(self, space: MetricSpace, times, samples):
-        # Copies, frozen below: the caller's arrays stay writable.
-        times = np.array(times, dtype=float)
+        times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) < 2:
             raise InputError("a curve needs at least two sample times")
         if len(times) != len(samples):
@@ -29,13 +28,7 @@ class SampledCurve:
             raise InputError("sample times must be finite")
         if not np.all(np.diff(times) > 0):
             raise InputError("sample times must be strictly increasing")
-        samples = np.array(space.check_ids(samples))  # check_ids may return the caller's array
-        times.setflags(write=False)
-        samples.setflags(write=False)
-        self.space = space
-        self.times = times
-        self.samples = samples
-        self._chords = None
+        self._set(space=space, times=times, samples=space.check_ids(samples), _chords=None)
 
     @property
     def a(self) -> float:
@@ -52,8 +45,7 @@ class SampledCurve:
         """Distances between consecutive samples, computed on first use and
         kept read-only."""
         if self._chords is None:
-            self._chords = self.space.pair_distances(self.samples[:-1], self.samples[1:])
-            self._chords.setflags(write=False)
+            self._set(_chords=self.space.pair_distances(self.samples[:-1], self.samples[1:]))
         return self._chords
 
     def step_quotients(self) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import SampledCurve, _window_indices
 from .errors import InconsistentDataError, InputError
-from .metric import CHUNK, SUB, MetricSpace, _float_array, _number, _padded, block_folds, block_pairs
+from .metric import CHUNK, SUB, MetricSpace, _float_array, _Frozen, _number, _padded, block_folds, block_pairs
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -21,14 +21,14 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
 
     ``values`` holds one value per point, or one row per point with a column
     per function; a 2-D ``values`` gets an array of per-column constants from
-    one pass over the distances.  Exact; non-finite values raise
-    :class:`InputError`.  Duplicate point ids with differing values have an
+    one pass over the distances.  Exact; non-finite values, strings and
+    bools raise :class:`InputError`.  Duplicate point ids with differing values have an
     infinite quotient and raise :class:`InconsistentDataError`; distinct ids
     at distance 0 (coordinates whose difference underflows) raise
     :class:`InputError`.
     """
     ids = space.check_ids(points)
-    vals = np.asarray(values, dtype=float)
+    vals = _float_array(values, "values")
     if len(ids) != len(vals):
         raise InputError(f"{len(ids)} points but {len(vals)} values")
     if len(ids) < 2:
@@ -97,23 +97,21 @@ def _max_quotient(space: MetricSpace, ids: np.ndarray, values: np.ndarray) -> np
     return best
 
 
-class LipschitzSample:
+class LipschitzSample(_Frozen):
     """Boundary data for a real function on a finite subset, evaluable
     anywhere through McShane extension with the declared constant L.
     ``support`` and ``values`` are read-only copies, an int and a float
-    array.  ``_lip`` is the data's Lipschitz constant when the caller has
-    just computed it."""
-
-    __slots__ = ("space", "support", "values", "L")
+    array, and ``L`` is a float.  ``_lip`` is the data's Lipschitz constant
+    when the caller has just computed it."""
 
     def __init__(self, space: MetricSpace, support, values, L: float, _lip: float | None = None):
         if len(support) != len(values):
             raise InputError("support and values lengths differ")
         if len(support) == 0:
             raise InputError("empty support")
-        # Copies, frozen below: check_ids and _float_array may return the caller's array.
-        support = np.array(space.check_ids(support))
-        values = np.array(_float_array(values, "sample values"))
+        support = space.check_ids(support)
+        values = _float_array(values, "sample values")
+        L = _number(L, "Lipschitz sample L")
         if values.ndim != 1:
             raise InputError("sample values must be one number per point")
         if not (np.all(np.isfinite(values)) and np.isfinite(L)):
@@ -126,15 +124,7 @@ class LipschitzSample:
                 raise InconsistentDataError(
                     f"declared L={L} below the data's Lipschitz constant {lc}"
                 )
-        support.setflags(write=False)
-        values.setflags(write=False)
-        for name, value in (("space", space), ("support", support), ("values", values), ("L", L)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
-
-    __delattr__ = __setattr__
+        self._set(space=space, support=support, values=values, L=L)
 
     def to_json(self) -> dict:
         return {"support": self.support.tolist(), "values": self.values.tolist(), "L": self.L}
@@ -144,14 +134,11 @@ class LipschitzSample:
         if not isinstance(doc, dict):
             raise InputError("Lipschitz sample must be a JSON object")
         try:
-            support = tuple(space.check_id(i) for i in doc["support"])
-            values = tuple(_number(v, "Lipschitz sample value") for v in doc["values"])
-            L = _number(doc["L"], "Lipschitz sample L")
+            return cls(space=space, support=doc["support"], values=doc["values"], L=doc["L"])
         except KeyError as exc:
             raise InputError(f"Lipschitz sample has no {exc.args[0]!r} key") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"Lipschitz sample entries must be numbers: {exc}") from None
-        return cls(space=space, support=support, values=values, L=L)
 
 
 def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "upper") -> np.ndarray:
@@ -178,22 +165,18 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
 
     def extend(sign):
         op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
-        if len(far.T) == 1:  # a support of one chunk has no seed: every pair is kept
-            def keep(near, i, j):
-                return np.ones(near.shape, dtype=bool)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                slope = L if np.isfinite(np.max(np.abs(vals)) + L * space._extent) else np.nan
-                low = block_folds(np.minimum, sign * vals)
-                pos = _padded(len(sup)).reshape(-1, CHUNK // SUB, SUB)[np.argmin(low[:len(far.T)] + slope * far, 1)]
-                pts = np.take_along_axis(pos, np.argmin(sign * vals[pos], axis=2)[:, :, None], axis=2)[:, :, 0]
-                pts = pts[np.arange(len(queries)) // CHUNK].T
-                seed = sign * vals[pts] + L * space.pair_distances(queries, sup[pts])
-                top = block_folds(np.maximum, np.minimum.reduce(seed, axis=0))
-                top += _BOUND_RTOL * np.abs(top)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = L if np.isfinite(np.max(np.abs(vals)) + L * space._extent) else np.nan
+            low = block_folds(np.minimum, sign * vals)
+            pos = _padded(len(sup)).reshape(-1, CHUNK // SUB, SUB)[np.argmin(low[:len(far.T)] + slope * far, 1)]
+            pts = np.take_along_axis(pos, np.argmin(sign * vals[pos], axis=2)[:, :, None], axis=2)[:, :, 0]
+            pts = pts[np.arange(len(queries)) // CHUNK].T
+            seed = sign * vals[pts] + L * space.pair_distances(queries, sup[pts])
+            top = block_folds(np.maximum, np.minimum.reduce(seed, axis=0))
+            top += _BOUND_RTOL * np.abs(top)
 
-            def keep(near, i, j):
-                return ~(low[j] + slope * near > top[i])
+        def keep(near, i, j):
+            return ~(low[j] + slope * near > top[i])
 
         env = np.full(len(queries), sign * np.inf)
         for a, b, d in scan(keep):

@@ -187,11 +187,11 @@ def validate_metric(candidate) -> ValidationReport:
     asym = np.argwhere(np.triu(d != d.T, 1))
     nonpos = d <= 0
     np.fill_diagonal(nonpos, False)
-    violations = [Violation("zero-diagonal", (int(i),), f"dist({i},{i}) = {d[i, i]!r}")
+    violations = [Violation("zero-diagonal", (int(i),), f"dist({i},{i}) = {float(d[i, i])!r}")
                   for i in np.flatnonzero(np.diag(d) != 0)[:8]]
-    violations += [Violation("symmetry", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} != dist({j},{i})={d[j, i]!r}")
+    violations += [Violation("symmetry", (int(i), int(j)), f"dist({i},{j})={float(d[i, j])!r} != dist({j},{i})={float(d[j, i])!r}")
                    for i, j in asym[:8]]
-    violations += [Violation("positivity", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} <= 0")
+    violations += [Violation("positivity", (int(i), int(j)), f"dist({i},{j})={float(d[i, j])!r} <= 0")
                    for i, j in np.argwhere(nonpos)[:8]]
 
     # Only rows that hold a violation are scanned for witnesses, in the order
@@ -207,7 +207,7 @@ def validate_metric(candidate) -> ValidationReport:
                     Violation(
                         "triangle",
                         (int(i), int(k), int(j)),
-                        f"dist({i},{k})={d[i, k]!r} > dist({i},{j})+dist({j},{k})={d[i, j] + d[j, k]!r}",
+                        f"dist({i},{k})={float(d[i, k])!r} > dist({i},{j})+dist({j},{k})={float(d[i, j] + d[j, k])!r}",
                     )
                 )
                 reported += 1
@@ -301,7 +301,26 @@ def graph_edges(n: int, edges) -> dict[tuple[int, int], float]:
     return best
 
 
-class MetricSpace:
+class _Frozen:
+    """A value that is set once, in its constructor or a first-use cache,
+    through :meth:`_set`, and is read-only after."""
+
+    def _set(self, **attrs) -> None:
+        """Store each attribute; an ndarray as a read-only copy, so that the
+        caller's array stays writable and cannot change the value."""
+        for name, value in attrs.items():
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class MetricSpace(_Frozen):
     """An immutable finite metric space with O(1)-ish distance lookups.
 
     :meth:`pair_distances` is the one distance formula.  Lipschitz constants
@@ -322,12 +341,8 @@ class MetricSpace:
                 if not report.passed:
                     first = report.violations[0]
                     raise InputError(f"not a metric: {first.axiom} violated, witness {first.witness}: {first.detail}")
-            # Frozen copies: the caller's array stays writable and cannot change the space.
-            self._dmat = dmat.copy()
-            self._dmat.setflags(write=False)
-            self._coords = None
-            self._n = dmat.shape[0]
-            self._extent = float(self._dmat.max())  # an upper bound on every distance
+            # _extent is an upper bound on every distance.
+            self._set(_dmat=dmat, coords=None, n=dmat.shape[0], _extent=float(dmat.max()))
         else:
             coords = _float_array(coords, "coordinates")
             if coords.ndim != 2:
@@ -342,15 +357,12 @@ class MetricSpace:
             dup = int(np.count_nonzero(np.all(rows[1:] == rows[:-1], axis=1)))
             if dup:
                 raise InputError(f"{dup} duplicated point(s) in Euclidean embedding (zero distance at i != j)")
-            self._dmat = None
-            self._coords = coords.copy()
-            self._coords.setflags(write=False)
-            self._n = coords.shape[0]
             # The same bound from the diagonal of the points' bounding box; inf
             # if its square overflows, and then boxes cannot bound (_chunks).
             with np.errstate(over="ignore"):
-                box = np.ptp(coords, axis=0) if self._n else np.zeros(0)
-                self._extent = float(np.sqrt(np.sum(np.square(box))))
+                box = np.ptp(coords, axis=0) if len(coords) else np.zeros(0)
+                extent = float(np.sqrt(np.sum(np.square(box))))
+            self._set(_dmat=None, coords=coords, n=coords.shape[0], _extent=extent)
 
     # -- constructors ------------------------------------------------------
 
@@ -389,16 +401,8 @@ class MetricSpace:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return self._n
-
     def __len__(self) -> int:
-        return self._n
-
-    @property
-    def coords(self):
-        return self._coords
+        return self.n
 
     # Views of pair_distances that nothing in the package calls, kept only
     # because perfbench's span tracer wraps them by name.
@@ -424,11 +428,11 @@ class MetricSpace:
         ids_b = np.asarray(ids_b, dtype=int)
         if self._dmat is not None:
             return self._dmat[ids_a, ids_b]
-        dim = self._coords.shape[1]
+        dim = self.coords.shape[1]
         if dim >= 8:
             # numpy sums 8 or more squares pairwise; the broadcast norm keeps
             # that order.
-            return np.linalg.norm(self._coords[ids_b] - self._coords[ids_a], axis=-1)
+            return np.linalg.norm(self.coords[ids_b] - self.coords[ids_a], axis=-1)
         # Below 8 terms numpy's sum is sequential, so accumulating one
         # coordinate at a time gives the same bits. It is also faster: a
         # 256 x 1000 block of 2-D points takes 1.8 ms against 13.8 ms for the
@@ -439,7 +443,7 @@ class MetricSpace:
         # columns of the gathered points.
         acc = None
         for k in range(dim):
-            ck = self._coords[:, k]
+            ck = self.coords[:, k]
             diff = ck[ids_a] - ck[ids_b]
             diff *= diff
             if acc is None:
@@ -452,8 +456,8 @@ class MetricSpace:
 
     def check_id(self, i: int) -> int:
         i = _point_id(i)
-        if not 0 <= i < self._n:
-            raise InputError(f"point id {i} out of range [0, {self._n})")
+        if not 0 <= i < self.n:
+            raise InputError(f"point id {i} out of range [0, {self.n})")
         return i
 
     def check_ids(self, ids) -> np.ndarray:
@@ -468,7 +472,7 @@ class MetricSpace:
             # Floats, bools (numpy reads [0, True] as ints), strings,
             # generators and the like convert one by one through check_id.
             return np.asarray([self.check_id(i) for i in ids], dtype=int)
-        bad = (arr < 0) | (arr >= self._n)
+        bad = (arr < 0) | (arr >= self.n)
         if bad.any():
             self.check_id(arr[np.argmax(bad)])
         return arr.astype(int, copy=False)
@@ -478,9 +482,9 @@ class MetricSpace:
         equal distance table."""
         if other is self:
             return True
-        mine = self._dmat if self._coords is None else self._coords
-        theirs = other._dmat if other._coords is None else other._coords
-        return (self._coords is None) == (other._coords is None) and np.array_equal(mine, theirs)
+        mine = self._dmat if self.coords is None else self.coords
+        theirs = other._dmat if other.coords is None else other.coords
+        return (self.coords is None) == (other.coords is None) and np.array_equal(mine, theirs)
 
 
 class SeparatedNet(NamedTuple):

@@ -131,7 +131,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         i, j = bad[0]
         raise InputError(
             f"separation precondition fails for pair ({pts[i]},{pts[j]}): "
-            f"dist={dmat[i, j]!r} < radius sum {need[i, j]!r}"
+            f"dist={float(dmat[i, j])!r} < radius sum {float(need[i, j])!r}"
         )
     ks = np.arange(1, len(pts) + 1)
     values = ((-1.0) ** ks) * radii

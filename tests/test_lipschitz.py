@@ -16,6 +16,12 @@ class TestLipConstant:
         space = line_space([0.0, 1.0])
         assert lip_constant([0, 1], [0.0, 1.0], space) == 1.0
 
+    @pytest.mark.parametrize("values", [["0", "1"], [False, True], np.array([False, True])])
+    def test_values_that_are_not_numbers_are_input_errors(self, values):
+        # Values follow the LipschitzSample rule: numpy reads "1" and True as 1.0.
+        with pytest.raises(InputError, match="^values must hold numbers"):
+            lip_constant([0, 1], values, line_space([0.0, 1.0]))
+
     def test_constant_values(self):
         space = line_space([0.0, 0.5, 1.0])
         assert lip_constant([0, 1, 2], [3.0, 3.0, 3.0], space) == 0.0
@@ -144,6 +150,16 @@ class TestLipschitzSampleInputs:
     def test_values_that_are_not_numbers_are_input_errors(self, values):
         with pytest.raises(InputError, match="^sample values "):  # None reads as nan, as in MetricSpace
             LipschitzSample(line_space([0.0, 1.0]), (0, 1), values, 1.0)
+
+    @pytest.mark.parametrize("L", ["1", True, np.True_])
+    def test_l_that_is_not_a_number_is_an_input_error(self, L):
+        with pytest.raises(InputError, match="^Lipschitz sample L .* is not a number$"):
+            LipschitzSample(line_space([0.0, 1.0]), (0, 1), (0.0, 1.0), L)
+
+    def test_l_is_kept_as_a_float(self):
+        sample = LipschitzSample(line_space([0.0, 1.0]), (0, 1), (0.0, 1.0), np.float32(1))
+        assert type(sample.L) is float
+        assert json.dumps(sample.to_json()) == '{"support": [0, 1], "values": [0.0, 1.0], "L": 1.0}'
 
     def test_float_ids_come_back_as_ints(self):
         sample = LipschitzSample(line_space([0.0, 1.0]), (0.0, 1.0), (0, 1), 1.0)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curve_lab import InputError, MetricSpace, maximal_separated_net, validate_metric
+from curve_lab import (InputError, LipschitzSample, MetricSpace, SampledCurve, maximal_separated_net,
+                       mcshane_extend_all, total_variation, validate_metric)
 from curve_lab.metric import SUB, TRIANGLE_BLOCK, TRIANGLE_RTOL
 from conftest import line_space
 
@@ -20,14 +21,14 @@ def reference_report(d):
     tol = TRIANGLE_RTOL * (float(np.max(np.abs(d))) or 1.0)
     found = []
     for i in np.flatnonzero(np.abs(np.diag(d)) > 0)[:8]:
-        found.append(("zero-diagonal", (int(i),), f"dist({i},{i}) = {d[i, i]!r}"))
+        found.append(("zero-diagonal", (int(i),), f"dist({i},{i}) = {float(d[i, i])!r}"))
     asym = [(int(i), int(j)) for i, j in np.argwhere(d != d.T) if i < j]
     for i, j in asym[:8]:
-        found.append(("symmetry", (i, j), f"dist({i},{j})={d[i, j]!r} != dist({j},{i})={d[j, i]!r}"))
+        found.append(("symmetry", (i, j), f"dist({i},{j})={float(d[i, j])!r} != dist({j},{i})={float(d[j, i])!r}"))
     off = d.copy()
     np.fill_diagonal(off, 1.0)
     for i, j in np.argwhere(off <= 0)[:8]:
-        found.append(("positivity", (int(i), int(j)), f"dist({i},{j})={d[i, j]!r} <= 0"))
+        found.append(("positivity", (int(i), int(j)), f"dist({i},{j})={float(d[i, j])!r} <= 0"))
     reported = 0
     for i in range(n):
         if reported >= 8:
@@ -35,7 +36,7 @@ def reference_report(d):
         slack = d[i] - (d[i][:, None] + d)
         for j, k in np.argwhere(slack > tol)[:8 - reported]:
             found.append(("triangle", (int(i), int(k), int(j)),
-                          f"dist({i},{k})={d[i, k]!r} > dist({i},{j})+dist({j},{k})={d[i, j] + d[j, k]!r}"))
+                          f"dist({i},{k})={float(d[i, k])!r} > dist({i},{j})+dist({j},{k})={float(d[i, j] + d[j, k])!r}"))
             reported += 1
     return not found, found
 
@@ -161,6 +162,17 @@ class TestValidateMetricMatchesRowScan:
         for table in ([[0.0]], [[-1.0]], [[0, -1], [-1, 0]], [[0, 0], [3, 0]],
                       [[0, 1, 3], [1, 0, 1], [3, 1, 0]]):
             assert report_tuples(validate_metric(table)) == reference_report(table)
+
+    def test_details_print_plain_floats(self):
+        # A numpy scalar's repr is "np.float64(5.0)" from numpy 2 on and "5.0"
+        # before, so an artifact would depend on the numpy version.
+        for n in (3, TRIANGLE_BLOCK + 1):
+            for name, table in planted_tables(n, seed=n).items():
+                details = [v.detail for v in validate_metric(table).violations]
+                assert all("np." not in d for d in details), (name, details)
+        report = validate_metric([[1.0, 5.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert [v.detail for v in report.violations] == [
+            "dist(0,0) = 1.0", "dist(0,1)=5.0 != dist(1,0)=2.0", "dist(0,1)=5.0 > dist(0,2)+dist(2,1)=2.0"]
 
     def test_random_integer_tables(self):
         # Small integer entries: ties, zeros, negatives and asymmetry.
@@ -365,3 +377,38 @@ class TestSeparatedNet:
         with pytest.raises(InputError):
             maximal_separated_net(line_space([0.0, 1.0]), [0, 1], float("nan"))
 
+
+# -- frozen values ---------------------------------------------------------------
+
+
+def _frozen_values():
+    """A space of each kind, a curve and a sample, each with what it computes."""
+    points = MetricSpace.from_points([[0.0], [1.0], [2.0]])
+    matrix = MetricSpace.from_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    curve = SampledCurve(points, [0.0, 0.5, 1.0], [0, 1, 0])
+    sample = LipschitzSample(points, [0, 2], [0.0, 1.0], 1.0)
+    return {"points": (points, lambda: points.dist_block(range(3), range(3)).tobytes()),
+            "matrix": (matrix, lambda: matrix.dist_block(range(3), range(3)).tobytes()),
+            "curve": (curve, lambda: total_variation(curve)),
+            "sample": (sample, lambda: mcshane_extend_all(sample).tobytes())}
+
+
+FROZEN = {"points": ("n", "coords", "_dmat", "_extent"), "matrix": ("n", "coords", "_dmat", "_extent"),
+          "curve": ("space", "times", "samples", "_chords"), "sample": ("space", "support", "values", "L")}
+
+
+@pytest.mark.parametrize("kind, name", [(k, a) for k, names in FROZEN.items() for a in names + ("extra",)])
+def test_values_refuse_assignment_and_deletion(kind, name):
+    # A value stays what it was checked as.  On a line, rebinding a curve's
+    # samples to [0, 2, 0] after a first variation of 2.0 would leave the
+    # cached chords in place, where the new samples have variation 4.0.
+    value, computes = _frozen_values()[kind]
+    before = computes()
+    assert sorted(vars(value)) == sorted(FROZEN[kind])
+    message = f"^{type(value).__name__}\\.{name} is read-only$"
+    with pytest.raises(AttributeError, match=message):
+        setattr(value, name, np.array([0, 2, 0]))
+    with pytest.raises(AttributeError, match=message):
+        delattr(value, name)
+    assert computes() == before
+    assert not any(a.flags.writeable for a in vars(value).values() if isinstance(a, np.ndarray))

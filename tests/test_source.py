@@ -70,6 +70,27 @@ def test_one_distance_formula():
     assert found == []
 
 
+def test_one_freezing_helper():
+    # MetricSpace, SampledCurve and LipschitzSample stay the values they were
+    # checked as through one rule: only metric._Frozen._set stores past the
+    # read-only __setattr__ and marks arrays read-only.
+    found, helper = [], set()
+    for path in sorted(Path(curve_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node)
+                   for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "_Frozen"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "_set"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and (node.attr == "setflags" or node.attr == "__setattr__"
+                                                     and isinstance(node.value, ast.Name) and node.value.id == "object")):
+                if id(node) in allowed:
+                    helper.add(node.attr)
+                else:
+                    found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert found == [] and helper == {"setflags", "__setattr__"}
+
+
 def test_no_calls_of_the_distance_views():
     # dist, dist_row and submatrix stay only for the benchmark's span tracer;
     # the package reads distances through pair_distances and dist_block.

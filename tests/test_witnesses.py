@@ -211,6 +211,10 @@ class TestAlternatingWitness:
         space = line_space([0.0, 0.2])
         with pytest.raises(InputError, match=r"\(0,1\)"):
             alternating_separated_witness(space, [0, 1], [0.3, 0.3])
+        # Plain floats, whatever the numpy version: not np.float64(0.2).
+        with pytest.raises(InputError, match=r"^separation precondition fails for pair \(0,1\): "
+                                             r"dist=0\.2 < radius sum 0\.6$"):
+            alternating_separated_witness(space, np.array([0, 1]), np.array([0.3, 0.3]))
 
 
 class TestForge:
