@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HorizonError, InputError
+from .errors import HorizonError, InputError, _float_array
 
 # Each loader and handler imports the library names it calls, so a command
 # loads only the modules it uses: validate-metric needs metric alone.
@@ -87,21 +87,11 @@ def _load_curve(curve_path: str, space_path: Optional[str]):
 def _load_values(path: str) -> np.ndarray:
     text = _read_text(path, "values").strip()
     try:
-        if text.startswith("["):
-            values = json.loads(text)
-            # float() reads "0.5" and true as numbers; the JSON format does not.
-            if any(isinstance(v, (str, bool)) for v in values):
-                raise InputError(f"values file {path} must hold numbers, not strings or booleans")
-            values = np.asarray(values, dtype=float)
-        else:
-            values = np.asarray([float(line) for line in text.splitlines() if line.strip()])
+        values = (json.loads(text) if text.startswith("[")
+                  else [float(line) for line in text.splitlines() if line.strip()])
     except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"values file {path} must be a JSON array or one float per line") from exc
-    if values.ndim != 1:
-        raise InputError(f"values file {path} must hold one list of numbers, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise InputError(f"values file {path} contains non-finite entries")
-    return values
+    return _float_array(values, f"values file {path}", ndim=1)
 
 
 def _load_sample(path: str, space):

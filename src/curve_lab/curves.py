@@ -11,7 +11,7 @@ import io
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, _float_array
 from .metric import BLOCK, MetricSpace, _Frozen, maximal_separated_net
 
 
@@ -19,16 +19,14 @@ class SampledCurve(_Frozen):
     """A time-ordered sequence of sample points in a metric space."""
 
     def __init__(self, space: MetricSpace, times, samples):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
+        times, samples = _float_array(times, "sample times", ndim=1), space.check_ids(samples)
+        if len(times) < 2:
             raise InputError("a curve needs at least two sample times")
         if len(times) != len(samples):
             raise InputError(f"{len(times)} times but {len(samples)} samples")
-        if not np.all(np.isfinite(times)):
-            raise InputError("sample times must be finite")
         if not np.all(np.diff(times) > 0):
             raise InputError("sample times must be strictly increasing")
-        self._set(space=space, times=times, samples=space.check_ids(samples), _chords=None)
+        self._set(space=space, times=times, samples=samples, _chords=None)
 
     @property
     def a(self) -> float:

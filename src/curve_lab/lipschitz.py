@@ -8,8 +8,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import SampledCurve, _window_indices
-from .errors import InconsistentDataError, InputError
-from .metric import CHUNK, SUB, MetricSpace, _float_array, _Frozen, _number, _padded, block_folds, block_pairs
+from .errors import InconsistentDataError, InputError, _float_array, _number
+from .metric import CHUNK, SUB, MetricSpace, _Frozen, _padded, block_folds, block_pairs
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
 # this much relative float slack before calling the data inconsistent.
@@ -29,12 +29,12 @@ def lip_constant(points, values, space: MetricSpace) -> float | np.ndarray:
     """
     ids = space.check_ids(points)
     vals = _float_array(values, "values")
+    if vals.ndim not in (1, 2):
+        raise InputError(f"values must be one number or one row per point, got shape {vals.shape}")
     if len(ids) != len(vals):
         raise InputError(f"{len(ids)} points but {len(vals)} values")
     if len(ids) < 2:
         raise InputError("need at least two points")
-    if not np.all(np.isfinite(vals)):
-        raise InputError("values must be finite")
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     conflict = (vals != vals[first[inverse]]).reshape(len(ids), -1).any(axis=1)
     if conflict.any():
@@ -105,17 +105,14 @@ class LipschitzSample(_Frozen):
     when the caller has just computed it."""
 
     def __init__(self, space: MetricSpace, support, values, L: float, _lip: float | None = None):
+        support, values = space.check_ids(support), _float_array(values, "sample values", ndim=1)
+        L = _number(L, "Lipschitz sample L")
         if len(support) != len(values):
             raise InputError("support and values lengths differ")
         if len(support) == 0:
             raise InputError("empty support")
-        support = space.check_ids(support)
-        values = _float_array(values, "sample values")
-        L = _number(L, "Lipschitz sample L")
-        if values.ndim != 1:
-            raise InputError("sample values must be one number per point")
-        if not (np.all(np.isfinite(values)) and np.isfinite(L)):
-            raise InputError("sample values and L must be finite")
+        if not np.isfinite(L):
+            raise InputError("Lipschitz sample L must be finite")
         if L < 0:
             raise InputError(f"Lipschitz constant must be nonnegative, got {L}")
         if len(support) >= 2:
@@ -137,8 +134,6 @@ class LipschitzSample(_Frozen):
             return cls(space=space, support=doc["support"], values=doc["values"], L=doc["L"])
         except KeyError as exc:
             raise InputError(f"Lipschitz sample has no {exc.args[0]!r} key") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"Lipschitz sample entries must be numbers: {exc}") from None
 
 
 def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "upper") -> np.ndarray:

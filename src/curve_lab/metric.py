@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _float_array, _number, _point_id
 
 # Relative slack for triangle-inequality checks on floating inputs; graph
 # metrics accumulate rounding of this order.
@@ -132,39 +132,6 @@ class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
 
-# float() and numpy read "1" and true as numbers; the JSON formats do not.
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
-
-
-def _point_id(i) -> int:
-    """``int(i)`` of a point id; a string, a bool, or a float that is not an
-    integer is an input error rather than a truncated id."""
-    if isinstance(i, _NOT_NUMBERS) or (isinstance(i, (float, np.floating))
-                                       and not float(i).is_integer()):
-        raise InputError(f"point id {i!r} is not an integer" if isinstance(i, str)
-                         else f"point id {i} is not an integer")
-    return int(i)
-
-
-def _number(x, what: str) -> float:
-    """``float(x)`` of a number; a string or a bool is an input error."""
-    if isinstance(x, _NOT_NUMBERS):
-        raise InputError(f"{what} {x!r} is not a number")
-    return float(x)
-
-
-def _float_array(data, what: str) -> np.ndarray:
-    """``data`` as a float array; a string or a bool in it is an input error."""
-    try:
-        leaves = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=object)
-        types = set(map(type, leaves.flat)) if leaves.dtype.kind in "bOSU" else ()
-        if any(issubclass(t, _NOT_NUMBERS) for t in types):
-            raise InputError(f"{what} must hold numbers, not strings or booleans")
-        return np.asarray(leaves, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} must be a numeric array: {exc}") from exc
-
-
 def validate_metric(candidate) -> ValidationReport:
     """Check a raw distance table against the metric axioms.
 
@@ -179,8 +146,6 @@ def validate_metric(candidate) -> ValidationReport:
         raise InputError(f"distance table must be square, got shape {d.shape}")
     if d.size == 0:
         raise InputError("distance table is empty")
-    if not np.all(np.isfinite(d)):
-        raise InputError("distance table contains non-finite entries")
 
     scale = float(np.max(np.abs(d))) or 1.0
     tol = TRIANGLE_RTOL * scale
@@ -344,11 +309,7 @@ class MetricSpace(_Frozen):
             # _extent is an upper bound on every distance.
             self._set(_dmat=dmat, coords=None, n=dmat.shape[0], _extent=float(dmat.max()))
         else:
-            coords = _float_array(coords, "coordinates")
-            if coords.ndim != 2:
-                raise InputError(f"coordinates must be rows of equal length, got shape {coords.shape}")
-            if not np.all(np.isfinite(coords)):
-                raise InputError("coordinates contain non-finite entries")
+            coords = _float_array(coords, "coordinates", ndim=2)
             # Euclidean distances satisfy the axioms automatically except
             # positivity, which fails for duplicated points.
             # Sorted rows put equal points (0.0 == -0.0) next to each other;
@@ -471,6 +432,8 @@ class MetricSpace(_Frozen):
                 or not isinstance(ids, (np.ndarray, range)) and not {bool, np.bool_}.isdisjoint(map(type, ids))):
             # Floats, bools (numpy reads [0, True] as ints), strings,
             # generators and the like convert one by one through check_id.
+            if not np.iterable(ids):
+                raise InputError(f"point ids must be a sequence, got {ids!r}")
             return np.asarray([self.check_id(i) for i in ids], dtype=int)
         bad = (arr < 0) | (arr >= self.n)
         if bad.any():

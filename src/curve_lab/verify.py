@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, ScheduleError
+from .errors import InputError, ScheduleError, _float_array
 
 # Each check imports the curves and lipschitz names it calls, so the checks on
 # a bare values trace (disc, recover) load neither.
@@ -91,17 +91,15 @@ def area_formula_check(curve: SampledCurve, values: Sequence[float],
     hi among the levels, so one difference array gives every interval's
     weight, in O(n log n).
     """
-    h = np.asarray(values, dtype=float)
+    h = _float_array(values, "area formula values", ndim=1)
     if len(h) != len(curve.samples):
         raise InputError(f"{len(h)} values for {len(curve.samples)} samples")
     if weights is None:
         theta = np.ones(len(h))
     else:
-        theta = np.asarray(weights, dtype=float)
+        theta = _float_array(weights, "area formula weights", ndim=1)
         if len(theta) != len(h):
             raise InputError(f"{len(theta)} weights for {len(h)} values")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(theta))):
-        raise InputError("area formula values and weights must be finite")
     theta_bar = 0.5 * (theta[:-1] + theta[1:])
     lhs = float(np.sum(theta_bar * np.abs(np.diff(h))))
 
@@ -151,11 +149,9 @@ def discontinuity_measure(values: Sequence[float], epsilon: float, delta: float)
     continuous at scale (epsilon, delta) gives zero; an interior jump of size
     >= epsilon gives about delta**2.  Non-finite values raise
     :class:`InputError`."""
-    v = np.asarray(values, dtype=float)
+    v = _float_array(values, "trace values", ndim=1)
     if not (0 < epsilon < math.inf and 0 < delta < math.inf):
         raise InputError(f"epsilon and delta must be positive and finite, got {epsilon}, {delta}")
-    if not np.all(np.isfinite(v)):
-        raise InputError("trace values must be finite")
     t = np.linspace(0.0, 1.0, len(v))
     if len(v) < 2:
         raise InputError("need at least two samples")
@@ -191,9 +187,7 @@ def continuous_representative(values: Sequence[float],
     samples after each replacement are looked at one by one, in Python
     floats: the same IEEE operations as numpy's, without its per-call cost.
     """
-    v = np.array(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise InputError("trace values must be finite")
+    v = _float_array(values, "trace values", ndim=1).copy()  # the sweeps write into it
     sched = [float(e) for e in epsilon_schedule]
     if not sched or not all(0 < e < math.inf for e in sched):
         raise ScheduleError(f"epsilon schedule must be nonempty, positive and finite: {sched}")

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import HorizonError, InputError
+from .errors import HorizonError, InputError, _float_array
 
 # Each witness imports the curves and lipschitz names it calls, so forge
 # loads neither.
@@ -32,7 +32,7 @@ def triangle_wave(t, tooth: float):
     rising on [2k*tooth, (2k+1)*tooth] and falling on the next tooth."""
     if not tooth > 0:
         raise InputError(f"tooth must be positive, got {tooth}")
-    r = np.mod(np.asarray(t, dtype=float), 2.0 * tooth)
+    r = np.mod(_float_array(t, "triangle wave t"), 2.0 * tooth)
     out = np.where(r <= tooth, r, 2.0 * tooth - r)
     return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
@@ -114,13 +114,13 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
     """
     from .lipschitz import LipschitzSample
     pts = space.check_ids(ordered_points)
-    radii = np.asarray(radii, dtype=float)
+    radii = _float_array(radii, "radii", ndim=1)
     if len(pts) != len(radii):
         raise InputError(f"{len(pts)} points but {len(radii)} radii")
     if len(pts) == 0:
         raise InputError("empty point list")
-    if not np.all((radii > 0) & (radii < np.inf)):
-        raise InputError("radii must be positive and finite")
+    if not np.all(radii > 0):
+        raise InputError("radii must be positive")
     if len(np.unique(pts)) != len(pts):
         raise InputError("ordered points must be distinct")
     dmat = space.dist_block(pts, pts)

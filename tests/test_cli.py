@@ -75,6 +75,16 @@ def test_check_contraction_fake_l_exits_2(seg, tmp_path, capsys):
         assert [line[:6] for line in captured.err.splitlines()] == ["error:"]
 
 
+def test_extend_names_the_non_finite_input(tmp_path, capsys):
+    # A null value is NaN: the error names the values, not the finite L.
+    space, h = tmp_path / "line.json", tmp_path / "h.json"
+    space.write_text(json.dumps({"kind": "euclidean", "data": [[0.0], [1.0]]}))
+    h.write_text(json.dumps({"support": [0, 1], "values": [None, 1], "L": 1}))
+    capsys.readouterr()
+    assert main(["extend", "--space", str(space), "--h", str(h)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: sample values must be finite"]
+
+
 def test_check_contraction_passes(seg, tmp_path):
     h = tmp_path / "h.json"
     h.write_text(json.dumps(
@@ -152,7 +162,7 @@ def test_validate_metric(tmp_path, capsys):
         assert main(["validate-metric", "--space", str(bad)]) == code
         captured = capsys.readouterr()
         if code == 2:
-            assert captured.err.splitlines() == ["error: distance table contains non-finite entries"]
+            assert captured.err.splitlines() == ["error: distance table must be finite"]
         else:
             out = json.loads(captured.out)
             assert out["passed"] == (code == 0)
@@ -409,7 +419,7 @@ def test_check_disc_and_recover(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["[0.0, NaN, 1.0]", "0.0\nnan\n1.0\n", "[1.0, Infinity]",
                                   "[0.0, 1.0", "[[0.0], [1.0, 2.0]]", "[[1, 2], [3, 4]]",
-                                  json.dumps([[i, i + 1] for i in range(6)])])
+                                  json.dumps([[i, i + 1] for i in range(6)]), "[true, false]"])
 def test_bad_values_file_exits_2(tmp_path, capsys, text):
     vals = tmp_path / "bad.txt"
     vals.write_text(text)

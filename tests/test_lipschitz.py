@@ -156,6 +156,14 @@ class TestLipschitzSampleInputs:
         with pytest.raises(InputError, match="^Lipschitz sample L .* is not a number$"):
             LipschitzSample(line_space([0.0, 1.0]), (0, 1), (0.0, 1.0), L)
 
+    def test_non_finite_values_and_l_are_named_apart(self):
+        space = line_space([0.0, 1.0])
+        with pytest.raises(InputError, match="^sample values must be finite$"):
+            LipschitzSample(space, (0, 1), (None, 1.0), 1.0)
+        for L in (np.inf, np.nan):
+            with pytest.raises(InputError, match="^Lipschitz sample L must be finite$"):
+                LipschitzSample(space, (0, 1), (0.0, 1.0), L)
+
     def test_l_is_kept_as_a_float(self):
         sample = LipschitzSample(line_space([0.0, 1.0]), (0, 1), (0.0, 1.0), np.float32(1))
         assert type(sample.L) is float

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import deque
 from pathlib import Path
 
@@ -289,6 +290,16 @@ class TestMetricSpaceConstruction:
                          (deque([2, True]), "True")):
             with pytest.raises(InputError, match=rf"^point id {bad} is not an integer$"):
                 space.check_ids(ids)
+        # A scalar or a nested id argument is an input error too, not a TypeError.
+        for ids, message in ((2, "point ids must be a sequence, got 2"), (None, "point ids must be a sequence, got None"),
+                             (np.array(2), "point ids must be a sequence, got array(2)"),
+                             ([[0], [1]], "point id [0] is not an integer"), ([0, [1]], "point id [1] is not an integer"),
+                             (np.array([[0], [1]]), "point id [0] is not an integer")):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                space.check_ids(ids)
+        for i in ([0], None, np.array([1]), 1j):
+            with pytest.raises(InputError, match=f"^point id {re.escape(str(i))} is not an integer$"):
+                space.check_id(i)
 
     @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9])
     def test_pair_distances_keep_the_norm_bits(self, dim):

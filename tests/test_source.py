@@ -91,6 +91,27 @@ def test_one_freezing_helper():
     assert found == [] and helper == {"setflags", "__setattr__"}
 
 
+def test_one_input_rule():
+    # Every entry point reads its numbers through one rule: only
+    # errors._float_array converts to a float array, so none accepts "0.5",
+    # true or a NaN that another refuses.
+    found, helper = [], 0
+    for path in sorted(Path(curve_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node)
+                   for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_float_array"
+                   and path.name == "errors.py"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.keyword) and node.arg == "dtype"
+                    and isinstance(node.value, ast.Name) and node.value.id == "float"):
+                if id(node) in allowed:
+                    helper += 1
+                else:
+                    found.append(f"{path.name}:{node.value.lineno}")
+    assert found == [] and helper == 1
+
+
 def test_no_calls_of_the_distance_views():
     # dist, dist_row and submatrix stay only for the benchmark's span tracer;
     # the package reads distances through pair_distances and dist_block.
