@@ -125,52 +125,11 @@ def _verdict(report) -> tuple[dict, int]:
 # -- subcommand handlers: each returns (payload, exit_code) ---------------------------
 
 
-def _by_construction(space) -> bool:
-    """Whether a loaded ``euclidean`` space is a metric without a triangle
-    scan.  The loader has checked finite coordinates without duplicates, so
-    Euclidean distances are a metric unless rounding breaks them: a squared
-    difference that under- or overflows can put distinct points at distance
-    0 or inf, or skew a triangle by more than the slack.  Distances whose
-    squares are normal floats rule that out: under a finite box extent none
-    overflows, and every point joins the greedy net at the root of the
-    smallest normal iff no two lie closer than that."""
-    from .metric import maximal_separated_net
-    smallest = np.sqrt(np.finfo(float).tiny)
-    return bool(np.isfinite(space._extent)
-                and len(maximal_separated_net(space, range(space.n), smallest).members) == space.n)
-
-
 def _cmd_validate_metric(args):
-    from .metric import MetricSpace, graph_edges, space_document, validate_metric
-    doc = _read_json(args.space, "space")
-    kind, matrix, n = space_document(doc)
-    if kind == "graph":
-        # Shortest paths on a connected positive graph are a metric; each is a left fold
-        # over a simple path, so none overflows below half the largest float.  Above
-        # that the table is built, and one that overflows exits 2.
-        try:
-            small = math.fsum(graph_edges(n, matrix).values()) < sys.float_info.max / 2
-        except OverflowError:
-            small = False
-        if not small:
-            MetricSpace.from_json(doc)
-        return {"passed": True, "violations": []}, 0
-    if kind != "matrix":
-        space = MetricSpace.from_json(doc)
-        # An overflowing distance is reported below as a non-finite entry.
-        with np.errstate(over="ignore"):
-            if _by_construction(space):
-                return {"passed": True, "violations": []}, 0
-            matrix = space.dist_block(range(space.n), range(space.n))
-    report = validate_metric(matrix)
-    payload = {
-        "passed": report.passed,
-        "violations": [
-            {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
-            for v in report.violations
-        ],
-    }
-    return payload, 0 if report.passed else 1
+    from .metric import validate_space
+    report = validate_space(_read_json(args.space, "space"))
+    return ({"passed": report.passed, "violations": [v._asdict() for v in report.violations]},
+            0 if report.passed else 1)
 
 
 def _cmd_variation(args):
@@ -252,13 +211,7 @@ def _cmd_forge(args):
     problem = diagonal_forge_problem()
     if args.horizon is not None:
         problem = ForgeProblem(functional=problem.functional, horizon=args.horizon)
-    result = banach_steinhaus_forge(problem, args.depth)
-    return {
-        "alphas": list(result.alphas),
-        "indices": list(result.indices),
-        "level_bounds": list(result.level_bounds),
-        "selection_slacks": [dict(s) for s in result.selection_slacks],
-    }, 0
+    return banach_steinhaus_forge(problem, args.depth)._asdict(), 0
 
 
 def _cmd_check_contraction(args):
@@ -298,9 +251,7 @@ def _cmd_check_disc(args):
 def _cmd_check_acp(args):
     from .verify import ac_p_test
     result = ac_p_test(_load_curve(args.curve, args.space), args.p)
-    return {"p": result.p, "norm_estimate": result.norm_estimate,
-            "refinement_trend": list(result.refinement_trend),
-            "verdict": result.verdict}, 0 if result.verdict != "AC_p-inconsistent" else 1
+    return result._asdict(), 0 if result.verdict != "AC_p-inconsistent" else 1
 
 
 def _cmd_check_luzin(args):

@@ -84,6 +84,8 @@ def arc_length_reparam(curve: SampledCurve) -> SampledCurve:
 
 
 def _window_indices(curve: SampledCurve, t: float, window: float, side: str) -> tuple[int, int]:
+    if side not in ("both", "left", "right"):
+        raise InputError(f"unknown side {side!r}")
     if not 0 < window < np.inf:
         raise InputError(f"window must be positive and finite, got {window}")
     if not curve.a <= t <= curve.b:
@@ -132,13 +134,13 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
     # Every target point lies within delta/2 of its nearest center (a member
     # at 0, a rejected candidate below the net's epsilon), so only the points
     # that close to the last center can be in its cluster.
-    near = target[space.dist_block(centers[-1:], target)[0] < delta / 2.0]
+    near = target[space.pair_distances(centers[-1], target) < delta / 2.0]
     nearest = np.concatenate([
-        np.argmin(space.dist_block(centers, near[lo:lo + BLOCK]), axis=0)
+        np.argmin(space.pair_distances(centers[:, None], near[lo:lo + BLOCK]), axis=0)
         for lo in range(0, len(near), BLOCK)
     ])
     cluster = near[nearest == len(centers) - 1]  # holds the last center, at distance 0
-    return total + max(float(np.max(space.dist_block(cluster[lo:lo + BLOCK], cluster)))
+    return total + max(float(np.max(space.pair_distances(cluster[lo:lo + BLOCK, None], cluster)))
                        for lo in range(0, len(cluster), BLOCK))
 
 

@@ -232,6 +232,6 @@ def speed_via_probes(curve: SampledCurve, probes: ProbeFamily, t: float, window:
     if not probes.space.same_as(curve.space):
         raise InputError("probe family and curve live on different spaces")
     i1, i2 = _window_indices(curve, t, window, side)
-    v1, v2 = probes.space.dist_block(curve.samples[[i1, i2]], probes.centers)
+    v1, v2 = probes.space.pair_distances(curve.samples[[i1, i2], None], probes.centers)
     return float(np.max(np.abs(v2 - v1)) / (curve.times[i2] - curve.times[i1]))
 

@@ -7,6 +7,7 @@ embedded point clouds cheap to hold.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -266,6 +267,48 @@ def graph_edges(n: int, edges) -> dict[tuple[int, int], float]:
     return best
 
 
+def validate_space(doc) -> ValidationReport:
+    """Check a parsed space document (:func:`space_document`) against the
+    metric axioms; a document that does not load is an input error.
+
+    A ``matrix`` gets :func:`validate_metric`'s scan.  The other kinds skip
+    its O(n^3) triangle pass where they are metrics by construction:
+
+    - Shortest paths on a connected positive graph are a metric.  Each is a
+      left fold over a simple path, so none overflows while the edge weights
+      sum below half the largest float.  Above that the table is built, and
+      one that overflows is an input error.
+    - A loaded ``euclidean`` space has finite coordinates without
+      duplicates, so its distances are a metric unless rounding breaks
+      them: a squared difference that under- or overflows can put distinct
+      points at distance 0 or inf, or skew a triangle by more than the
+      slack.  Distances whose squares are normal floats rule that out: under
+      a finite box extent none overflows, and every point joins the greedy
+      net at the root of the smallest normal iff no two lie closer than
+      that.  Otherwise the full table is scanned, and an overflowing
+      distance is reported as a non-finite entry.
+    """
+    kind, data, n = space_document(doc)
+    if kind == "graph":
+        try:
+            small = math.fsum(graph_edges(n, data).values()) < np.finfo(float).max / 2
+        except OverflowError:
+            small = False
+        if not small:
+            MetricSpace.from_json(doc)
+        return ValidationReport(passed=True, violations=())
+    if kind == "euclidean":
+        space = MetricSpace.from_json(doc)
+        with np.errstate(over="ignore"):
+            smallest = np.sqrt(np.finfo(float).tiny)
+            if (np.isfinite(space._extent)
+                    and len(maximal_separated_net(space, range(space.n), smallest).members) == space.n):
+                return ValidationReport(passed=True, violations=())
+            ids = np.arange(space.n)
+            data = space.pair_distances(ids[:, None], ids)
+    return validate_metric(data)
+
+
 class _Frozen:
     """A value that is set once, in its constructor or a first-use cache,
     through :meth:`_set`, and is read-only after."""
@@ -288,12 +331,12 @@ class _Frozen:
 class MetricSpace(_Frozen):
     """An immutable finite metric space with O(1)-ish distance lookups.
 
-    :meth:`pair_distances` is the one distance formula.  Lipschitz constants
-    and McShane extension take it through :func:`block_pairs`, ``_BATCH`` SUB
-    x SUB sub-chunk pairs at a time; through :meth:`dist_block`, greedy nets
-    one chunk's rows at a time, and covering content row blocks of at most
-    ``BLOCK`` points.  None holds m x m distances over m points (times the
-    dimension from 8 dimensions on).
+    :meth:`pair_distances` is the one distance formula, and every distance
+    the package reads comes from it.  Lipschitz constants and McShane
+    extension take it through :func:`block_pairs`, ``_BATCH`` SUB x SUB
+    sub-chunk pairs at a time; greedy nets take one chunk's rows at a time,
+    and covering content row blocks of at most ``BLOCK`` points.  None holds
+    m x m distances over m points (times the dimension from 8 dimensions on).
     """
 
     def __init__(self, *, dmat=None, coords=None, _validated: bool = False):
@@ -368,23 +411,18 @@ class MetricSpace(_Frozen):
     # Views of pair_distances that nothing in the package calls, kept only
     # because perfbench's span tracer wraps them by name.
     def dist(self, i: int, j: int) -> float:
-        return float(self.dist_block([i], [j])[0, 0])
+        return float(self.pair_distances(i, j))
 
     def dist_row(self, i: int, ids) -> np.ndarray:
-        return self.dist_block([i], ids)[0]
+        return self.pair_distances(i, ids)
 
     def submatrix(self, ids) -> np.ndarray:
-        return self.dist_block(ids, ids)
-
-    def dist_block(self, ids_a, ids_b) -> np.ndarray:
-        """Distances from every point of ids_a (rows) to every point of ids_b
-        (columns); stacked id blocks of shapes (..., r) and (..., c) give
-        stacked distance blocks of shape (..., r, c)."""
-        a, b = np.asarray(ids_a, dtype=int), np.asarray(ids_b, dtype=int)
-        return self.pair_distances(a[..., :, None], b[..., None, :])
+        return self.pair_distances(np.asarray(ids, dtype=int)[:, None], ids)
 
     def pair_distances(self, ids_a, ids_b) -> np.ndarray:
-        """Distances between the points of id arrays that broadcast together."""
+        """Distances between the points of id arrays that broadcast together;
+        ``pair_distances(a[:, None], b)`` is the block from every id of a
+        (rows) to every id of b (columns)."""
         ids_a = np.asarray(ids_a, dtype=int)
         ids_b = np.asarray(ids_b, dtype=int)
         if self._dmat is not None:
@@ -469,7 +507,7 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
     boxes (:func:`_chunks`).  A member in a chunk whose box gap to the
     candidates' chunk is at least epsilon lies at a computed distance of at
     least epsilon from each of them, so it rejects none, and only the other
-    members are passed to dist_block.  A chunk whose candidates lie at least
+    members are passed to pair_distances.  A chunk whose candidates lie at least
     epsilon apart admits every candidate that no earlier member rejects, all
     at once; otherwise its candidates are admitted one by one, on the
     outcomes of the same comparisons with epsilon.  Where boxes cannot bound,
@@ -497,7 +535,7 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
         # One block of distances: the chunk to itself, then to the members
         # of the chunks within epsilon of it.
         near = members[:count][within[r % BLOCK][owner[:count]]]
-        d = space.dist_block(block, np.concatenate((block, near)))
+        d = space.pair_distances(block[:, None], np.concatenate((block, near)))
         admit = d[:, k:].min(axis=1, initial=np.inf) >= epsilon
         close = d[:, :k] < epsilon
         # The diagonal is 0 and always close.

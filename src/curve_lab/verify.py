@@ -188,9 +188,9 @@ def continuous_representative(values: Sequence[float],
     floats: the same IEEE operations as numpy's, without its per-call cost.
     """
     v = _float_array(values, "trace values", ndim=1).copy()  # the sweeps write into it
-    sched = [float(e) for e in epsilon_schedule]
-    if not sched or not all(0 < e < math.inf for e in sched):
-        raise ScheduleError(f"epsilon schedule must be nonempty, positive and finite: {sched}")
+    sched = _float_array(epsilon_schedule, "epsilon schedule", ndim=1).tolist()
+    if not sched or not all(e > 0 for e in sched):
+        raise ScheduleError(f"epsilon schedule must be nonempty and positive: {sched}")
     if any(b >= a for a, b in zip(sched[:-1], sched[1:])):
         raise ScheduleError(f"epsilon schedule must be strictly decreasing: {sched}")
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
@@ -305,10 +305,13 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
     from .curves import hausdorff1_content
     if not 0 < delta < math.inf:
         raise InputError(f"delta must be positive and finite, got {delta}")
-    intervals = [(float(a), float(b)) for a, b in null_set]
+    intervals = _float_array(null_set, "null set")
+    if intervals.shape != (0,) and (intervals.ndim != 2 or intervals.shape[1] != 2):
+        raise InputError(f"null set must be a list of (a, b) intervals, got shape {intervals.shape}")
+    intervals = intervals.tolist()
     for a, b in intervals:
-        if not -math.inf < a < b < math.inf:
-            raise InputError(f"interval ({a}, {b}) must be finite and nonempty")
+        if not a < b:
+            raise InputError(f"interval ({a}, {b}) must be nonempty")
     mask = np.zeros(len(curve.times), dtype=bool)
     for a, b in intervals:
         mask |= (curve.times >= a) & (curve.times <= b)

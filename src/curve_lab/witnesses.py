@@ -123,7 +123,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         raise InputError("radii must be positive")
     if len(np.unique(pts)) != len(pts):
         raise InputError("ordered points must be distinct")
-    dmat = space.dist_block(pts, pts)
+    dmat = space.pair_distances(pts[:, None], pts)
     need = radii[:, None] + radii[None, :]
     np.fill_diagonal(need, 0.0)
     bad = np.argwhere(dmat < need)
@@ -136,8 +136,8 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
     ks = np.arange(1, len(pts) + 1)
     values = ((-1.0) ** ks) * radii
     realization = LipschitzSample(space=space, support=pts, values=values, L=1.0)
-    lower = float(np.sum(radii[:-1] + radii[1:])) if len(pts) > 1 else 0.0
-    margin = float(np.min((dmat - need)[np.triu_indices(len(pts), k=1)])) if len(pts) > 1 else float("inf")
+    lower = float(np.sum(radii[:-1] + radii[1:]))
+    margin = float(np.min((dmat - need)[np.triu_indices(len(pts), k=1)], initial=np.inf))
     certificates = {
         "variation_lower_bound": lower,
         "separation_margin": margin,

@@ -1,8 +1,9 @@
 """The blocked pairwise kernels against brute-force n x n references.
 
 Every kernel routes its distances through ``MetricSpace.pair_distances``,
-the one distance formula: in row blocks of ``BLOCK`` through its
-``dist_block`` view, or in batches of sub-chunk pairs of shape (SUB, SUB, k);
+the one distance formula: in row blocks of at most ``BLOCK`` ids, broadcast
+as ``pair_distances(a[:, None], b)``, or in batches of sub-chunk pairs of
+shape (SUB, SUB, k);
 maxima, minima and argmins over identical distances are exact, so each result
 must equal its reference bit for bit, including at the block edges."""
 from functools import lru_cache
@@ -83,30 +84,32 @@ def _ref_content(space, target, delta):
     return total
 
 
-# -- dist_block -------------------------------------------------------------------
+# -- row blocks of pair_distances ---------------------------------------------------
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 10])
-def test_dist_block_matches_stacked_rows_on_coordinates(dim):
+def test_row_blocks_match_stacked_rows_on_coordinates(dim):
     space = MetricSpace.from_points(_points(300, dim, seed=dim) * 10.0 ** np.arange(dim) / dim)
     rng = np.random.default_rng(dim)
     for rows, cols in [(300, 300), (1, 300), (300, 1), (37, 5), (2, 2)]:
         a = rng.choice(300, size=rows)
         b = rng.choice(300, size=cols)
-        assert np.array_equal(space.dist_block(a, b), _rows(space, a, b))
+        assert np.array_equal(space.pair_distances(a[:, None], b), _rows(space, a, b))
 
 
-def test_dist_block_matches_stacked_rows_on_a_matrix():
+def test_row_blocks_match_stacked_rows_on_a_matrix():
     space = _spaces(40)[1]
-    a, b = [3, 0, 39, 3], list(range(40))
-    assert np.array_equal(space.dist_block(a, b), _rows(space, a, b))
-    assert np.array_equal(space.submatrix(a), space.dist_block(a, a))
+    a, b = np.array([3, 0, 39, 3]), np.arange(40)
+    assert np.array_equal(space.pair_distances(a[:, None], b), _rows(space, a, b))
+    assert np.array_equal(space.submatrix(a), space.pair_distances(a[:, None], a))
 
 
-def test_empty_block_has_the_right_shape():
-    space = MetricSpace.from_points(_points(5))
-    assert space.dist_block([], [0, 1]).shape == (0, 2)
-    assert space.dist_block([0, 1, 2], []).shape == (3, 0)
+@pytest.mark.parametrize("kind", [0, 1])
+def test_empty_block_has_the_right_shape(kind):
+    space = _spaces(5)[kind]
+    assert space.pair_distances(np.arange(0)[:, None], [0, 1]).shape == (0, 2)
+    assert space.pair_distances(np.arange(3)[:, None], []).shape == (3, 0)
+    assert space.submatrix([]).shape == (0, 0)
 
 
 # -- kernels at the block edges -------------------------------------------------------
@@ -357,7 +360,7 @@ def test_pruned_quotient_rejects_conflicting_duplicates():
 def test_pruned_quotient_is_exact_on_collinear_points_in_8d():
     # Values ramp up within each chunk and drop at its end, so the largest
     # quotient of two adjacent chunks is that of their closest pair, whose
-    # distance is the box gap.  dist_block sums 8 squares pairwise and the
+    # distance is the box gap.  pair_distances sums 8 squares pairwise and the
     # gap sums them one by one: without the slack, a gap rounded above the
     # distance would skip the pair that holds the maximum.
     rng = np.random.default_rng(8)
@@ -388,8 +391,7 @@ def test_pruned_quotient_finds_zero_distance_in_a_far_chunk():
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Records the shapes of the pair_distances calls, which dist_block's
-    blocks reach too."""
+    """Records the shapes of the pair_distances calls."""
     shapes = []
     original = MetricSpace.pair_distances
 
@@ -559,7 +561,7 @@ def test_pruned_mcshane_is_exact_where_bounds_are_tight(dim):
     # Support at the integers of a line, constant values: a query at a
     # half-integer between two chunks is exactly the box gap away from the
     # end points of both, so their bounds equal its answer.  In 8-D the gap
-    # and dist_block sum the squares in different orders, which the slack
+    # and pair_distances sum the squares in different orders, which the slack
     # must absorb.
     n = 2 * BLOCK + 3
     xs = np.arange(n, dtype=float)
@@ -814,7 +816,7 @@ def test_pruned_net_is_exact_on_collinear_points_in_8d():
     # Steps within a chunk are longer than steps across chunk edges, so a
     # chunk's first candidate is rejected iff the previous chunk's last lies
     # closer than epsilon.  epsilon is the box gap of one edge, its 8 squares
-    # summed one at a time; dist_block sums them pairwise, and the two may
+    # summed one at a time; pair_distances sums them pairwise, and the two may
     # round apart.  Without the slack on the gaps, a gap rounded above the
     # distance would skip the member that rejects.
     rng = np.random.default_rng(8)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,11 @@ class TestMetricSpeed:
         for window in (float("nan"), float("inf")):
             with pytest.raises(InputError, match="window must be positive and finite"):
                 metric_speed(curve, 0.5, window)
+
+    @pytest.mark.parametrize("side", ["lft", None, "Both"])
+    def test_unknown_side_is_named(self, side):
+        with pytest.raises(InputError, match=f"^unknown side {re.escape(repr(side))}$"):
+            metric_speed(l_polyline(), 0.5, 0.1, side=side)
 
 
 class TestHausdorff1Content:

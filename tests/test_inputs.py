@@ -10,7 +10,7 @@ import pytest
 from curve_lab import (InputError, LipschitzSample, MetricSpace, SampledCurve,
                        alternating_separated_witness, area_formula_check,
                        continuous_representative, discontinuity_measure,
-                       hausdorff1_content, lip_constant, maximal_separated_net,
+                       hausdorff1_content, lip_constant, luzin_n_probe, maximal_separated_net,
                        mcshane_extend_all, triangle_wave, validate_metric)
 from conftest import line_space
 
@@ -63,6 +63,10 @@ ENTRY_POINTS = {
                                      "trace values", {}),
     "continuous_representative values": (lambda x: continuous_representative(x, [0.5], 3), [0.0] * 6,
                                          "trace values", {}),
+    "continuous_representative epsilon schedule": (lambda x: continuous_representative([0.0] * 6, x, 3),
+                                                   [0.5, 0.25], "epsilon schedule", {}),
+    "luzin_n_probe null set": (lambda x: luzin_n_probe(CURVE, x, 0.5), [[0.4, 0.6], [0.7, 0.9]],
+                               "null set", {}),
     "alternating_separated_witness points": (lambda x: alternating_separated_witness(SPACE, x, [1.0] * 3),
                                              IDS, "point id", {}),
     "alternating_separated_witness radii": (lambda x: alternating_separated_witness(SPACE, IDS, x),
@@ -90,3 +94,12 @@ def test_malformed_input_is_an_input_error_naming_it(entry, form):
     with pytest.raises(InputError, match=what):
         call(bad)
 
+
+@pytest.mark.parametrize("entry, bad", [
+    ("continuous_representative epsilon schedule", [0.5, None]),
+    *[("luzin_n_probe null set", n) for n in ([(0.4,)], [0.4], [(0.4, 0.6, 0.7)])],
+])
+def test_holes_and_intervals_without_two_ends(entry, bad):
+    call, _, what, _ = ENTRY_POINTS[entry]
+    with pytest.raises(InputError, match=what):
+        call(bad)

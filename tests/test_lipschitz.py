@@ -213,7 +213,7 @@ class TestProbeFamily:
     def test_probes_are_1_lipschitz(self):
         curve = circle_curve(64)
         family = probe_family(curve, 8)
-        values = curve.space.dist_block(range(curve.space.n), family.centers)
+        values = curve.space.pair_distances(np.arange(curve.space.n)[:, None], family.centers)
         for k in range(len(family.centers)):
             assert lip_constant(range(curve.space.n), values[:, k], curve.space) <= 1 + 1e-12
 
@@ -286,4 +286,10 @@ class TestSpeedViaProbes:
         # A family built on an equal copy of the space is the same family.
         copy = probe_family(euclidean_curve(coords.copy(), np.linspace(0.0, 1.0, 40)), 8)
         assert speed_via_probes(curve, copy, 0.5, 0.1) == speed_via_probes(curve, probe_family(curve, 8), 0.5, 0.1)
+
+    @pytest.mark.parametrize("side", ["lft", None])
+    def test_unknown_side_is_named(self, side):
+        curve = circle_curve(64)
+        with pytest.raises(InputError, match=f"^unknown side {side!r}$"):
+            speed_via_probes(curve, probe_family(curve, 4), 0.5, 0.1, side=side)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from curve_lab import (InputError, LipschitzSample, MetricSpace, SampledCurve, maximal_separated_net,
                        mcshane_extend_all, total_variation, validate_metric)
-from curve_lab.metric import SUB, TRIANGLE_BLOCK, TRIANGLE_RTOL
+from curve_lab.metric import SUB, TRIANGLE_BLOCK, TRIANGLE_RTOL, ValidationReport, validate_space
 from conftest import line_space
 
 
@@ -114,6 +114,19 @@ class TestValidateMetric:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             validate_metric([[0, np.inf], [np.inf, 0]])
+
+    def test_space_documents_get_one_report(self):
+        # A matrix gets the scan; a graph or Euclidean space that loads passes
+        # without one, unless its distances round to 0 and it takes the table.
+        table = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
+        assert validate_space({"kind": "matrix", "data": table}) == validate_metric(table)
+        for doc in ({"kind": "graph", "n": 3, "data": [[0, 1, 1.0], [1, 2, 2.0]]},
+                    {"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}):
+            assert validate_space(doc) == ValidationReport(passed=True, violations=())
+        report = validate_space({"kind": "euclidean", "data": [[0, 0], [1e-200, 0], [1, 1]]})
+        assert {v.axiom for v in report.violations} == {"positivity"}
+        with pytest.raises(InputError, match="graph is disconnected"):
+            validate_space({"kind": "graph", "n": 3, "data": [[0, 1, 1.0]]})
 
     def test_validated_space_has_no_triangle_violation_brute_force(self):
         rng = np.random.default_rng(3)
@@ -303,10 +316,10 @@ class TestMetricSpaceConstruction:
 
     @pytest.mark.parametrize("dim", [0, 1, 2, 3, 7, 8, 9])
     def test_pair_distances_keep_the_norm_bits(self, dim):
-        # pair_distances is the one formula; dist, dist_row and dist_block
+        # pair_distances is the one formula; dist, dist_row and submatrix
         # are views of it.  Their bits are those of numpy's elementwise norm,
         # on coordinates and on tables, and the pruned pass's batches of
-        # shape (SUB, SUB, k) hold the bits of dist_block's entries.
+        # shape (SUB, SUB, k) hold the bits of its row blocks' entries.
         rng = np.random.default_rng(dim)
         n = 40 if dim else 1  # points without coordinates are all one point
         for scale in (1e-3, 1.0, 1e6):
@@ -319,7 +332,8 @@ class TestMetricSpaceConstruction:
             for i in a[:10]:
                 row = np.linalg.norm(coords[b] - coords[i], axis=-1)
                 assert space.dist_row(i, b).tobytes() == row.tobytes()
-            matrix = space.dist_block(np.arange(n), np.arange(n))
+            matrix = space.pair_distances(np.arange(n)[:, None], np.arange(n))
+            assert space.submatrix(range(n)).tobytes() == matrix.tobytes()
             table = MetricSpace.from_matrix(matrix)
             assert table.pair_distances(a, b).tobytes() == matrix[a, b].tobytes()
             assert np.array([table.dist(i, j) for i, j in zip(a, b)]).tobytes() == matrix[a, b].tobytes()
@@ -332,7 +346,7 @@ class TestMetricSpaceConstruction:
             rows, cols = rng.integers(0, n, size=(2, SUB, 37))
             for metric in (space, table):
                 batch = metric.pair_distances(rows[:, None], cols[None])
-                blocks = np.stack([metric.dist_block(rows[:, k], cols[:, k]) for k in range(37)], axis=-1)
+                blocks = np.stack([metric.pair_distances(rows[:, k, None], cols[:, k]) for k in range(37)], axis=-1)
                 assert batch.shape == (SUB, SUB, 37) and batch.tobytes() == blocks.tobytes()
 
 
@@ -398,8 +412,8 @@ def _frozen_values():
     matrix = MetricSpace.from_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     curve = SampledCurve(points, [0.0, 0.5, 1.0], [0, 1, 0])
     sample = LipschitzSample(points, [0, 2], [0.0, 1.0], 1.0)
-    return {"points": (points, lambda: points.dist_block(range(3), range(3)).tobytes()),
-            "matrix": (matrix, lambda: matrix.dist_block(range(3), range(3)).tobytes()),
+    return {"points": (points, lambda: points.submatrix(range(3)).tobytes()),
+            "matrix": (matrix, lambda: matrix.submatrix(range(3)).tobytes()),
             "curve": (curve, lambda: total_variation(curve)),
             "sample": (sample, lambda: mcshane_extend_all(sample).tobytes())}
 

@@ -114,12 +114,13 @@ def test_one_input_rule():
 
 def test_no_calls_of_the_distance_views():
     # dist, dist_row and submatrix stay only for the benchmark's span tracer;
-    # the package reads distances through pair_distances and dist_block.
+    # the package reads every distance through pair_distances, and the
+    # dist_block view is gone.
     found = [f"{path.name}:{node.lineno} {node.attr}"
              for path in sorted(Path(curve_lab.__file__).parent.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Attribute) and node.attr in ("dist", "dist_row", "submatrix")]
-    assert found == []
+             if isinstance(node, ast.Attribute) and node.attr in ("dist", "dist_row", "submatrix", "dist_block")]
+    assert found == [] and not hasattr(curve_lab.MetricSpace, "dist_block")
 
 
 def test_records_without_dataclasses():

@@ -63,7 +63,7 @@ class TestContraction:
         same = MetricSpace.from_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         sample = LipschitzSample(space=same, support=(0, 2), values=(0.0, 2.0), L=1.0)
         assert check_contraction(curve, sample).verdict
-        table = same.dist_block(range(3), range(3))
+        table = same.pair_distances(np.arange(3)[:, None], np.arange(3))
         on_table = SampledCurve(MetricSpace.from_matrix(table), [0.0, 1.0, 2.0], [0, 1, 2])
         sample = LipschitzSample(space=MetricSpace.from_matrix(table), support=(0, 2),
                                  values=(0.0, 2.0), L=1.0)
@@ -231,9 +231,11 @@ class TestContinuousRepresentative:
             continuous_representative(values, [0.1, 0.2])
         with pytest.raises(ScheduleError):
             continuous_representative(values, [0.5], window=2)
+        # A non-finite entry is the input rule's error, not a schedule's.
         for sched in ([np.nan], [np.inf, 0.5]):
-            with pytest.raises(ScheduleError):
+            with pytest.raises(InputError, match="^epsilon schedule must be finite$") as exc:
                 continuous_representative(values, sched)
+            assert exc.type is InputError
 
     @pytest.mark.parametrize("window", [3.5, 5.0, True, False, "5", None, np.float64(5)])
     def test_window_must_be_an_integer(self, window):
@@ -323,6 +325,9 @@ class TestLuzinN:
         report = luzin_n_probe(curve, [(2.0, 3.0)], 0.01)
         assert report.verdict
         assert report.lhs == 0.0
+        # No intervals at all hold no samples either.
+        for null_set in ([], np.empty((0, 2))):
+            assert luzin_n_probe(curve, null_set, 0.01) == report
 
     def test_jump_on_tiny_interval_fails(self):
         # Nearly flat except a unit jump crossed within one tiny step.

@@ -178,6 +178,7 @@ class TestAlternatingWitness:
         witness = alternating_separated_witness(space, [1], [0.4])
         assert tuple(witness.realization.values) == (-0.4,)
         assert witness.certificates["variation_lower_bound"] == 0.0
+        assert witness.certificates["separation_margin"] == np.inf
 
     def test_equally_spaced_closed_form(self):
         eps, n = 0.3, 6
