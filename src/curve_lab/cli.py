@@ -133,18 +133,15 @@ def _cmd_validate_metric(args):
 
 
 def _cmd_variation(args):
-    from .curves import stats_json, total_variation
-    curve = _load_curve(args.curve, args.space)
-    return (stats_json(curve) if args.out else f"{total_variation(curve)}\n"), 0
+    from .curves import stats_json
+    return stats_json(_load_curve(args.curve, args.space)), 0
 
 
 def _cmd_speed(args):
     from .curves import metric_speed
     curve = _load_curve(args.curve, args.space)
     value = metric_speed(curve, args.t, args.window, side=args.side)
-    if args.out:
-        return {"t": args.t, "window": args.window, "side": args.side, "speed": value}, 0
-    return f"{value}\n", 0
+    return {"t": args.t, "window": args.window, "side": args.side, "speed": value}, 0
 
 
 def _cmd_reparam(args):
@@ -162,7 +159,7 @@ def _cmd_content(args):
     from .curves import hausdorff1_content
     curve = _load_curve(args.curve, args.space)
     value = hausdorff1_content(curve.space, curve.samples, args.delta)
-    return ({"delta": args.delta, "content": value} if args.out else f"{value}\n"), 0
+    return {"delta": args.delta, "content": value}, 0
 
 
 def _cmd_extend(args):

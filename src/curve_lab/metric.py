@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import InputError, _float_array, _number, _point_id
 
-# Relative slack for triangle-inequality checks on floating inputs; graph
-# metrics accumulate rounding of this order.
+# Relative slack for triangle-inequality checks: a matrix document holds
+# distances computed in floating point elsewhere, and often printed with fewer
+# digits, so a true metric can arrive with triangles off by rounding.
 TRIANGLE_RTOL = 1e-9
 
 # Rows per distance block of covering content (internal), which holds BLOCK x m
@@ -139,7 +140,11 @@ def validate_metric(candidate) -> ValidationReport:
     Returns a report that passes iff the table has a zero diagonal, is
     symmetric, is positive off the diagonal, and satisfies the triangle
     inequality up to a relative 1e-9 slack.  Each violated axiom reports at
-    least one witnessing tuple.  Non-square or non-finite tables raise
+    least one witnessing tuple, and at most 8, each violation once: on a
+    symmetric table the pair (j, i) has the value of (i, j), and the
+    triangle (k, i, j) the sums of (i, k, j), so a mirror is no second
+    violation and only pairs with i < j and triangles with k >= i are
+    listed.  Non-square or non-finite tables raise
     :class:`InputError`.
     """
     d = _float_array(candidate, "distance table")
@@ -148,9 +153,11 @@ def validate_metric(candidate) -> ValidationReport:
     if d.size == 0:
         raise InputError("distance table is empty")
 
+    n = d.shape[0]
     scale = float(np.max(np.abs(d))) or 1.0
     tol = TRIANGLE_RTOL * scale
     asym = np.argwhere(np.triu(d != d.T, 1))
+    symmetric = not len(asym)
     nonpos = d <= 0
     np.fill_diagonal(nonpos, False)
     violations = [Violation("zero-diagonal", (int(i),), f"dist({i},{i}) = {float(d[i, i])!r}")
@@ -158,57 +165,41 @@ def validate_metric(candidate) -> ValidationReport:
     violations += [Violation("symmetry", (int(i), int(j)), f"dist({i},{j})={float(d[i, j])!r} != dist({j},{i})={float(d[j, i])!r}")
                    for i, j in asym[:8]]
     violations += [Violation("positivity", (int(i), int(j)), f"dist({i},{j})={float(d[i, j])!r} <= 0")
-                   for i, j in np.argwhere(nonpos)[:8]]
+                   for i, j in np.argwhere(np.triu(nonpos) if symmetric else nonpos)[:8]]
 
-    # Only rows that hold a violation are scanned for witnesses, in the order
-    # the exhaustive triple scan would visit them.  A sum that overflows to
-    # inf is no shortcut, so overflow is not an error here.
-    reported = 0
+    # Each row block gets the min-plus square ``min_j d[i, j] + d[j, k]``; as
+    # rounding is monotone, d[i, k] minus that minimum exceeds tol exactly
+    # when one of the differences does, which marks the violated pairs (i, k).
+    # Witnesses j are then sought in the marked columns alone, in the order
+    # the exhaustive triple scan would visit them.  A symmetric table needs
+    # only the columns k >= i, so a block's columns start at its first row.
+    # A sum that overflows to inf is no shortcut,
+    # so overflow is not an error here.
+    triangles = []
     with np.errstate(over="ignore"):
-        for i in _triangle_rows(d, tol, symmetric=not len(asym)):
-            slack = d[i] - (d[i][:, None] + d)  # slack[j, k] = d(i,k) - d(i,j) - d(j,k)
-            bad = np.argwhere(slack > tol)
-            for j, k in bad[:8 - reported]:
-                violations.append(
-                    Violation(
-                        "triangle",
-                        (int(i), int(k), int(j)),
-                        f"dist({i},{k})={float(d[i, k])!r} > dist({i},{j})+dist({j},{k})={float(d[i, j] + d[j, k])!r}",
-                    )
-                )
-                reported += 1
-            if reported >= 8:
+        for lo in range(0, n, TRIANGLE_BLOCK):
+            if len(triangles) == 8:
                 break
-
+            hi = min(lo + TRIANGLE_BLOCK, n)
+            first = lo if symmetric else 0
+            closure = np.full((hi - lo, n - first), np.inf)
+            sums = np.empty_like(closure)
+            for j in range(n):
+                np.add.outer(d[lo:hi, j], d[j, first:], out=sums)
+                np.minimum(closure, sums, out=closure)
+            bad = d[lo:hi, first:] - closure > tol
+            if symmetric:
+                bad = np.triu(bad)
+            for r in np.flatnonzero(bad.any(axis=1)):
+                if len(triangles) == 8:
+                    break
+                i, ks = int(lo + r), np.flatnonzero(bad[r]) + first
+                slack = d[i, ks] - (d[i][:, None] + d[:, ks])  # slack[j, c] = d(i,k) - d(i,j) - d(j,k), k = ks[c]
+                triangles += [(i, int(ks[c]), int(j)) for j, c in np.argwhere(slack > tol)[:8 - len(triangles)]]
+    violations += [Violation("triangle", (i, k, j),
+                             f"dist({i},{k})={float(d[i, k])!r} > dist({i},{j})+dist({j},{k})={float(d[i, j] + d[j, k])!r}")
+                   for i, k, j in triangles]
     return ValidationReport(passed=not violations, violations=tuple(violations))
-
-
-def _triangle_rows(d: np.ndarray, tol: float, symmetric: bool):
-    """Yield, in ascending order and one row block at a time, the rows i with
-    some j, k where ``d[i, k] - (d[i, j] + d[j, k]) > tol``.
-
-    A block's rows get the min-plus square ``min_j d[i, j] + d[j, k]``; as
-    rounding is monotone, ``d[i, k]`` minus that minimum exceeds tol exactly
-    when one of the differences does.  On a symmetric table the pair (i, k)
-    violates iff (k, i) does, with the same sums, so a block needs only the
-    columns from its first row on: earlier columns were rows of earlier
-    blocks, which flagged this block's rows already.
-    """
-    n = d.shape[0]
-    flagged = np.zeros(n, dtype=bool)
-    for lo in range(0, n, TRIANGLE_BLOCK):
-        hi = min(lo + TRIANGLE_BLOCK, n)
-        first = lo if symmetric else 0
-        closure = np.full((hi - lo, n - first), np.inf)
-        sums = np.empty_like(closure)
-        for j in range(n):
-            np.add.outer(d[lo:hi, j], d[j, first:], out=sums)
-            np.minimum(closure, sums, out=closure)
-        bad = d[lo:hi, first:] - closure > tol
-        flagged[lo:hi] |= bad.any(axis=1)
-        if symmetric:
-            flagged[first:] |= bad.any(axis=0)
-        yield from (int(i) for i in np.flatnonzero(flagged[lo:hi]) + lo)
 
 
 def space_document(doc) -> tuple[str, list, int]:
@@ -388,8 +379,8 @@ class MetricSpace(_Frozen):
         rows, cols = [k[0] for k in best], [k[1] for k in best]
         graph = coo_matrix((list(best.values()), (rows, cols)), shape=(n, n)).tocsr()
         dmat = shortest_path(graph, directed=False)
-        if not np.all(np.isfinite(dmat)):  # a path sum that overflows
-            raise InputError("graph is disconnected; shortest-path metric is not finite")
+        if not np.all(np.isfinite(dmat)):  # graph_edges proved it connected
+            raise InputError("graph shortest-path distance overflows")
         dmat = np.minimum(dmat, dmat.T)  # symmetrize exact float asymmetries
         return cls(dmat=dmat, _validated=True)
 

@@ -41,9 +41,14 @@ def assert_input_error(argv, capsys):
     assert [line[:6] for line in captured.err.splitlines()] == ["error:"], argv
 
 
-def test_variation_prints_value(lpoly, capsys):
+def test_variation_prints_value(lpoly, tmp_path, capsys):
+    # Without --out, stdout gets the bytes that --out writes.
+    out = tmp_path / "v.json"
     assert main(["variation", "--curve", lpoly]) == 0
-    assert capsys.readouterr().out.strip() == "2.0"
+    printed = capsys.readouterr().out
+    assert main(["variation", "--curve", lpoly, "--out", str(out)]) == 0
+    assert printed == out.read_text()
+    assert json.loads(printed)["total_variation"] == 2.0
 
 
 def test_sawtooth_witness_artifact(seg, tmp_path, capsys):
@@ -169,11 +174,20 @@ def test_validate_metric(tmp_path, capsys):
             assert {v["axiom"] for v in out["violations"]} == axioms
 
 
-def test_speed_and_content(seg, capsys):
-    assert main(["speed", "--curve", seg, "--t", "0.5", "--window", "0.25"]) == 0
-    assert float(capsys.readouterr().out) == pytest.approx(1.0)
-    assert main(["content", "--curve", seg, "--delta", "0.25"]) == 0
-    assert 0.8 <= float(capsys.readouterr().out) <= 1.2
+def test_speed_and_content(seg, tmp_path, capsys):
+    printed = {}
+    for argv in (["speed", "--curve", seg, "--t", "0.5", "--window", "0.25"],
+                 ["content", "--curve", seg, "--delta", "0.25"]):
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed[argv[0]] = capsys.readouterr().out
+        out = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert printed[argv[0]] == out.read_text()
+    assert json.loads(printed["speed"]) == {"t": 0.5, "window": 0.25, "side": "both",
+                                            "speed": pytest.approx(1.0)}
+    content = json.loads(printed["content"])
+    assert content["delta"] == 0.25 and 0.8 <= content["content"] <= 1.2
     for window in ("nan", "inf", "0"):
         assert_input_error(["speed", "--curve", seg, "--t", "0.5", "--window", window], capsys)
 
@@ -315,13 +329,14 @@ def test_validate_metric_fractional_graph_edge_exits_2(tmp_path, capsys):
 
 PASSED = '{\n  "passed": true,\n  "violations": []\n}\n'
 DISCONNECTED = "error: graph is disconnected; shortest-path metric is not finite"
+OVERFLOWS = "error: graph shortest-path distance overflows"
 
 
 @pytest.mark.parametrize("doc, code, out, err", [
     ({"kind": "graph", "n": 4, "data": [[0, 1, 1.0], [2, 3, 2.0]]}, 2, "", DISCONNECTED),
     ({"kind": "graph", "n": 3, "data": [[0, 1, 1.0]]}, 2, "", DISCONNECTED),
     # Both weights are finite, their path sum is not.
-    ({"kind": "graph", "n": 3, "data": [[0, 1, 1e308], [1, 2, 1e308]]}, 2, "", DISCONNECTED),
+    ({"kind": "graph", "n": 3, "data": [[0, 1, 1e308], [1, 2, 1e308]]}, 2, "", OVERFLOWS),
     # The weights sum past the largest float; the shortest paths do not.
     ({"kind": "graph", "n": 3, "data": [[0, 1, 6e307], [1, 2, 6e307], [0, 2, 1e308]]},
      0, PASSED, None),
@@ -758,7 +773,7 @@ def test_entry_point_subprocess(lpoly):
                            "variation", "--curve", lpoly],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "2.0"
+    assert json.loads(proc.stdout)["total_variation"] == 2.0
 
 
 SCIPY_PROBE = """

@@ -16,7 +16,9 @@ from conftest import line_space
 
 def reference_report(d):
     """The exhaustive per-row scan ``validate_metric`` ran before its
-    min-plus prefilter, as (passed, [(axiom, witness, detail), ...])."""
+    min-plus prefilter, as (passed, [(axiom, witness, detail), ...]).  On a
+    symmetric table each violation is listed once: positivity with i < j,
+    triangles (i, k, j) with k >= i."""
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
     tol = TRIANGLE_RTOL * (float(np.max(np.abs(d))) or 1.0)
@@ -28,14 +30,16 @@ def reference_report(d):
         found.append(("symmetry", (i, j), f"dist({i},{j})={float(d[i, j])!r} != dist({j},{i})={float(d[j, i])!r}"))
     off = d.copy()
     np.fill_diagonal(off, 1.0)
-    for i, j in np.argwhere(off <= 0)[:8]:
+    pairs = [(i, j) for i, j in np.argwhere(off <= 0) if asym or i < j]
+    for i, j in pairs[:8]:
         found.append(("positivity", (int(i), int(j)), f"dist({i},{j})={float(d[i, j])!r} <= 0"))
     reported = 0
     for i in range(n):
         if reported >= 8:
             break
         slack = d[i] - (d[i][:, None] + d)
-        for j, k in np.argwhere(slack > tol)[:8 - reported]:
+        triples = [(j, k) for j, k in np.argwhere(slack > tol) if asym or k >= i]
+        for j, k in triples[:8 - reported]:
             found.append(("triangle", (int(i), int(k), int(j)),
                           f"dist({i},{k})={float(d[i, k])!r} > dist({i},{j})+dist({j},{k})={float(d[i, j] + d[j, k])!r}"))
             reported += 1
@@ -161,10 +165,25 @@ class TestValidateMetricMatchesRowScan:
             elif n >= 3:  # two points have no triangle to break
                 assert [v for v in validate_metric(table).violations if v.axiom == "triangle"], name
 
-    def test_sparse_violation_reported_from_both_ends(self):
+    def test_sparse_violation_reported_once(self):
         n = 2 * TRIANGLE_BLOCK + 3
         report = validate_metric(planted_tables(n, seed=0)["sparse"])
-        assert [v.witness for v in report.violations] == [(0, n - 1, n // 2), (n - 1, 0, n // 2)]
+        assert [v.witness for v in report.violations] == [(0, n - 1, n // 2)]
+
+    def test_mirrors_leave_room_for_eight_distinct_violations(self):
+        # Eight violated pairs (2q, 2q+1), each 2.5 apart but 1 from 20+q:
+        # listed from both ends, the cap held four of them twice.
+        table = np.full((30, 30), 2.0)
+        np.fill_diagonal(table, 0.0)
+        for q in range(8):
+            table[2 * q, 2 * q + 1] = table[2 * q + 1, 2 * q] = 2.5
+            table[2 * q, 20 + q] = table[20 + q, 2 * q] = 1.0
+            table[2 * q + 1, 20 + q] = table[20 + q, 2 * q + 1] = 1.0
+        report = validate_metric(table)
+        assert [v.witness for v in report.violations] == [(2 * q, 2 * q + 1, 20 + q) for q in range(8)]
+        assert report_tuples(report) == reference_report(table)
+        report = validate_metric([[0, -1], [-1, 0]])
+        assert [v.witness for v in report.violations if v.axiom == "positivity"] == [(0, 1)]
 
     def test_more_than_eight_witnesses_stop_at_eight(self):
         table = planted_tables(TRIANGLE_BLOCK + 1, seed=1)["many"]
