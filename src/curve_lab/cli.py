@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HorizonError, InputError, _float_array
+from .errors import HorizonError, InputError, _float_array, _scalar
 
 # Each loader and handler imports the library names it calls, so a command
 # loads only the modules it uses: validate-metric needs metric alone.
@@ -113,11 +113,9 @@ def _verdict(report) -> tuple[dict, int]:
     raw = os.environ.get("CURVE_LAB_TOLERANCE")
     if raw is not None:
         try:
-            tol = float(raw)
+            tol = _scalar(float(raw), "CURVE_LAB_TOLERANCE", 0, strict=False)
         except ValueError as exc:
             raise InputError(f"CURVE_LAB_TOLERANCE must be a float, got {raw!r}") from exc
-        if not 0 <= tol < np.inf:
-            raise InputError(f"CURVE_LAB_TOLERANCE must be finite and non-negative, got {raw!r}")
         report = report._replace(tolerance=tol, verdict=report.residual <= tol)
     return report.to_json(), 0 if report.verdict else 1
 
@@ -236,11 +234,10 @@ def _cmd_check_varint(args):
 
 def _cmd_check_disc(args):
     from .verify import _report, discontinuity_measure
-    if not 0 <= args.measure_tolerance < np.inf:
-        raise InputError(f"--measure-tolerance must be finite and non-negative, got {args.measure_tolerance}")
+    tol = _scalar(args.measure_tolerance, "--measure-tolerance", 0, strict=False)
     profile = discontinuity_measure(_load_values(args.values), args.epsilon, args.delta)
     return _verdict(_report(
-        "discontinuity", profile.measure, 0.0, args.measure_tolerance, one_sided=True,
+        "discontinuity", profile.measure, 0.0, tol, one_sided=True,
         context={"epsilon": profile.epsilon, "delta": profile.delta,
                  "pair_count": profile.pair_count}))
 

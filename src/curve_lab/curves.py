@@ -11,7 +11,7 @@ import io
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError, _float_array
+from .errors import DegenerateInputError, InputError, _float_array, _scalar
 from .metric import BLOCK, MetricSpace, _Frozen, maximal_separated_net
 
 
@@ -86,8 +86,7 @@ def arc_length_reparam(curve: SampledCurve) -> SampledCurve:
 def _window_indices(curve: SampledCurve, t: float, window: float, side: str) -> tuple[int, int]:
     if side not in ("both", "left", "right"):
         raise InputError(f"unknown side {side!r}")
-    if not 0 < window < np.inf:
-        raise InputError(f"window must be positive and finite, got {window}")
+    t, window = _scalar(t, "time", -np.inf), _scalar(window, "window", 0)
     if not curve.a <= t <= curve.b:
         raise InputError(f"time {t!r} outside [{curve.a}, {curve.b}]")
     lo = t - window if side in ("both", "left") else t
@@ -106,7 +105,8 @@ def metric_speed(curve: SampledCurve, t: float, window: float, side: str = "both
 
     The endpoints t +/- window are snapped to the nearest grid times and the
     quotient divides by their actual separation; one-sided at the interval
-    endpoints.  ``side`` selects the left/right one-sided variants.
+    endpoints.  ``side`` selects the left/right one-sided variants.  ``t`` is
+    a time in the curve's interval and ``window`` is positive, both finite.
     """
     i1, i2 = _window_indices(curve, t, window, side)
     d = curve.space.pair_distances(curve.samples[i1], curve.samples[i2])
@@ -122,9 +122,9 @@ def hausdorff1_content(space: MetricSpace, target, delta: float) -> float:
     them capped at delta (one covering set per gap, diameter < delta for the
     capped part); the final net point contributes the diameter of its
     assigned cluster.  A singleton therefore has content 0 at every scale.
+    ``delta`` > 0 may be infinite, which gives the target's diameter.
     """
-    if not delta > 0:
-        raise InputError(f"delta must be positive, got {delta}")
+    delta = _scalar(delta, "delta", 0, infinite=True)
     target = space.check_ids(target)
     if not len(target):
         raise InputError("target set is empty")

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one rule by which every
-entry point reads its numbers and point ids."""
+entry point reads its numbers, point ids and scalar parameters."""
+import math
 import operator
 
 import numpy as np
@@ -53,15 +54,22 @@ def _point_id(i) -> int:
                      else f"point id {i} is not an integer")
 
 
-def _number(x, what: str) -> float:
-    """``float(x)`` of a real number; a string, a bool, a complex number or a
-    non-number is an input error."""
+def _scalar(x, what: str, low: float, *, strict: bool = True, integer: bool = False,
+            infinite: bool = False) -> float | int:
+    """A scalar parameter as a float, or as an int if ``integer`` (an int or a
+    numpy integer), above ``low`` or at it unless ``strict``.  Anything else,
+    an infinity unless ``infinite``, is an input error naming ``what``."""
     try:
-        if not isinstance(x, _NOT_NUMBERS):
-            return float(x)
+        v = math.nan if isinstance(x, _NOT_NUMBERS) else operator.index(x) if integer else float(x)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise InputError(f"{what} {x!r} is not a number")
+        v = math.nan
+    if (v > low or v == low and not strict) and (infinite or v < math.inf):
+        return v
+    if v != v and not integer:
+        raise InputError(f"{what} {x!r} is not a number")
+    kind = "an integer" if integer else "a number" if infinite else "a finite number"
+    bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+    raise InputError(f"{what} must be {kind}{bound}, got {x if integer else v!r}")
 
 
 def _float_array(data, what: str, ndim: int | None = None) -> np.ndarray:

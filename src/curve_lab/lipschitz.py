@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import SampledCurve, _window_indices
-from .errors import InconsistentDataError, InputError, _float_array, _number
+from .errors import InconsistentDataError, InputError, _float_array, _scalar
 from .metric import CHUNK, SUB, MetricSpace, _Frozen, _padded, block_folds, block_pairs
 
 # Declared constants may sit exactly at the data's quotient maximum; allow
@@ -101,20 +101,16 @@ class LipschitzSample(_Frozen):
     """Boundary data for a real function on a finite subset, evaluable
     anywhere through McShane extension with the declared constant L.
     ``support`` and ``values`` are read-only copies, an int and a float
-    array, and ``L`` is a float.  ``_lip`` is the data's Lipschitz constant
-    when the caller has just computed it."""
+    array, and ``L`` is a finite float of at least 0.  ``_lip`` is the data's
+    Lipschitz constant when the caller has just computed it."""
 
     def __init__(self, space: MetricSpace, support, values, L: float, _lip: float | None = None):
         support, values = space.check_ids(support), _float_array(values, "sample values", ndim=1)
-        L = _number(L, "Lipschitz sample L")
+        L = _scalar(L, "Lipschitz sample L", 0, strict=False)
         if len(support) != len(values):
             raise InputError("support and values lengths differ")
         if len(support) == 0:
             raise InputError("empty support")
-        if not np.isfinite(L):
-            raise InputError("Lipschitz sample L must be finite")
-        if L < 0:
-            raise InputError(f"Lipschitz constant must be nonnegative, got {L}")
         if len(support) >= 2:
             lc = lip_constant(support, values, space) if _lip is None else _lip
             if lc > L * (1 + _L_RTOL):
@@ -156,7 +152,7 @@ def mcshane_extend_all(sample: LipschitzSample, queries=None, envelope: str = "u
     queries = space.check_ids(np.arange(space.n) if queries is None else queries)
     sup, vals = sample.support, sample.values
     far, scan = block_pairs(space, queries, sup)
-    far[far == np.inf] = 0.0  # boxes that span the line: seed from the least values alone
+    far[np.isposinf(far)] = 0.0  # boxes that span the line: seed from the least values alone
 
     def extend(sign):
         op, fold = (np.add, np.minimum) if sign > 0 else (np.subtract, np.maximum)
@@ -199,10 +195,10 @@ def probe_family(curve: SampledCurve, n: int) -> ProbeFamily:
     samples, used as a dense-subset surrogate.
 
     Deterministic: starts at the first sample in time order; ties in the
-    farthest-point selection break toward the earliest candidate.
+    farthest-point selection break toward the earliest candidate.  An
+    integer ``n`` >= 1 above the distinct sample count is clamped, with a warning.
     """
-    if n < 1:
-        raise InputError(f"probe count must be >= 1, got {n}")
+    n = _scalar(n, "probe count", 1, strict=False, integer=True)
     space = curve.space
     ids = curve.samples[np.sort(np.unique(curve.samples, return_index=True)[1])]  # distinct, first-visit order
     if n > len(ids):
@@ -228,7 +224,7 @@ def probe_family(curve: SampledCurve, n: int) -> ProbeFamily:
 def speed_via_probes(curve: SampledCurve, probes: ProbeFamily, t: float, window: float,
                      side: str = "both") -> float:
     """Supremum over probes of the absolute difference quotient of the
-    post-composition at t, with the same window convention as metric_speed."""
+    post-composition at t, with metric_speed's window convention and ranges."""
     if not probes.space.same_as(curve.space):
         raise InputError("probe family and curve live on different spaces")
     i1, i2 = _window_indices(curve, t, window, side)

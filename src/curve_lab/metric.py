@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _float_array, _number, _point_id
+from .errors import InputError, _float_array, _point_id, _scalar
 
 # Relative slack for triangle-inequality checks: a matrix document holds
 # distances computed in floating point elsewhere, and often printed with fewer
@@ -58,7 +58,7 @@ def _chunks(space: "MetricSpace", ids: np.ndarray, size: int = CHUNK):
     boxes cannot bound (matrix and graph spaces, an extent that overflows, a
     space of one point) they span the line, (1, c): every gap is 0."""
     pos = _padded(len(ids))
-    if space.coords is None or not 0 < space._extent < np.inf:
+    if space.coords is None or not (space._extent > 0 and math.isfinite(space._extent)):
         lo = np.full((1, len(pos) // size), -np.inf)
         return pos.reshape(-1, size), lo, -lo
     pts, starts = space.coords[ids[pos]].T, np.arange(0, len(pos), size)
@@ -227,22 +227,20 @@ def space_document(doc) -> tuple[str, list, int]:
 def graph_edges(n: int, edges) -> dict[tuple[int, int], float]:
     """The lightest weight of each edge ``[i, j, weight]`` of a graph on n
     nodes, keyed ``(min(i, j), max(i, j))``.  A malformed edge, a weight that
-    is not positive and finite, and a disconnected graph are input errors."""
-    if n < 1:
-        raise InputError("graph needs at least one node")
+    is not positive and finite, a disconnected graph and an ``n`` below 1 are
+    input errors."""
+    n = _scalar(n, "graph node count", 1, strict=False, integer=True)
     best: dict[tuple[int, int], float] = {}
     for e in edges:
         try:
             i, j, weight = e
-            i, j, weight = _point_id(i), _point_id(j), _number(weight, "weight")
+            i, j, weight = _point_id(i), _point_id(j), _scalar(weight, "weight", 0)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"graph edge {e!r} must be [i, j, weight]") from exc
         except InputError as exc:
             raise InputError(f"graph edge {e!r}: {exc}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i},{j}) out of range for {n} nodes")
-        if weight <= 0 or not np.isfinite(weight):
-            raise InputError(f"edge ({i},{j}) has non-positive or non-finite weight {weight!r}")
         key = (min(i, j), max(i, j))
         best[key] = min(weight, best.get(key, np.inf))
     # Union-find: each edge that joins two components leaves one fewer.
@@ -502,10 +500,10 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
     epsilon apart admits every candidate that no earlier member rejects, all
     at once; otherwise its candidates are admitted one by one, on the
     outcomes of the same comparisons with epsilon.  Where boxes cannot bound,
-    they span the line: every gap is 0, so every member is passed.
+    they span the line: every gap is 0, so every member is passed.  An
+    ``epsilon`` > 0 may be infinite, which admits the first candidate alone.
     """
-    if not epsilon > 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _scalar(epsilon, "epsilon", 0, infinite=True)
     candidates = space.check_ids(candidates)
     m = len(candidates)
     if not m:
@@ -544,5 +542,5 @@ def maximal_separated_net(space: MetricSpace, candidates, epsilon: float) -> Sep
         members[count:count + len(admitted)] = admitted
         owner[count:count + len(admitted)] = r
         count += len(admitted)
-    return SeparatedNet(host=space, epsilon=float(epsilon), members=tuple(members[:count].tolist()))
+    return SeparatedNet(host=space, epsilon=epsilon, members=tuple(members[:count].tolist()))
 

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, ScheduleError, _float_array
+from .errors import InputError, ScheduleError, _float_array, _scalar
 
 # Each check imports the curves and lipschitz names it calls, so the checks on
 # a bare values trace (disc, recover) load neither.
@@ -148,10 +148,9 @@ def discontinuity_measure(values: Sequence[float], epsilon: float, delta: float)
     epsilon, estimated as (pair count) times the grid cell area.  A function
     continuous at scale (epsilon, delta) gives zero; an interior jump of size
     >= epsilon gives about delta**2.  Non-finite values raise
-    :class:`InputError`."""
+    :class:`InputError`; ``epsilon`` and ``delta`` are finite and positive."""
     v = _float_array(values, "trace values", ndim=1)
-    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
-        raise InputError(f"epsilon and delta must be positive and finite, got {epsilon}, {delta}")
+    epsilon, delta = _scalar(epsilon, "epsilon", 0), _scalar(delta, "delta", 0)
     t = np.linspace(0.0, 1.0, len(v))
     if len(v) < 2:
         raise InputError("need at least two samples")
@@ -165,7 +164,7 @@ def discontinuity_measure(values: Sequence[float], epsilon: float, delta: float)
         jump = np.abs(v[off:] - v[:-off]) >= epsilon
         count += 2 * int(np.sum(close & jump))
     return DiscontinuityProfile(
-        epsilon=float(epsilon), delta=float(delta),
+        epsilon=epsilon, delta=delta,
         pair_count=count, measure=count * dt * dt,
     )
 
@@ -186,18 +185,14 @@ def continuous_representative(values: Sequence[float],
     is judged by one whole-array pass per epsilon, so only the ``window``
     samples after each replacement are looked at one by one, in Python
     floats: the same IEEE operations as numpy's, without its per-call cost.
-    """
+    ``window`` is an integer >= 3."""
     v = _float_array(values, "trace values", ndim=1).copy()  # the sweeps write into it
     sched = _float_array(epsilon_schedule, "epsilon schedule", ndim=1).tolist()
     if not sched or not all(e > 0 for e in sched):
         raise ScheduleError(f"epsilon schedule must be nonempty and positive: {sched}")
     if any(b >= a for a, b in zip(sched[:-1], sched[1:])):
         raise ScheduleError(f"epsilon schedule must be strictly decreasing: {sched}")
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
-        raise ScheduleError(f"window must be an integer, got {window!r}")
-    window = int(window)
-    if window < 3:
-        raise ScheduleError(f"window must span at least 3 samples, got {window}")
+    window = _scalar(window, "window", 3, strict=False, integer=True)
     if len(v) < window:
         raise ScheduleError(f"trace of {len(v)} samples is shorter than window {window}")
     n = len(v)
@@ -279,12 +274,13 @@ def ac_p_test(curve: SampledCurve, p: float,
     """Estimate the L^p norm of the metric speed and test its stability under
     grid refinement.  A curve that is absolutely continuous with p-integrable
     speed has a stable norm; an unbounded-speed curve (like a square-root cusp
-    at p >= 2) shows a growing trend and is reported inconsistent."""
-    if not p >= 1:
-        raise InputError(f"p must be >= 1, got {p}")
+    at p >= 2) shows a growing trend and is reported inconsistent.  ``p`` >= 1
+    may be infinite (the sup norm); an integer ``refinements`` below 1 runs none."""
+    p = _scalar(p, "p", 1, strict=False, infinite=True)
+    refinements = _scalar(refinements, "refinements", -math.inf, integer=True)
     trend = [_speed_norm(curve, p)]
     if refine is None or refinements < 1:
-        return ACPReport(p=float(p), norm_estimate=trend[0],
+        return ACPReport(p=p, norm_estimate=trend[0],
                          refinement_trend=tuple(trend), verdict="inconclusive")
     c = curve
     for _ in range(refinements):
@@ -292,7 +288,7 @@ def ac_p_test(curve: SampledCurve, p: float,
         trend.append(_speed_norm(c, p))
     rels = [abs(b - a) / max(abs(a), 1e-300) for a, b in zip(trend[:-1], trend[1:])]
     verdict = "AC_p-consistent" if max(rels) <= ACP_STABILITY_RTOL else "AC_p-inconsistent"
-    return ACPReport(p=float(p), norm_estimate=trend[-1],
+    return ACPReport(p=p, norm_estimate=trend[-1],
                      refinement_trend=tuple(trend), verdict=verdict)
 
 
@@ -301,10 +297,10 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
     """Luzin-N style probe: the length content created by the part of the
     curve parametrized over a small time set is controlled by the worst step
     quotient seen outside that set, times the measure of the union of its
-    intervals.  A curve that tears a time-null set into positive length fails."""
+    intervals.  A curve that tears a time-null set into positive length
+    fails.  ``delta`` is finite and positive."""
     from .curves import hausdorff1_content
-    if not 0 < delta < math.inf:
-        raise InputError(f"delta must be positive and finite, got {delta}")
+    delta = _scalar(delta, "delta", 0)
     intervals = _float_array(null_set, "null set")
     if intervals.shape != (0,) and (intervals.ndim != 2 or intervals.shape[1] != 2):
         raise InputError(f"null set must be a list of (a, b) intervals, got shape {intervals.shape}")

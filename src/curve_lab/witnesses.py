@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import HorizonError, InputError, _float_array
+from .errors import HorizonError, InputError, _float_array, _scalar
 
 # Each witness imports the curves and lipschitz names it calls, so forge
 # loads neither.
@@ -29,11 +29,12 @@ class WitnessFunction(NamedTuple):
 
 def triangle_wave(t, tooth: float):
     """Continuous triangle wave: period 2*tooth, range [0, tooth], slope +-1,
-    rising on [2k*tooth, (2k+1)*tooth] and falling on the next tooth."""
-    if not tooth > 0:
-        raise InputError(f"tooth must be positive, got {tooth}")
-    r = np.mod(_float_array(t, "triangle wave t"), 2.0 * tooth)
-    out = np.where(r <= tooth, r, 2.0 * tooth - r)
+    rising on [2k*tooth, (2k+1)*tooth] and falling on the next tooth.  The
+    tooth and its period are finite and positive."""
+    tooth = _scalar(tooth, "tooth", 0)
+    period = _scalar(2.0 * tooth, "tooth period 2 * tooth", 0)
+    r = np.mod(_float_array(t, "triangle wave t"), period)
+    out = np.where(r <= tooth, r, period - r)
     return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
 
@@ -54,15 +55,16 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     slope +-1, so only a step across a fold (where floor(s / tooth) changes)
     can lose length: the floor is the total variation less those steps' arc
     lengths.  ``floor_met`` allows the floor a relative 1e-9 of the total
-    variation for rounding."""
+    variation for rounding.  ``tooth`` is positive, at most the curve's length."""
     from .curves import total_variation
     from .lipschitz import LipschitzSample, lip_constant
+    tooth = _scalar(tooth, "tooth", 0)
     if not curve.is_simple():
         raise InputError("sawtooth witness requires a simple curve")
     tv = total_variation(curve)
     if tv <= 0:
         raise InputError("sawtooth witness requires positive total variation")
-    if tooth > tv:  # triangle_wave rejects a tooth that is not positive
+    if tooth > tv:
         raise InputError(f"tooth {tooth} exceeds curve length {tv}")
 
     s = curve.arc_coordinates()
@@ -77,7 +79,7 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     folds = np.diff(np.floor(s / tooth)) != 0
     floor = tv - float(np.sum(np.diff(s)[folds]))
     certificates = {
-        "tooth": float(tooth),
+        "tooth": tooth,
         "total_variation": tv,
         "sup_abs": float(np.max(np.abs(values))),
         "lip_constant": lc,
@@ -93,12 +95,12 @@ def variation_preserving_witness(curve: SampledCurve, slack: float) -> WitnessFu
     """Sawtooth witness with tooth = slack/2, targeting a post-composition
     variation of at least total_variation - slack with sup bound slack/2.
     ``target_met`` says whether the composed variation reaches the target,
-    up to the rounding allowance of ``floor_met``; a coarse grid may miss it."""
-    if not slack > 0:
-        raise InputError(f"slack must be positive, got {slack}")
+    up to the rounding allowance of ``floor_met``; a coarse grid may miss it.
+    ``slack`` is finite and positive."""
+    slack = _scalar(slack, "slack", 0)
     witness = sawtooth_witness(curve, slack / 2.0)
     tv, variation = witness.certificates["total_variation"], witness.certificates["composed_variation"]
-    certs = dict(witness.certificates, slack=float(slack), variation_target=tv - slack,
+    certs = dict(witness.certificates, slack=slack, variation_target=tv - slack,
                  target_met=variation >= tv - slack - 1e-9 * tv)
     return WitnessFunction(realization=witness.realization, certificates=certs)
 
@@ -155,18 +157,16 @@ class ForgeProblem:
 
     ``functional(m, combo)`` evaluates p_m at sum_i alpha_i * z_{e_i}, where
     combo is a sequence of (element index, coefficient) pairs.  ``horizon``,
-    a nonnegative integer, bounds the total number of functional evaluations
-    per forge run.
+    an integer of at least 0, bounds the total number of functional
+    evaluations per forge run.
     """
 
     __slots__ = ("functional", "horizon")
 
     def __init__(self, functional: Callable[[int, Sequence[tuple[int, float]]], float],
                  horizon: int = 10**6):
-        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
-            raise InputError(f"horizon must be a nonnegative integer, got {horizon!r}")
         self.functional = functional
-        self.horizon = horizon
+        self.horizon = _scalar(horizon, "horizon", 0, strict=False, integer=True)
 
 
 class ForgeResult(NamedTuple):
@@ -189,10 +189,9 @@ def banach_steinhaus_forge(problem: ForgeProblem, depth: int) -> ForgeResult:
     and the returned chain certificate p_{m_{j+1}}(partial sum) >= j is
     re-evaluated numerically on the final combination.  Index search is a
     linear scan; exhausting the evaluation horizon raises
-    :class:`HorizonError` with the level reached.
+    :class:`HorizonError` with the level reached.  ``depth`` is an integer >= 1.
     """
-    if depth < 1:
-        raise InputError(f"depth must be >= 1, got {depth}")
+    depth = _scalar(depth, "depth", 1, strict=False, integer=True)
     # p counts its evaluations against the horizon and names the current level.
     calls, level = 0, 1
 

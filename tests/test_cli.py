@@ -341,7 +341,7 @@ OVERFLOWS = "error: graph shortest-path distance overflows"
     ({"kind": "graph", "n": 3, "data": [[0, 1, 6e307], [1, 2, 6e307], [0, 2, 1e308]]},
      0, PASSED, None),
     ({"kind": "graph", "n": 1, "data": []}, 0, PASSED, None),
-    ({"kind": "graph", "n": 0, "data": []}, 2, "", "error: graph needs at least one node"),
+    ({"kind": "graph", "n": 0, "data": []}, 2, "", "error: graph node count must be an integer >= 1, got 0"),
     ({"kind": "graph", "n": 2, "data": [[0, 0, 1.0], [0, 1, 2.0]]}, 0, PASSED, None),
     ({"kind": "graph", "n": 2, "data": [[1, 1, 1.0]]}, 2, "", DISCONNECTED),
     ({"kind": "graph", "points": ["a", "b", "c"], "data": [[0, 1, 1.0], [1, 2, 2.0]]},
@@ -355,7 +355,7 @@ OVERFLOWS = "error: graph shortest-path distance overflows"
     ({"kind": "graph", "n": 2, "data": [[0, 1.5, 1.0]]}, 2, "",
      "error: graph edge [0, 1.5, 1.0]: point id 1.5 is not an integer"),
     ({"kind": "graph", "n": 2, "data": [[0, 1, -1.0]]}, 2, "",
-     "error: edge (0,1) has non-positive or non-finite weight -1.0"),
+     "error: graph edge [0, 1, -1.0]: weight must be a finite number > 0, got -1.0"),
     ({"kind": "graph", "n": 2, "data": [[0, 1, "1.0"]]}, 2, "",
      "error: graph edge [0, 1, '1.0']: weight '1.0' is not a number"),
     ({"kind": "graph", "n": 2, "data": [[0, 1]]}, 2, "",
@@ -390,7 +390,7 @@ def test_forge(capsys):
     assert doc["level_bounds"][-1] >= 3.0
     assert_input_error(["forge", "--depth", "3", "--horizon", "-5"], capsys)
     assert main(["forge", "--depth", "3", "--horizon", "-5"]) == 2
-    assert capsys.readouterr().err == "error: horizon must be a nonnegative integer, got -5\n"
+    assert capsys.readouterr().err == "error: horizon must be an integer >= 0, got -5\n"
 
 
 def test_forge_horizon_exhaustion_exits_1(capsys):
@@ -608,7 +608,7 @@ def test_identity_checks_say_they_are_bookkeeping(seg, tmp_path):
         assert json.loads(out.read_text())["context"].get("bookkeeping") is flag, kind
 
 
-def test_tolerance_env_override(seg, tmp_path, monkeypatch):
+def test_tolerance_env_override(seg, tmp_path, monkeypatch, capsys):
     h = tmp_path / "h.json"
     h.write_text(json.dumps(
         {"support": list(range(9)), "values": [i / 8 for i in range(9)], "L": 1.0}))
@@ -623,9 +623,24 @@ def test_tolerance_env_override(seg, tmp_path, monkeypatch):
     assert main(["report", "--bundle", str(bundle), "--out-prefix", str(tmp_path / "s")]) == 0
     assert json.loads((tmp_path / "s.jsonl").read_text())["tolerance"] == 1e6
     # An infinite tolerance would pass anything.
-    for raw in ("inf", "nan", "-1"):
+    for raw, err in (("inf", "must be a finite number >= 0, got inf"), ("nan", "nan is not a number"),
+                     ("-1", "must be a finite number >= 0, got -1.0")):
         monkeypatch.setenv("CURVE_LAB_TOLERANCE", raw)
+        capsys.readouterr()
         assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: CURVE_LAB_TOLERANCE {err}\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_measure_tolerance_out_of_range_is_named(tmp_path, capsys, tol):
+    vals = tmp_path / "v.json"
+    vals.write_text(json.dumps([0.0] * 6))
+    capsys.readouterr()
+    assert main(["check", "disc", "--values", str(vals), "--epsilon", "0.5", "--delta", "0.1",
+                 "--measure-tolerance", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --measure-tolerance ") and captured.err.count("\n") == 1
 
 
 class TestReportBundle:

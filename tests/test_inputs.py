@@ -1,17 +1,19 @@
-"""One input rule: every library entry point reads its numbers and point ids
-through ``errors``, so a string, a bool, a NaN, a nesting of the wrong depth,
-a scalar where an array belongs and a complex array are each an InputError
+"""One input rule: every library entry point reads its numbers, point ids and
+scalar parameters through ``errors``, so a string, a bool, a NaN, a nesting of
+the wrong depth, a scalar where an array belongs, a complex array, a scalar
+out of its range and a fraction where a count belongs are each an InputError
 naming the input, never a silent conversion, a TypeError or a ValueError."""
 import copy
 
 import numpy as np
 import pytest
 
-from curve_lab import (InputError, LipschitzSample, MetricSpace, SampledCurve,
-                       alternating_separated_witness, area_formula_check,
-                       continuous_representative, discontinuity_measure,
+from curve_lab import (ForgeProblem, InputError, LipschitzSample, MetricSpace, SampledCurve, ac_p_test,
+                       alternating_separated_witness, area_formula_check, banach_steinhaus_forge,
+                       continuous_representative, diagonal_forge_problem, discontinuity_measure,
                        hausdorff1_content, lip_constant, luzin_n_probe, maximal_separated_net,
-                       mcshane_extend_all, triangle_wave, validate_metric)
+                       mcshane_extend_all, metric_speed, probe_family, sawtooth_witness, speed_via_probes,
+                       triangle_wave, validate_metric, variation_preserving_witness)
 from conftest import line_space
 
 SPACE = line_space([0.0, 10.0, 20.0])
@@ -103,3 +105,64 @@ def test_holes_and_intervals_without_two_ends(entry, bad):
     call, _, what, _ = ENTRY_POINTS[entry]
     with pytest.raises(InputError, match=what):
         call(bad)
+
+
+def forge(depth):
+    return banach_steinhaus_forge(diagonal_forge_problem(), depth)
+
+
+INF = float("inf")
+# scalar parameter: (call on a value, the name the error gives, values it
+# takes, the first written as a string for the string form, and values it
+# refuses besides a string, a bool and a NaN)
+SCALARS = {
+    "metric_speed t": (lambda x: metric_speed(CURVE, x, 0.5), "time", [0.5, 0.0, np.float64(0.5)],
+                       [INF, -INF]),
+    "metric_speed window": (lambda x: metric_speed(CURVE, 0.5, x), "window", [0.5, np.float64(1.5)],
+                            [INF, 0.0, -1.0]),
+    "speed_via_probes window": (lambda x: speed_via_probes(CURVE, probe_family(CURVE, 2), 0.5, x), "window",
+                                [0.5], [INF, 0.0]),
+    "hausdorff1_content delta": (lambda x: hausdorff1_content(SPACE, IDS, x), "delta", [0.5, INF, np.float64(0.1)],
+                                 [-INF, 0.0, -1.0]),
+    "maximal_separated_net epsilon": (lambda x: maximal_separated_net(SPACE, IDS, x), "epsilon", [0.5, INF],
+                                      [-INF, 0.0, -1.0]),
+    "probe_family n": (lambda x: probe_family(CURVE, x), "probe count", [2, 1, np.int64(3)],
+                       [INF, 0, -1, 2.5]),
+    "LipschitzSample L": (lambda x: LipschitzSample(SPACE, [0, 2], [0.0, 1.0], x), "Lipschitz sample L",
+                          [1.0, 0.05, np.float32(1.0)], [INF, -INF, -1.0]),
+    "MetricSpace.from_graph n": (lambda x: MetricSpace.from_graph(x, [[0, 1, 1.0]]), "graph node count",
+                                 [2, np.int64(2)], [0, -1, 2.5, INF]),
+    "triangle_wave tooth": (lambda x: triangle_wave([-0.1, 0.3], x), "tooth", [0.25, np.float64(0.5), 8e307],
+                            [INF, -INF, 0.0, -1.0, 1e308]),
+    "sawtooth_witness tooth": (lambda x: sawtooth_witness(CURVE, x), "tooth", [5.0, 20.0], [INF, 0.0, -1.0]),
+    "variation_preserving_witness slack": (lambda x: variation_preserving_witness(CURVE, x), "slack",
+                                           [2.0, np.float64(2.0)], [INF, 0.0, -1.0]),
+    "ForgeProblem horizon": (lambda x: ForgeProblem(diagonal_forge_problem().functional, x), "horizon",
+                             [10, 0, np.int64(0)], [-1, 2.5, INF, 10.0]),
+    "banach_steinhaus_forge depth": (forge, "depth", [3, 1, np.int64(2)], [0, -1, 2.5, INF]),
+    "discontinuity_measure epsilon": (lambda x: discontinuity_measure([0.0] * 6, x, 0.2), "epsilon",
+                                      [0.5, np.float64(0.5)], [INF, 0.0, -1.0]),
+    "discontinuity_measure delta": (lambda x: discontinuity_measure([0.0] * 6, 0.5, x), "delta",
+                                    [0.2, np.float64(0.1)], [INF, 0.0, -1.0]),
+    "continuous_representative window": (lambda x: continuous_representative([0.0] * 6, [0.5], x), "window",
+                                         [3, np.int64(3), 5], [2, 0, 2.5, 3.0, INF]),
+    "ac_p_test p": (lambda x: ac_p_test(CURVE, x), "p", [2.0, 1.0, INF, 1], [0.5, -INF]),
+    "ac_p_test refinements": (lambda x: ac_p_test(CURVE, 2.0, lambda c: c, x), "refinements",
+                              [1, 0, np.int64(2)], [2.5, INF]),
+    "luzin_n_probe delta": (lambda x: luzin_n_probe(CURVE, [[0.4, 0.6]], x), "delta", [0.5, np.float64(0.1)],
+                            [INF, 0.0, -1.0]),
+}
+
+SCALAR_CASES = [pytest.param(entry, bad, id=f"{entry}-{bad!r}")
+                for entry, (_, _, good, refused) in SCALARS.items()
+                for bad in [str(good[0]), True, False, float("nan"), *refused]]
+
+
+@pytest.mark.parametrize("entry, bad", SCALAR_CASES)
+def test_malformed_scalar_is_an_input_error_naming_it(entry, bad):
+    call, what, good, _ = SCALARS[entry]
+    for value in good:
+        call(value)  # each value in range passes
+    with pytest.raises(InputError, match=f"^{what} "):
+        call(bad)
+

@@ -161,7 +161,7 @@ class TestLipschitzSampleInputs:
         with pytest.raises(InputError, match="^sample values must be finite$"):
             LipschitzSample(space, (0, 1), (None, 1.0), 1.0)
         for L in (np.inf, np.nan):
-            with pytest.raises(InputError, match="^Lipschitz sample L must be finite$"):
+            with pytest.raises(InputError, match=r"^Lipschitz sample L (must be a finite number >= 0, got inf|nan is not a number)$"):
                 LipschitzSample(space, (0, 1), (0.0, 1.0), L)
 
     def test_l_is_kept_as_a_float(self):

@@ -112,6 +112,36 @@ def test_one_input_rule():
     assert found == [] and helper == 1
 
 
+def _is_infinity(node) -> bool:
+    """``np.inf``, ``math.inf`` or ``float("inf")``, or its negation."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy", "math")
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+            and any(isinstance(a, ast.Constant) and str(a.value).lower().lstrip("+-") in ("inf", "infinity")
+                    for a in node.args))
+
+
+def test_one_scalar_rule():
+    # Every scalar parameter reads its range through errors._scalar: outside
+    # errors.py no comparison has an infinity as an operand and no isinstance
+    # tests for a bool, so no site grows its own range or bool check back.
+    found = []
+    for path in sorted(Path(curve_lab.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(map(_is_infinity, [node.left, *node.comparators])):
+                found.append(f"{path.name}:{node.lineno} comparison with an infinity")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool" or isinstance(n, ast.Attribute)
+                            and n.attr == "bool_" for n in ast.walk(node.args[1]))):
+                found.append(f"{path.name}:{node.lineno} isinstance bool check")
+    assert found == []
+
+
 def test_no_calls_of_the_distance_views():
     # dist, dist_row and submatrix stay only for the benchmark's span tracer;
     # the package reads every distance through pair_distances, and the

@@ -229,8 +229,10 @@ class TestContinuousRepresentative:
             continuous_representative(values, [])
         with pytest.raises(ScheduleError):
             continuous_representative(values, [0.1, 0.2])
-        with pytest.raises(ScheduleError):
+        # A window is not a schedule: its range is the scalar rule's.
+        with pytest.raises(InputError, match="^window must be an integer >= 3, got 2$") as exc:
             continuous_representative(values, [0.5], window=2)
+        assert exc.type is InputError
         # A non-finite entry is the input rule's error, not a schedule's.
         for sched in ([np.nan], [np.inf, 0.5]):
             with pytest.raises(InputError, match="^epsilon schedule must be finite$") as exc:
@@ -239,7 +241,7 @@ class TestContinuousRepresentative:
 
     @pytest.mark.parametrize("window", [3.5, 5.0, True, False, "5", None, np.float64(5)])
     def test_window_must_be_an_integer(self, window):
-        with pytest.raises(ScheduleError, match=r"window must be an integer, got " + re.escape(repr(window))):
+        with pytest.raises(InputError, match=r"^window must be an integer >= 3, got " + re.escape(repr(window)) + "$"):
             continuous_representative(np.linspace(0, 1, 50), [0.5], window=window)
 
     def test_numpy_integer_window(self):

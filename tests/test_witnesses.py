@@ -39,6 +39,15 @@ class TestTriangleWave:
         with pytest.raises(InputError):
             triangle_wave(0.5, float("nan"))
 
+    def test_tooth_with_an_infinite_period_rejected(self):
+        # np.mod by an infinite period gave inf at a negative t, and nan when
+        # 2 * tooth overflowed; a finite input never gives either.
+        with pytest.raises(InputError, match="^tooth must be a finite number > 0, got inf$"):
+            triangle_wave([-0.1, 0.3], float("inf"))
+        with pytest.raises(InputError, match="^tooth period 2 \\* tooth must be a finite number > 0, got inf$"):
+            triangle_wave(-0.1, 1e308)
+        assert triangle_wave(-0.1, 8e307) == 0.0  # the largest teeth keep a finite period
+
 
 class TestSawtoothWitness:
     def unit_segment(self, spacing):
@@ -117,7 +126,7 @@ class TestSawtoothWitness:
     def test_tooth_longer_than_curve_rejected(self):
         with pytest.raises(InputError, match="^tooth 1.5 exceeds curve length 1.0$"):
             sawtooth_witness(self.unit_segment(0.125), 1.5)
-        with pytest.raises(InputError, match="^tooth must be positive, got nan$"):
+        with pytest.raises(InputError, match="^tooth nan is not a number$"):
             sawtooth_witness(self.unit_segment(0.125), float("nan"))
 
 
@@ -256,7 +265,7 @@ class TestForge:
         assert ForgeProblem(problem.functional).horizon == 10**6
         assert ForgeProblem(problem.functional, np.int64(0)).horizon == 0
         for bad in (-5, 2.5, True, "10"):
-            with pytest.raises(InputError, match="horizon must be a nonnegative integer"):
+            with pytest.raises(InputError, match="^horizon must be an integer >= 0, got "):
                 ForgeProblem(problem.functional, bad)
 
     def test_alpha_cap_decays_geometrically(self):
