@@ -22,10 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HorizonError, InputError, _float_array, _scalar
+# Public names are read through the package (curve_lab.__getattr__), so a
+# command loads only the modules whose names it calls.
+import curve_lab as cl
 
-# Each loader and handler imports the library names it calls, so a command
-# loads only the modules it uses: validate-metric needs metric alone.
+from .errors import HorizonError, InputError, _float_array, _scalar
 
 
 # -- I/O helpers ----------------------------------------------------------------
@@ -58,6 +59,13 @@ def _emit(payload, path: Optional[str]) -> None:
             os.unlink(tmp)
 
 
+def _fail(exc) -> int:
+    """Write ``exc`` as one ``error:`` line; return its exit code, 1 for an
+    exhausted search and 2 for bad input."""
+    sys.stderr.write(f"error: {exc}\n")
+    return 1 if isinstance(exc, HorizonError) else 2
+
+
 def _read_text(path: str, what: str) -> str:
     try:
         with open(path) as fh:
@@ -74,14 +82,12 @@ def _read_json(path: str, what: str):
 
 
 def _load_space(path: Optional[str]):
-    from .metric import MetricSpace
-    return None if path is None else MetricSpace.from_json(_read_json(path, "space"))
+    return None if path is None else cl.MetricSpace.from_json(_read_json(path, "space"))
 
 
 def _load_curve(curve_path: str, space_path: Optional[str]):
-    from .curves import load_curve_csv
     space = _load_space(space_path)
-    return load_curve_csv(_read_text(curve_path, "curve"), space)
+    return cl.load_curve_csv(_read_text(curve_path, "curve"), space)
 
 
 def _load_values(path: str) -> np.ndarray:
@@ -95,8 +101,7 @@ def _load_values(path: str) -> np.ndarray:
 
 
 def _load_sample(path: str, space):
-    from .lipschitz import LipschitzSample
-    return LipschitzSample.from_json(_read_json(path, "sample"), space)
+    return cl.LipschitzSample.from_json(_read_json(path, "sample"), space)
 
 
 def _list(text: str, kind) -> list:
@@ -131,20 +136,17 @@ def _cmd_validate_metric(args):
 
 
 def _cmd_variation(args):
-    from .curves import stats_json
-    return stats_json(_load_curve(args.curve, args.space)), 0
+    return cl.stats_json(_load_curve(args.curve, args.space)), 0
 
 
 def _cmd_speed(args):
-    from .curves import metric_speed
     curve = _load_curve(args.curve, args.space)
-    value = metric_speed(curve, args.t, args.window, side=args.side)
+    value = cl.metric_speed(curve, args.t, args.window, side=args.side)
     return {"t": args.t, "window": args.window, "side": args.side, "speed": value}, 0
 
 
 def _cmd_reparam(args):
-    from .curves import arc_length_reparam
-    rep = arc_length_reparam(_load_curve(args.curve, args.space))
+    rep = cl.arc_length_reparam(_load_curve(args.curve, args.space))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "point_id"])
@@ -154,18 +156,16 @@ def _cmd_reparam(args):
 
 
 def _cmd_content(args):
-    from .curves import hausdorff1_content
     curve = _load_curve(args.curve, args.space)
-    value = hausdorff1_content(curve.space, curve.samples, args.delta)
+    value = cl.hausdorff1_content(curve.space, curve.samples, args.delta)
     return {"delta": args.delta, "content": value}, 0
 
 
 def _cmd_extend(args):
-    from .lipschitz import mcshane_extend_all
     space = _load_space(args.space)
     sample = _load_sample(args.h, space)
     queries = _list(args.queries, int) if args.queries else list(range(space.n))
-    values = mcshane_extend_all(sample, queries, envelope=args.envelope)
+    values = cl.mcshane_extend_all(sample, queries, envelope=args.envelope)
     return {
         "envelope": args.envelope,
         "queries": [int(q) for q in queries],
@@ -175,67 +175,59 @@ def _cmd_extend(args):
 
 
 def _cmd_probes(args):
-    from .lipschitz import probe_family, speed_via_probes
     if (args.t is None) != (args.window is None):
         raise InputError("probes --t needs --window" if args.window is None else "probes --window needs --t")
     curve = _load_curve(args.curve, args.space)
-    family = probe_family(curve, args.n)
+    family = cl.probe_family(curve, args.n)
     payload = {"centers": [int(c) for c in family.centers]}
     if args.t is not None:
-        payload["speed"] = speed_via_probes(curve, family, args.t, args.window,
-                                            side=args.side)
+        payload["speed"] = cl.speed_via_probes(curve, family, args.t, args.window,
+                                               side=args.side)
     return payload, 0
 
 
 def _cmd_sawtooth(args):
-    from .witnesses import sawtooth_witness
     curve = _load_curve(args.curve, args.space)
-    return sawtooth_witness(curve, args.tooth).to_json(), 0
+    return cl.sawtooth_witness(curve, args.tooth).to_json(), 0
 
 
 def _cmd_altwitness(args):
-    from .witnesses import alternating_separated_witness
     space = _load_space(args.space)
-    witness = alternating_separated_witness(space, _list(args.points, int),
-                                            _list(args.radii, float))
+    witness = cl.alternating_separated_witness(space, _list(args.points, int),
+                                               _list(args.radii, float))
     return witness.to_json(), 0
 
 
 def _cmd_forge(args):
-    from .witnesses import ForgeProblem, banach_steinhaus_forge, diagonal_forge_problem
-    problem = diagonal_forge_problem()
+    problem = cl.diagonal_forge_problem()
     if args.horizon is not None:
-        problem = ForgeProblem(functional=problem.functional, horizon=args.horizon)
-    return banach_steinhaus_forge(problem, args.depth)._asdict(), 0
+        problem = cl.ForgeProblem(functional=problem.functional, horizon=args.horizon)
+    return cl.banach_steinhaus_forge(problem, args.depth)._asdict(), 0
 
 
 def _cmd_check_contraction(args):
-    from .verify import check_contraction
     curve = _load_curve(args.curve, args.space)
-    return _verdict(check_contraction(curve, _load_sample(args.h, curve.space)))
+    return _verdict(cl.check_contraction(curve, _load_sample(args.h, curve.space)))
 
 
 def _cmd_check_area(args):
-    from .lipschitz import mcshane_extend_all
-    from .verify import area_formula_check
     curve = _load_curve(args.curve, args.space)
     if args.values:
         values = _load_values(args.values)
     else:
-        values = mcshane_extend_all(_load_sample(args.h, curve.space), curve.samples)
+        values = cl.mcshane_extend_all(_load_sample(args.h, curve.space), curve.samples)
     weights = _load_values(args.weights) if args.weights else None
-    return _verdict(area_formula_check(curve, values, weights))
+    return _verdict(cl.area_formula_check(curve, values, weights))
 
 
 def _cmd_check_varint(args):
-    from .verify import variation_integral_check
-    return _verdict(variation_integral_check(_load_curve(args.curve, args.space)))
+    return _verdict(cl.variation_integral_check(_load_curve(args.curve, args.space)))
 
 
 def _cmd_check_disc(args):
-    from .verify import _report, discontinuity_measure
+    from .verify import _report
     tol = _scalar(args.measure_tolerance, "--measure-tolerance", 0, strict=False)
-    profile = discontinuity_measure(_load_values(args.values), args.epsilon, args.delta)
+    profile = cl.discontinuity_measure(_load_values(args.values), args.epsilon, args.delta)
     return _verdict(_report(
         "discontinuity", profile.measure, 0.0, tol, one_sided=True,
         context={"epsilon": profile.epsilon, "delta": profile.delta,
@@ -243,13 +235,11 @@ def _cmd_check_disc(args):
 
 
 def _cmd_check_acp(args):
-    from .verify import ac_p_test
-    result = ac_p_test(_load_curve(args.curve, args.space), args.p)
+    result = cl.ac_p_test(_load_curve(args.curve, args.space), args.p)
     return result._asdict(), 0 if result.verdict != "AC_p-inconsistent" else 1
 
 
 def _cmd_check_luzin(args):
-    from .verify import luzin_n_probe
     curve = _load_curve(args.curve, args.space)
     intervals = []
     for tok in args.null_set.split(","):
@@ -258,13 +248,12 @@ def _cmd_check_luzin(args):
             intervals.append((float(a), float(b)))
         except ValueError as exc:
             raise InputError(f"null-set interval {tok!r} must be a:b") from exc
-    return _verdict(luzin_n_probe(curve, intervals, args.delta))
+    return _verdict(cl.luzin_n_probe(curve, intervals, args.delta))
 
 
 def _cmd_recover(args):
-    from .verify import continuous_representative
     values = _load_values(args.values)
-    result = continuous_representative(values, _list(args.epsilons, float), window=args.window)
+    result = cl.continuous_representative(values, _list(args.epsilons, float), window=args.window)
     if result is None:
         return {"found": False}, 1
     cleaned, fraction = result
@@ -306,10 +295,10 @@ def _cmd_report(args):
                 raise InputError("a bundle entry cannot run report")
             payload, code = _run(sub)
         except (InputError, HorizonError) as exc:
-            sys.stderr.write(f"error: {exc}\n")
+            code = _fail(exc)
             # The .jsonl row carries the error too; the .csv columns stay fixed.
             row["error"] = f"{type(exc).__name__}: {exc}"
-            row["verdict"], code = ("fail", 1) if isinstance(exc, HorizonError) else ("error", 2)
+            row["verdict"] = "fail" if code == 1 else "error"
         else:
             row["verdict"] = "pass" if code == 0 else "fail"
             if isinstance(payload, dict):
@@ -480,12 +469,8 @@ def main(argv=None) -> int:
         else:
             _emit(payload, args.out)
         return code
-    except HorizonError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except (InputError, HorizonError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

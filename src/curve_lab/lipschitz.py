@@ -227,7 +227,10 @@ def speed_via_probes(curve: SampledCurve, probes: ProbeFamily, t: float, window:
     post-composition at t, with metric_speed's window convention and ranges."""
     if not probes.space.same_as(curve.space):
         raise InputError("probe family and curve live on different spaces")
+    centers = probes.space.check_ids(probes.centers)
+    if len(centers) == 0:
+        raise InputError("probe family has no centers")
     i1, i2 = _window_indices(curve, t, window, side)
-    v1, v2 = probes.space.pair_distances(curve.samples[[i1, i2], None], probes.centers)
+    v1, v2 = probes.space.pair_distances(curve.samples[[i1, i2], None], centers)
     return float(np.max(np.abs(v2 - v1)) / (curve.times[i2] - curve.times[i1]))
 

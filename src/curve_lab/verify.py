@@ -5,20 +5,17 @@ continuous-representative recovery, AC_p consistency, and a Luzin-N probe."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+# Public names are read through the package, so the checks on a bare values
+# trace (disc, recover) load neither curves nor lipschitz.
+import curve_lab as cl
+
 from .errors import InputError, ScheduleError, _float_array, _scalar
-
-# Each check imports the curves and lipschitz names it calls, so the checks on
-# a bare values trace (disc, recover) load neither.
-if TYPE_CHECKING:
-    from collections.abc import Mapping
-
-    from .curves import SampledCurve
-    from .lipschitz import LipschitzSample
 
 
 class CheckReport(NamedTuple):
@@ -58,18 +55,16 @@ def _report(name, lhs, rhs, tolerance, one_sided, context=None) -> CheckReport:
     )
 
 
-def check_contraction(curve: SampledCurve, sample: LipschitzSample) -> CheckReport:
+def check_contraction(curve: cl.SampledCurve, sample: cl.LipschitzSample) -> CheckReport:
     """Variation of an L-Lipschitz function along the curve is at most
     L times the curve's variation.  Bookkeeping: the sample's L is at least
     its data's constant, and its McShane envelope is L-Lipschitz, so the
     inequality holds by construction, up to rounding."""
-    from .curves import total_variation
-    from .lipschitz import mcshane_extend_all
     if not sample.space.same_as(curve.space):
         raise InputError("Lipschitz sample and curve live on different spaces")
-    values = mcshane_extend_all(sample, curve.samples)
+    values = cl.mcshane_extend_all(sample, curve.samples)
     lhs = float(np.sum(np.abs(np.diff(values))))
-    tv = total_variation(curve)
+    tv = cl.total_variation(curve)
     rhs = sample.L * tv
     tol = 1e-12 * max(1.0, abs(rhs))
     return _report(
@@ -78,7 +73,7 @@ def check_contraction(curve: SampledCurve, sample: LipschitzSample) -> CheckRepo
     )
 
 
-def area_formula_check(curve: SampledCurve, values: Sequence[float],
+def area_formula_check(curve: cl.SampledCurve, values: Sequence[float],
                        weights: Optional[Sequence[float]] = None) -> CheckReport:
     """Discrete area formula: summing step weights against increments of a
     real-valued trace equals sweeping the level line and counting weighted
@@ -103,9 +98,10 @@ def area_formula_check(curve: SampledCurve, values: Sequence[float],
     theta_bar = 0.5 * (theta[:-1] + theta[1:])
     lhs = float(np.sum(theta_bar * np.abs(np.diff(h))))
 
-    levels = np.unique(h)
-    first = np.searchsorted(levels, np.minimum(h[:-1], h[1:]))
-    last = np.searchsorted(levels, np.maximum(h[:-1], h[1:]))
+    # The inverse is each value's rank among the levels; asking for it also
+    # keeps np.unique from importing numpy.ma.
+    levels, rank = np.unique(h, return_inverse=True)
+    first, last = np.minimum(rank[:-1], rank[1:]), np.maximum(rank[:-1], rank[1:])
     # Interval k spans levels[k]..levels[k+1]; a step covers first..last-1.
     starts = np.bincount(first, weights=theta_bar, minlength=len(levels))
     ends = np.bincount(last, weights=theta_bar, minlength=len(levels))
@@ -117,12 +113,11 @@ def area_formula_check(curve: SampledCurve, values: Sequence[float],
                    context={"levels": len(levels), "bookkeeping": True})
 
 
-def variation_integral_check(curve: SampledCurve) -> CheckReport:
+def variation_integral_check(curve: cl.SampledCurve) -> CheckReport:
     """Variation equals chord length weighted by traversal multiplicity,
     summed over the distinct unordered geometric edges of the sample path.
     An identity by construction; reported to confirm the bookkeeping."""
-    from .curves import total_variation
-    lhs = total_variation(curve)
+    lhs = cl.total_variation(curve)
     steps = np.sort(np.column_stack([curve.samples[:-1], curve.samples[1:]]), axis=1)
     edges, first, mult = np.unique(steps, axis=0, return_index=True, return_counts=True)
     order = np.argsort(first)
@@ -260,16 +255,18 @@ class ACPReport(NamedTuple):
     verdict: str  # "AC_p-consistent" | "AC_p-inconsistent" | "inconclusive"
 
 
-def _speed_norm(curve: SampledCurve, p: float) -> float:
+def _speed_norm(curve: cl.SampledCurve, p: float) -> float:
+    """The L^p norm of the step quotients over the time steps, scaled by the
+    largest quotient so that no power overflows at large p."""
     q = curve.step_quotients()
-    if math.isinf(p):
-        return float(np.max(q))
-    dt = np.diff(curve.times)
-    return float(np.sum((q ** p) * dt) ** (1.0 / p))
+    q_max = float(np.max(q))
+    if math.isinf(p) or q_max == 0:
+        return q_max
+    return q_max * float(np.sum((q / q_max) ** p * np.diff(curve.times)) ** (1.0 / p))
 
 
-def ac_p_test(curve: SampledCurve, p: float,
-              refine: Optional[Callable[[SampledCurve], SampledCurve]] = None,
+def ac_p_test(curve: cl.SampledCurve, p: float,
+              refine: Optional[Callable[[cl.SampledCurve], cl.SampledCurve]] = None,
               refinements: int = 1) -> ACPReport:
     """Estimate the L^p norm of the metric speed and test its stability under
     grid refinement.  A curve that is absolutely continuous with p-integrable
@@ -292,14 +289,13 @@ def ac_p_test(curve: SampledCurve, p: float,
                      refinement_trend=tuple(trend), verdict=verdict)
 
 
-def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
+def luzin_n_probe(curve: cl.SampledCurve, null_set: Sequence[tuple[float, float]],
                   delta: float) -> CheckReport:
     """Luzin-N style probe: the length content created by the part of the
     curve parametrized over a small time set is controlled by the worst step
     quotient seen outside that set, times the measure of the union of its
     intervals.  A curve that tears a time-null set into positive length
     fails.  ``delta`` is finite and positive."""
-    from .curves import hausdorff1_content
     delta = _scalar(delta, "delta", 0)
     intervals = _float_array(null_set, "null set")
     if intervals.shape != (0,) and (intervals.ndim != 2 or intervals.shape[1] != 2):
@@ -315,7 +311,7 @@ def luzin_n_probe(curve: SampledCurve, null_set: Sequence[tuple[float, float]],
     if len(ids) == 0:
         return _report("luzin_n", 0.0, 0.0, delta, one_sided=True,
                        context={"null_set_samples": 0})
-    content = hausdorff1_content(curve.space, ids, delta)
+    content = cl.hausdorff1_content(curve.space, ids, delta)
     step_mask = mask[:-1] & mask[1:]
     within = float(np.sum(curve.chords()[step_mask]))
     lhs = max(content, within)

@@ -3,24 +3,21 @@ alternating separated-ball witnesses, and an inductive selector that forges a
 unit-ball element on which a sequence of functionals diverges."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import HorizonError, InputError, _float_array, _scalar
+# Public names are read through the package, so forge loads neither curves
+# nor lipschitz.
+import curve_lab as cl
 
-# Each witness imports the curves and lipschitz names it calls, so forge
-# loads neither.
-if TYPE_CHECKING:
-    from .curves import SampledCurve
-    from .lipschitz import LipschitzSample
-    from .metric import MetricSpace
+from .errors import HorizonError, InputError, _float_array, _scalar
 
 
 class WitnessFunction(NamedTuple):
     """A realized Lipschitz sample plus the numeric properties certified for it."""
 
-    realization: LipschitzSample
+    realization: cl.LipschitzSample
     certificates: dict
 
     def to_json(self) -> dict:
@@ -38,14 +35,13 @@ def triangle_wave(t, tooth: float):
     return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
 
-def _chord_arc_defect(space: MetricSpace, samples: np.ndarray, s: np.ndarray) -> float:
+def _chord_arc_defect(space: cl.MetricSpace, samples: np.ndarray, s: np.ndarray) -> float:
     """Max over pairs of distinct samples of (arc separation / distance) - 1,
     floored at 0: the arc coordinate's Lipschitz constant on the samples, less 1."""
-    from .lipschitz import lip_constant
-    return max(1.0, lip_constant(samples, s, space)) - 1.0
+    return max(1.0, cl.lip_constant(samples, s, space)) - 1.0
 
 
-def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
+def sawtooth_witness(curve: cl.SampledCurve, tooth: float) -> WitnessFunction:
     """Triangle wave of the arc-length coordinate, realized on the curve's
     samples.
 
@@ -56,12 +52,10 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     can lose length: the floor is the total variation less those steps' arc
     lengths.  ``floor_met`` allows the floor a relative 1e-9 of the total
     variation for rounding.  ``tooth`` is positive, at most the curve's length."""
-    from .curves import total_variation
-    from .lipschitz import LipschitzSample, lip_constant
     tooth = _scalar(tooth, "tooth", 0)
     if not curve.is_simple():
         raise InputError("sawtooth witness requires a simple curve")
-    tv = total_variation(curve)
+    tv = cl.total_variation(curve)
     if tv <= 0:
         raise InputError("sawtooth witness requires positive total variation")
     if tooth > tv:
@@ -71,10 +65,10 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     values = triangle_wave(s, tooth)
     # One pass over the distances gives the wave's constant and the arc
     # coordinate's, whose excess over 1 is the chord-arc defect.
-    lc, lip_s = lip_constant(curve.samples, np.column_stack([values, s]), curve.space)
+    lc, lip_s = cl.lip_constant(curve.samples, np.column_stack([values, s]), curve.space)
     lc, eta = float(lc), max(1.0, float(lip_s)) - 1.0
-    realization = LipschitzSample(space=curve.space, support=curve.samples, values=values,
-                                  L=max(1.0, lc), _lip=lc)
+    realization = cl.LipschitzSample(space=curve.space, support=curve.samples, values=values,
+                                     L=max(1.0, lc), _lip=lc)
     variation = float(np.sum(np.abs(np.diff(values))))
     folds = np.diff(np.floor(s / tooth)) != 0
     floor = tv - float(np.sum(np.diff(s)[folds]))
@@ -91,7 +85,7 @@ def sawtooth_witness(curve: SampledCurve, tooth: float) -> WitnessFunction:
     return WitnessFunction(realization=realization, certificates=certificates)
 
 
-def variation_preserving_witness(curve: SampledCurve, slack: float) -> WitnessFunction:
+def variation_preserving_witness(curve: cl.SampledCurve, slack: float) -> WitnessFunction:
     """Sawtooth witness with tooth = slack/2, targeting a post-composition
     variation of at least total_variation - slack with sup bound slack/2.
     ``target_met`` says whether the composed variation reaches the target,
@@ -105,7 +99,7 @@ def variation_preserving_witness(curve: SampledCurve, slack: float) -> WitnessFu
     return WitnessFunction(realization=witness.realization, certificates=certs)
 
 
-def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[int],
+def alternating_separated_witness(space: cl.MetricSpace, ordered_points: Sequence[int],
                                   radii: Sequence[float]) -> WitnessFunction:
     """Values (-1)^k * radius_k on points whose pairwise distances dominate
     the radius sums; 1-Lipschitz on its support by construction.
@@ -114,7 +108,6 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
     of any post-composition along a curve visiting the points in order: the
     alternating signs make every adjacent jump equal the radius sum exactly.
     """
-    from .lipschitz import LipschitzSample
     pts = space.check_ids(ordered_points)
     radii = _float_array(radii, "radii", ndim=1)
     if len(pts) != len(radii):
@@ -123,7 +116,8 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         raise InputError("empty point list")
     if not np.all(radii > 0):
         raise InputError("radii must be positive")
-    if len(np.unique(pts)) != len(pts):
+    # An index output keeps np.unique from importing numpy.ma.
+    if len(np.unique(pts, return_index=True)[1]) != len(pts):
         raise InputError("ordered points must be distinct")
     dmat = space.pair_distances(pts[:, None], pts)
     need = radii[:, None] + radii[None, :]
@@ -137,7 +131,7 @@ def alternating_separated_witness(space: MetricSpace, ordered_points: Sequence[i
         )
     ks = np.arange(1, len(pts) + 1)
     values = ((-1.0) ** ks) * radii
-    realization = LipschitzSample(space=space, support=pts, values=values, L=1.0)
+    realization = cl.LipschitzSample(space=space, support=pts, values=values, L=1.0)
     lower = float(np.sum(radii[:-1] + radii[1:]))
     margin = float(np.min((dmat - need)[np.triu_indices(len(pts), k=1)], initial=np.inf))
     certificates = {
@@ -192,12 +186,14 @@ def banach_steinhaus_forge(problem: ForgeProblem, depth: int) -> ForgeResult:
     :class:`HorizonError` with the level reached.  ``depth`` is an integer >= 1.
     """
     depth = _scalar(depth, "depth", 1, strict=False, integer=True)
+    # Read again here: the horizon is a plain slot, assignable after construction.
+    horizon = _scalar(problem.horizon, "horizon", 0, strict=False, integer=True)
     # p counts its evaluations against the horizon and names the current level.
     calls, level = 0, 1
 
     def p(m: int, combo) -> float:
         nonlocal calls
-        if calls >= problem.horizon:
+        if calls >= horizon:
             raise HorizonError(f"functional-evaluation horizon exhausted at level {level}", level=level)
         calls += 1
         v = float(problem.functional(m, combo))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -470,6 +471,15 @@ def test_malformed_space_exits_2(tmp_path, lpoly, capsys, doc):
     assert_input_error(["variation", "--curve", lpoly, "--space", str(space)], capsys)
 
 
+def test_check_acp_accepts_large_p(tmp_path, capsys):
+    # Step quotients of sqrt(t) reach 14; their 1000th powers overflow.
+    sqrt = tmp_path / "sqrt.csv"
+    sqrt.write_text("t,x1\n" + "".join(f"{t!r},{math.sqrt(t)!r}\n" for t in np.linspace(0.0, 1.0, 201).tolist()))
+    assert main(["check", "acp", "--curve", str(sqrt), "--p", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and np.isfinite(json.loads(captured.out)["norm_estimate"])
+
+
 def test_check_acp_and_luzin(seg, capsys):
     assert main(["check", "acp", "--curve", seg, "--p", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -829,13 +839,14 @@ if argv is None:
 else:
     from curve_lab.cli import main
     main(argv)
-sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("curve_lab."))))
+sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("curve_lab.") or m == "numpy.ma")))
 """
 
 
 def loaded_modules(argv) -> set:
-    """The curve_lab submodules a fresh interpreter holds after
-    ``import curve_lab`` (argv None) or after running the CLI on argv."""
+    """The curve_lab submodules, and numpy.ma if loaded, that a fresh
+    interpreter holds after ``import curve_lab`` (argv None) or after
+    running the CLI on argv."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, json.dumps(argv)],
                           env={**os.environ, "PYTHONPATH": str(src)},
@@ -865,3 +876,22 @@ def test_commands_load_only_the_modules_they_use(tmp_path, lpoly):
     assert "witnesses" in forge and not forge & {"metric", "curves", "lipschitz", "verify"}
     varint = loaded_modules(["check", "varint", "--curve", lpoly])
     assert {"curves", "verify"} <= varint and "lipschitz" not in varint
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # Under numpy 2.4, np.unique without an index output imports numpy.ma,
+    # 10-20 ms of start-up. check area --values calls no lipschitz name.
+    space, curve = tmp_path / "space.json", tmp_path / "curve.csv"
+    space.write_text(json.dumps({"kind": "euclidean", "data": [[0, 0], [3, 4], [1, 1]]}))
+    curve.write_text("t,point_id\n0,0\n0.5,1\n1,2\n")
+    h, values = tmp_path / "h.json", tmp_path / "values.txt"
+    h.write_text(json.dumps({"support": [0, 1], "values": [0.0, 5.0], "L": 1.0}))
+    values.write_text("0.0\n-0.0\n2.5\n")
+    area = ["check", "area", "--curve", str(curve), "--space", str(space)]
+    altwitness = ["altwitness", "--space", str(space), "--points", "0,1", "--radii", "1,1"]
+    for argv, needed, unused in ((area + ["--h", str(h)], {"lipschitz", "verify"}, {"numpy.ma"}),
+                                 (area + ["--values", str(values)], {"verify"}, {"lipschitz", "numpy.ma"}),
+                                 (altwitness, {"lipschitz", "witnesses"}, {"numpy.ma"})):
+        assert main(argv) == 0, argv
+        loaded = loaded_modules(argv)
+        assert needed <= loaded and not loaded & unused, argv

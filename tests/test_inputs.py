@@ -8,7 +8,7 @@ import copy
 import numpy as np
 import pytest
 
-from curve_lab import (ForgeProblem, InputError, LipschitzSample, MetricSpace, SampledCurve, ac_p_test,
+from curve_lab import (ForgeProblem, InputError, LipschitzSample, MetricSpace, ProbeFamily, SampledCurve, ac_p_test,
                        alternating_separated_witness, area_formula_check, banach_steinhaus_forge,
                        continuous_representative, diagonal_forge_problem, discontinuity_measure,
                        hausdorff1_content, lip_constant, luzin_n_probe, maximal_separated_net,
@@ -111,6 +111,13 @@ def forge(depth):
     return banach_steinhaus_forge(diagonal_forge_problem(), depth)
 
 
+def forge_with_horizon(horizon):
+    # The horizon is an assignable slot, so the forge reads it again.
+    problem = diagonal_forge_problem()
+    problem.horizon = horizon
+    return banach_steinhaus_forge(problem, 3)
+
+
 INF = float("inf")
 # scalar parameter: (call on a value, the name the error gives, values it
 # takes, the first written as a string for the string form, and values it
@@ -140,6 +147,8 @@ SCALARS = {
     "ForgeProblem horizon": (lambda x: ForgeProblem(diagonal_forge_problem().functional, x), "horizon",
                              [10, 0, np.int64(0)], [-1, 2.5, INF, 10.0]),
     "banach_steinhaus_forge depth": (forge, "depth", [3, 1, np.int64(2)], [0, -1, 2.5, INF]),
+    "banach_steinhaus_forge horizon": (forge_with_horizon, "horizon", [1000, np.int64(1000)],
+                                       [-1, 2.5, INF, 10.0]),
     "discontinuity_measure epsilon": (lambda x: discontinuity_measure([0.0] * 6, x, 0.2), "epsilon",
                                       [0.5, np.float64(0.5)], [INF, 0.0, -1.0]),
     "discontinuity_measure delta": (lambda x: discontinuity_measure([0.0] * 6, 0.5, x), "delta",
@@ -166,3 +175,20 @@ def test_malformed_scalar_is_an_input_error_naming_it(entry, bad):
     with pytest.raises(InputError, match=f"^{what} "):
         call(bad)
 
+
+
+@pytest.mark.parametrize("centers, message", [
+    ((-1, 1), "point id -1 out of range [0, 3)"),
+    ((50,), "point id 50 out of range [0, 3)"),
+    (("a",), "point id 'a' is not an integer"),
+    ((1.5,), "point id 1.5 is not an integer"),
+    ((True,), "point id True is not an integer"),
+    ((), "probe family has no centers"),
+])
+def test_probe_centers_are_point_ids_of_the_space(centers, message):
+    # A hand-built family is read like any point ids: -1 names no point,
+    # rather than the last one.
+    assert speed_via_probes(CURVE, ProbeFamily(SPACE, (0, 2)), 0.5, 0.5) == 20.0
+    with pytest.raises(InputError) as info:
+        speed_via_probes(CURVE, ProbeFamily(SPACE, centers), 0.5, 0.5)
+    assert str(info.value) == message

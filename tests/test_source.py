@@ -37,7 +37,7 @@ def test_no_unused_top_level_imports():
 
 
 def test_no_unused_function_imports():
-    # cli.py imports per command; each such import must be used where it is.
+    # A private name is imported where it is used; each such import must be used there.
     found = []
     for path in sorted(Path(curve_lab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -49,6 +49,19 @@ def test_no_unused_function_imports():
                       for node in fn.body if isinstance(node, (ast.Import, ast.ImportFrom))
                       for alias in node.names
                       if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert found == []
+
+
+def test_public_names_are_reached_through_the_package():
+    # curve_lab._HOME is the one record of where each public name lives: a
+    # function calls cl.<name>, which loads the home module on first use and
+    # reads its current attribute, so no function imports a public name.
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in sorted(Path(curve_lab.__file__).parent.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name in curve_lab._HOME]
     assert found == []
 
 

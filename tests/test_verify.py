@@ -105,6 +105,23 @@ class TestAreaFormula:
         report = area_formula_check(curve, values, weights)
         assert report.verdict
 
+    def test_ranks_are_the_level_positions(self):
+        # Each value's rank among the levels is where a search of the levels
+        # finds it, also for repeats and for 0.0 against -0.0: the sum is the
+        # one that searching for each step's ends gives, bit for bit.
+        rng = np.random.default_rng(8)
+        curve = unit_segment(40)
+        for _ in range(50):
+            h = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0, 3.0], size=40) * rng.choice([1.0, -1.0], size=40)
+            theta_bar = np.ones(39)
+            levels = np.unique(h)
+            first = np.searchsorted(levels, np.minimum(h[:-1], h[1:]))
+            last = np.searchsorted(levels, np.maximum(h[:-1], h[1:]))
+            crossing = np.cumsum(np.bincount(first, theta_bar, len(levels))
+                                 - np.bincount(last, theta_bar, len(levels)))[:-1]
+            rhs = float(np.cumsum(np.concatenate([[0.0], np.diff(levels) * crossing]))[-1])
+            assert area_formula_check(curve, h).rhs == rhs
+
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             area_formula_check(unit_segment(5), [0.0, 1.0])
@@ -307,6 +324,13 @@ class TestACP:
         norms = [ac_p_test(curve, p).norm_estimate / span ** (1.0 / p)
                  for p in (1.0, 1.5, 2.0, 4.0, 8.0)]
         assert all(b >= a - 1e-9 for a, b in zip(norms[:-1], norms[1:]))
+
+    def test_large_p_does_not_overflow(self):
+        # A unit circle at speed 3: 3 ** 1000 overflows, and the norm is the
+        # sup norm up to the chords' shortfall.
+        t = np.linspace(0.0, 1.0, 4097)
+        circle = euclidean_curve(np.column_stack([np.cos(3 * t), np.sin(3 * t)]), t)
+        assert ac_p_test(circle, 1000.0).norm_estimate == pytest.approx(3.0, abs=1e-6)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(InputError):
